@@ -17,15 +17,14 @@ from .chartab import (CharacterTable, ClassFunction, ClassInfo,
                       table_to_dict, validate)
 from .dixon import compute_character_table
 from .errors import CtrzError, InconsistencyError, InputError
-from .exact import Cyclotomic, QuadraticView, Rational, cyclotomic_polynomial
+from .exact import Cyclotomic, QuadraticView, cyclotomic_polynomial
 from .perm import (ClassSet, ConjugacyClass, FiniteGroup, Permutation,
-                   format_cycles, generate, orbit_count_tuples, parse_cycles)
+                   format_cycles, orbit_count_tuples, parse_cycles)
 from .pipeline import GroupAnalysis, analysis_from_file, builtin_analysis
 from .tensor import (SemisimpleStructure, agreed_multiplicities,
-                     closed_form_multiplicities, dimension_by_fixed_points,
-                     dimension_closed_form, dimension_from_vector, dims_row,
-                     multiplicities_direct, multiplicities_recurrence,
-                     semisimple_structure, transition_matrix)
+                     closed_form_multiplicities, dimension_closed_form,
+                     dims_row, multiplicities_direct,
+                     multiplicities_recurrence, transition_matrix)
 
 __version__ = "0.1.0"
 
@@ -33,14 +32,13 @@ __all__ = [
     "CharacterTable", "ClassFunction", "ClassInfo", "ClassSet",
     "ConjugacyClass", "CtrzError", "Cyclotomic", "DecompositionError",
     "Finding", "FiniteGroup", "GroupAnalysis", "InconsistencyError",
-    "InputError", "MatchResult", "Permutation", "QuadraticView", "Rational",
+    "InputError", "MatchResult", "Permutation", "QuadraticView",
     "SemisimpleStructure", "TableErrata", "Violation", "agreed_multiplicities",
     "analysis_from_file", "builtin_analysis", "closed_form_multiplicities",
     "compute_character_table", "cyclotomic_polynomial", "decompose",
-    "dimension_by_fixed_points", "dimension_closed_form",
-    "dimension_from_vector", "dims_row", "format_cycles", "generate",
-    "inner_product", "load_table", "match_columns", "multiplicities_direct",
+    "dimension_closed_form", "dims_row", "format_cycles", "inner_product",
+    "load_table", "match_columns", "multiplicities_direct",
     "multiplicities_recurrence", "orbit_count_tuples", "parse_cycles",
-    "permutation_character", "semisimple_structure", "table_from_dict",
-    "table_to_dict", "transition_matrix", "validate",
+    "permutation_character", "table_from_dict", "table_to_dict",
+    "transition_matrix", "validate",
 ]

@@ -149,7 +149,7 @@ def validate(table: CharacterTable) -> list[Violation]:
                 out.append(Violation(
                     "row-orthogonality",
                     f"{table.characters[i]},{table.characters[j]}",
-                    f"sum is {_display(acc)}, expected {want}"))
+                    f"sum is {display_value(acc)}, expected {want}"))
     for a in range(r):
         for b in range(a, r):
             acc = Cyclotomic.from_rational(0, 1)
@@ -164,7 +164,7 @@ def validate(table: CharacterTable) -> list[Violation]:
                 out.append(Violation(
                     "column-orthogonality",
                     f"{table.classes[a].label},{table.classes[b].label}",
-                    f"sum is {_display(acc)}, expected {want}"))
+                    f"sum is {display_value(acc)}, expected {want}"))
     return out
 
 
@@ -293,28 +293,24 @@ class MatchResult:
         return d
 
 
-def _cycle_type_of(rep: str | None) -> tuple[int, ...] | None:
-    if rep is None:
+def _parsed_representatives(table: CharacterTable):
+    """(degree, cycle types): the largest point any class representative
+    names, and the cycle type of each representative, None where its
+    text does not parse.  None when some class has no representative."""
+    if any(c.representative is None for c in table.classes):
         return None
-    try:
-        points = [int(x) for x in
-                  rep.replace("(", " ").replace(")", " ").replace(",", " ").split()]
-        degree = max(points) if points else 1
-        p = parse_cycles(rep, degree)
-    except (InputError, ValueError):
-        return None
-    return p.cycle_type()
-
-
-def _rep_degree(table: CharacterTable) -> int | None:
-    worst = 0
+    degree, types = 0, []
     for c in table.classes:
-        if c.representative is None:
-            return None
-        pts = [int(x) for x in c.representative.replace("(", " ")
-               .replace(")", " ").replace(",", " ").split()]
-        worst = max(worst, max(pts) if pts else 1)
-    return worst
+        rep = c.representative
+        try:
+            points = [int(x) for x in
+                      rep.replace("(", " ").replace(")", " ").replace(",", " ").split()]
+            top = max(points, default=1)
+            degree = max(degree, top)
+            types.append(parse_cycles(rep, top).cycle_type())
+        except (InputError, ValueError):
+            types.append(None)
+    return degree, types
 
 
 def _canonical_cells(a: CharacterTable, b: CharacterTable):
@@ -339,17 +335,19 @@ def match_columns(computed: CharacterTable,
     r = computed.size
     comp_cells, ext_cells = _canonical_cells(computed, external)
 
-    same_degree = (_rep_degree(computed) is not None
-                   and _rep_degree(computed) == _rep_degree(external))
+    comp_reps = _parsed_representatives(computed)
+    ext_reps = _parsed_representatives(external)
+    same_degree = (comp_reps is not None and ext_reps is not None
+                   and comp_reps[0] == ext_reps[0])
     have_profiles = (all(c.power_profile is not None for c in computed.classes)
                      and all(c.power_profile is not None for c in external.classes))
 
-    def fingerprint(table, j, level):
+    def fingerprint(table, reps, j, level):
         c = table.classes[j]
         if level == "full":
             fp = [c.size, c.order]
             if same_degree:
-                fp.append(_cycle_type_of(c.representative))
+                fp.append(reps[1][j])
             if have_profiles:
                 fp.append(c.power_profile)
             return tuple(fp)
@@ -366,8 +364,8 @@ def match_columns(computed: CharacterTable,
     for level in ("full", "size-order", "size"):
         if comp_deg is None or sorted(comp_deg) != sorted(ext_deg):
             break
-        comp_fps = [fingerprint(computed, j, level) for j in range(r)]
-        ext_fps = [fingerprint(external, j, level) for j in range(r)]
+        comp_fps = [fingerprint(computed, comp_reps, j, level) for j in range(r)]
+        ext_fps = [fingerprint(external, ext_reps, j, level) for j in range(r)]
         if sorted(comp_fps) != sorted(ext_fps):
             continue
         result = _search(comp_cells, ext_cells, comp_fps, ext_fps,
@@ -477,8 +475,8 @@ def _finish(computed, external, row_map, col_map, mismatches, level,
             kind="cell",
             row=external.characters[a],
             column=external.classes[b].label,
-            external=_display(external.values[a][b]),
-            computed=_display(computed.values[row_map[a]][col_map[b]]),
+            external=display_value(external.values[a][b]),
+            computed=display_value(computed.values[row_map[a]][col_map[b]]),
             relation="cell equality under best matching"))
     matched = [computed.classes[col_map[b]] for b in range(external.size)]
     errata.findings.extend(class_metadata_findings(external, matched))
@@ -579,10 +577,9 @@ def encode_value(v: Cyclotomic) -> str | dict:
     vector, whichever is smallest that represents v exactly."""
     if v.is_rational():
         return str(v.as_rational())
-    for D in quadratic_candidates(v.conductor):
-        qv = to_quadratic(v, D)
-        if qv is not None:
-            return {"D": D, "a": str(qv.a), "b": str(qv.b)}
+    qv = _quadratic(v)
+    if qv is not None:
+        return {"D": qv.D, "a": str(qv.a), "b": str(qv.b)}
     return {"conductor": v.conductor, "coeffs": [str(c) for c in v.coeffs]}
 
 
@@ -637,6 +634,11 @@ def table_from_dict(data: dict) -> CharacterTable:
                              representative=c.get("representative"),
                              printed_size=c.get("printed_size"))
                    for c in data["classes"]]
+        for c in classes:
+            if (type(c.representative) not in (str, type(None))
+                    or type(c.printed_size) not in (int, type(None))):
+                raise TypeError(f"class {c.label} needs a string representative "
+                                "and an integer printed_size")
         characters = [str(ch["label"]) for ch in data["characters"]]
         values = [[decode_value(v, conductor) for v in ch["values"]]
                   for ch in data["characters"]]
@@ -664,17 +666,22 @@ def load_table(path: str) -> CharacterTable:
     return table_from_dict(data)
 
 
-def _display(v: Cyclotomic) -> str:
+def _quadratic(v: Cyclotomic) -> QuadraticView | None:
+    """v as a + b*sqrt(D) for the first quadratic field of its conductor
+    that holds it, or None."""
+    for D in quadratic_candidates(v.conductor):
+        qv = to_quadratic(v, D)
+        if qv is not None:
+            return qv
+    return None
+
+
+def display_value(v: Cyclotomic) -> str:
     """Human-readable exact value: rational, a + b*sqrt(D), or the
     coefficient vector."""
     if v.is_rational():
         return str(v.as_rational())
-    for D in quadratic_candidates(v.conductor):
-        qv = to_quadratic(v, D)
-        if qv is not None:
-            return str(qv)
+    qv = _quadratic(v)
+    if qv is not None:
+        return str(qv)
     return f"cyclotomic{list(map(str, v.coeffs))}"
-
-
-def display_value(v: Cyclotomic) -> str:
-    return _display(v)

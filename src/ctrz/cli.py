@@ -26,10 +26,10 @@ from .chartab import (DecompositionError, class_metadata_findings,
 from .errors import InconsistencyError, InputError
 from .pipeline import GroupAnalysis, analysis_from_file, builtin_analysis
 from .perm import orbit_count_tuples
-from .tensor import (AGREEMENT_BOUND, agreed_multiplicities,
-                     closed_form_multiplicities, dims_row,
-                     multiplicities_direct, multiplicities_recurrence,
-                     semisimple_structure)
+from .tensor import (AGREEMENT_BOUND, SemisimpleStructure,
+                     agreed_multiplicities, closed_form_multiplicities,
+                     dims_row, multiplicities_direct,
+                     multiplicities_recurrence)
 
 
 def _group_args(sub):
@@ -212,10 +212,7 @@ def cmd_chartable_compute(args) -> int:
     clines = ["label," + ",".join(c.label for c in table.classes)]
     for label, row in zip(table.characters, table.values):
         clines.append(label + "," + ",".join(display_value(v) for v in row))
-    if args.fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _emit(args, report, _table_text(table), clines)
+    _emit(args, report, _table_text(table), clines)
     return 0
 
 
@@ -296,14 +293,14 @@ def _vector(args, a: GroupAnalysis, k: int) -> tuple[int, ...]:
         return multiplicities_direct(a.permchar, a.table, k)
     if args.method == "recurrence":
         return multiplicities_recurrence(a.permchar, a.table, k,
-                                         matrix=a.transition if k > 1 else None)
+                                         matrix=a.transition)
     if args.method == "closed-form":
         if a.family is None:
             raise InputError(f"no closed forms are published for {a.name}")
         return closed_form_multiplicities(a.family, k)
     return agreed_multiplicities(
         a.permchar, a.table, k, family=a.family,
-        matrix=a.transition if k > 1 else None, bound=args.agreement_bound)
+        matrix=a.transition, bound=args.agreement_bound)
 
 
 def cmd_decompose(args) -> int:
@@ -329,7 +326,7 @@ def cmd_structure(args) -> int:
     a = _analysis(args)
     args.method = None
     d = _vector(args, a, args.k)
-    s = semisimple_structure(d)
+    s = SemisimpleStructure(d)
     results = {"k": args.k, "structure": s.to_dict()}
     report = _report(args, a.name, results)
     tlines = [s.display(), f"dimension {s.dimension}"]
@@ -349,8 +346,8 @@ def cmd_dims(args) -> int:
         if k <= args.agreement_bound:
             rows.append(dims_row(a.class_set, d, k, family=a.family))
         else:
-            rows.append({"k": k, "sum_of_squares": sum(x * x for x in d),
-                         "dimension": sum(x * x for x in d)})
+            dim = SemisimpleStructure(d).dimension
+            rows.append({"k": k, "sum_of_squares": dim, "dimension": dim})
     report = _report(args, a.name, {"dims": rows})
     tlines = [f"k={r['k']}  dim {r['dimension']}" for r in rows]
     clines = [",".join(str(r["dimension"]) for r in rows)]

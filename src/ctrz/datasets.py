@@ -178,24 +178,30 @@ def load_group_file(path: str) -> dict:
         raise InputError(f"cannot read group spec {path}: {exc}") from exc
     try:
         gens = data["generators"]
-        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        if not _is_string_list(gens):
             raise TypeError("generators must be a list of cycle strings")
         spec = {
             "name": str(data["name"]),
             "degree": int(data["degree"]),
             "generators": list(gens),
         }
+        if "comments" in data:
+            if not _is_string_list(data["comments"]):
+                raise TypeError("comments must be a list of strings")
+            spec["comments"] = list(data["comments"])
+        if "order" in data:
+            spec["order"] = int(data["order"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed group spec {path}: {exc}") from exc
     if spec["degree"] < 1:
         raise InputError(f"group spec {path} needs a positive degree")
     if not spec["generators"]:
         raise InputError(f"group spec {path} lists no generators")
-    if "comments" in data:
-        spec["comments"] = [str(c) for c in data["comments"]]
-    if "order" in data:
-        spec["order"] = int(data["order"])
     return spec
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def transcription_table(side: str) -> CharacterTable:

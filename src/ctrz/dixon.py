@@ -40,8 +40,8 @@ from .perm import ClassSet, FiniteGroup
 class ClassAlgebra:
     """Class multiplication data of a finite group.
 
-    constants[i][j][k] = a[i][j][k]; matrix(i) returns M_i over F_p-ready
-    ints; inverse_class[i] is the class of inverses of class i.
+    constants[i][j][k] = a[i][j][k], so constants[i] is the matrix M_i;
+    inverse_class[i] is the class of inverses of class i.
     """
 
     def __init__(self, class_set: ClassSet):
@@ -50,9 +50,7 @@ class ClassAlgebra:
         r = len(class_set)
         inv_idx = g.inverse_index()
         cls_of = class_set.class_of
-        self.inverse_class = [
-            cls_of[inv_idx[g.element_index(c.representative)]]
-            for c in class_set.classes]
+        self.inverse_class = class_set.power_map(-1)
         counts = [[[0] * r for _ in range(r)] for _ in range(r)]
         elements = g.elements
         index = g.index
@@ -68,9 +66,6 @@ class ClassAlgebra:
     @property
     def size(self) -> int:
         return len(self.constants)
-
-    def matrix(self, i: int) -> list[list[int]]:
-        return self.constants[i]
 
     def check_consistency(self) -> None:
         """Structural identities every class algebra satisfies."""
@@ -150,7 +145,7 @@ def common_eigenbasis(algebra: ClassAlgebra, p: int) -> EigenData:
     for i in range(1, r):
         if all(len(b) == 1 for b, _ in subspaces):
             break
-        m_i = algebra.matrix(i)
+        m_i = algebra.constants[i]
         refined = []
         for basis, pivots in subspaces:
             if len(basis) == 1:
@@ -249,9 +244,7 @@ def lift_character_values(eigen: EigenData, class_set: ClassSet,
 def _degree_for(omega: tuple[int, ...], class_set: ClassSet, p: int) -> int:
     order = class_set.group.order
     sizes = class_set.sizes()
-    # inverse classes straight from the power map at exponent-1
-    inv_map = class_set.power_map(class_set.exponent - 1) \
-        if class_set.exponent > 1 else list(range(len(class_set)))
+    inv_map = class_set.power_map(-1)
     s = 0
     for i, w in enumerate(omega):
         s = (s + w * omega[inv_map[i]] * pow(sizes[i], p - 2, p)) % p

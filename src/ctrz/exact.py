@@ -27,8 +27,6 @@ from .errors import InputError, InconsistencyError
 
 CYCLOTOMIC_CAP = 1000
 
-Rational = Fraction
-
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
@@ -95,19 +93,17 @@ def cyclotomic_polynomial(e: int, cap: int = CYCLOTOMIC_CAP) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _field(e: int):
-    """Per-conductor reduction data: (phi_degree, rows) where rows[m] is
-    the coefficient vector of x^(deg+m) reduced mod Phi_e, extended on
-    demand by _power_row."""
+def _field(e: int) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """Per-conductor reduction data (deg, phi, rows): the degree of
+    Phi_e, its coefficients, and rows[m], the coefficient vector of
+    x^(deg+m) reduced mod Phi_e, extended on demand by _power_row."""
     phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    return {"e": e, "deg": deg, "phi": phi, "rows": []}
+    return len(phi) - 1, phi, []
 
 
 def _power_row(fld, m: int) -> tuple[int, ...]:
     # x^(deg + m) mod Phi_e as an int vector of length deg
-    rows = fld["rows"]
-    deg, phi = fld["deg"], fld["phi"]
+    deg, phi, rows = fld
     while len(rows) <= m:
         if not rows:
             prev = [0] * deg + [1]          # x^deg, about to be reduced
@@ -124,7 +120,7 @@ def _power_row(fld, m: int) -> tuple[int, ...]:
 
 def _reduce_poly(e: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     fld = _field(e)
-    deg = fld["deg"]
+    deg = fld[0]
     out = list(coeffs[:deg]) + [Fraction(0)] * max(0, deg - len(coeffs))
     for m in range(deg, len(coeffs)):
         c = coeffs[m]
@@ -151,23 +147,22 @@ class Cyclotomic:
     __hash__ = None  # cross-conductor equality makes hashing a trap
 
     def __init__(self, conductor: int, coeffs):
-        fld = _field(conductor)
+        deg = _field(conductor)[0]
         coeffs = tuple(_as_fraction(c) for c in coeffs)
-        if len(coeffs) != fld["deg"]:
+        if len(coeffs) != deg:
             raise InputError(
-                f"conductor {conductor} needs {fld['deg']} coefficients, got {len(coeffs)}")
+                f"conductor {conductor} needs {deg} coefficients, got {len(coeffs)}")
         self.conductor = conductor
         self.coeffs = coeffs
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "Cyclotomic":
         v = _as_fraction(value)
-        fld = _field(conductor)
-        return cls(conductor, (v,) + (Fraction(0),) * (fld["deg"] - 1))
+        return cls(conductor, (v,) + (Fraction(0),) * (_field(conductor)[0] - 1))
 
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "Cyclotomic":
-        fld = _field(conductor)
+        _field(conductor)  # rejects a bad conductor before the modulus
         power %= conductor
         poly = [Fraction(0)] * power + [Fraction(1)]
         return cls(conductor, _reduce_poly(conductor, poly))
@@ -233,8 +228,7 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise InputError("division by zero")
-        fld = _field(self.conductor)
-        phi = [Fraction(c) for c in fld["phi"]]
+        phi = [Fraction(c) for c in _field(self.conductor)[1]]
         # extended gcd of self against Phi_e over Q[x]; gcd is a nonzero constant
         r0, r1 = phi, list(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
@@ -245,7 +239,7 @@ class Cyclotomic:
                 break
             q, rem = _frac_divmod(r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
+            s0, s1 = s1, _frac_sub(s0, _poly_mul(q, s1))
         if not r1[0]:
             raise InconsistencyError("unit inversion hit a zero gcd")
         inv_const = 1 / r1[0]
@@ -281,8 +275,6 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: substitute zeta -> zeta^(e-1)."""
         e = self.conductor
-        fld = _field(e)
-        deg = fld["deg"]
         poly = [Fraction(0)] * e
         for i, c in enumerate(self.coeffs):
             if c:
@@ -336,16 +328,6 @@ def _frac_divmod(num: list[Fraction], den: list[Fraction]):
     while len(num) > 1 and not num[-1]:
         num.pop()
     return q, num
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -484,31 +466,3 @@ def quadratic_candidates(conductor: int) -> list[int]:
                 out.append(D)
     return sorted(set(out), key=lambda d: (abs(d), d))
 
-
-def cyclo_matrix_inverse(rows: list[list[Cyclotomic]]) -> list[list[Cyclotomic]]:
-    """Invert a square matrix over a cyclotomic field by Gauss-Jordan
-    elimination with partial (first nonzero) pivoting.  Exact."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("matrix is not square")
-    conductor = lcm(*(v.conductor for r in rows for v in r))
-    one = Cyclotomic.from_rational(1, conductor)
-    zero = Cyclotomic.from_rational(0, conductor)
-    a = [[v.lift(conductor) for v in r] for r in rows]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise InputError("matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col].inverse()
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv

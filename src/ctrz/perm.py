@@ -282,7 +282,8 @@ class ClassSet:
         return self.class_of[self.group.element_index(p)]
 
     def power_map(self, t: int) -> list[int]:
-        """Class index of t-th powers, per class.  Defined for all t >= 0."""
+        """Class index of t-th powers, per class.  Defined for every
+        integer t; t = -1 gives the inverse classes."""
         t = t % self.exponent if self.exponent else 0
         cached = self._power_maps.get(t)
         if cached is not None:
@@ -304,11 +305,6 @@ class ClassSet:
 
     def sizes(self) -> list[int]:
         return [c.size for c in self.classes]
-
-
-def generate(generators: list[Permutation], degree: int | None = None,
-             order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    return FiniteGroup(generators, degree, order_cap)
 
 
 def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",

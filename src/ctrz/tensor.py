@@ -8,11 +8,10 @@ matrix block of size d_i(k) per irreducible with d_i(k) > 0.  Three
 independent routes to d(k) are implemented and cross-checked:
 
   direct      decompose the pointwise k-th power of chi,
-  recurrence  d(1) times the (k-1)-th power of the transition matrix A,
-              where A_ij is the multiplicity of the j-th irreducible in
-              chi_i * chi, computed as X diag(chi) X^(-1) with X the
-              character table and the inverse by exact Gauss-Jordan
-              elimination over the cyclotomic field,
+  recurrence  the trivial character's row of A^k, where A is the
+              transition matrix: A_ij is the multiplicity of the j-th
+              irreducible in chi_i * chi, the inner product
+              <chi_i * chi, chi_j> by column orthogonality,
   closed form published per-irreducible formulas for the two embedded
               degree-8 and degree-14 groups, rows in the published
               order.
@@ -30,10 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chartab import CharacterTable, ClassFunction, decompose
+from .chartab import (CharacterTable, ClassFunction, DecompositionError,
+                      decompose)
 from .errors import InconsistencyError, InputError
-from .exact import Cyclotomic, cyclo_matrix_inverse
-from .perm import ClassSet
+from .perm import ClassSet, orbit_count_tuples
 
 AGREEMENT_BOUND = 12
 
@@ -41,59 +40,44 @@ CLOSED_FORM_FAMILIES = ("g1344-deg8", "g1344-deg14")
 
 
 def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[int]]:
-    """A = X diag(chi) X^(-1) as an integer matrix.
+    """The transition matrix A as an integer matrix.
 
-    Row i holds the multiplicities of chi_i * chi in the table basis, so
-    every entry must come out a nonnegative integer; anything else means
-    chi is not a character of this table's group or the diagonal is
-    misaligned with the columns.
+    Row i holds the multiplicities of chi_i * chi in the table basis,
+    the decomposition of that product, so every entry must come out a
+    nonnegative integer; anything else means chi is not a character of
+    this table's group or the diagonal is misaligned with the columns.
     """
-    if not table.verified:
-        raise InputError("table is unverified; validate it first")
-    if chi.table is not table:
-        raise InputError("class function belongs to a different table")
-    r = table.size
-    x = [list(row) for row in table.values]
-    xinv = cyclo_matrix_inverse(x)
     out = []
-    for i in range(r):
-        scaled = [x[i][c] * chi.values[c] for c in range(r)]
-        row = []
-        for j in range(r):
-            acc = Cyclotomic.from_rational(0, 1)
-            for c in range(r):
-                acc = acc + scaled[c] * xinv[c][j]
-            if not acc.is_rational():
-                raise InconsistencyError(
-                    f"transition entry ({i},{j}) is irrational")
-            q = acc.as_rational()
-            if q.denominator != 1 or q < 0:
-                raise InconsistencyError(
-                    f"transition entry ({i},{j}) is {q}, "
-                    "not a nonnegative integer")
-            row.append(int(q))
-        out.append(row)
+    for i in range(table.size):
+        try:
+            out.append(list(decompose(table.row(i) * chi, table)))
+        except DecompositionError as exc:
+            raise InconsistencyError(f"transition row {i + 1}: {exc}") from exc
     return out
 
 
 def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
-                          k: int, allow_unverified: bool = False) -> tuple[int, ...]:
+                          k: int) -> tuple[int, ...]:
     """Decompose the pointwise k-th power of chi."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
-    return decompose(chi.power(k), table, allow_unverified=allow_unverified)
+    return decompose(chi.power(k), table)
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,
                               k: int,
                               matrix: list[list[int]] | None = None) -> tuple[int, ...]:
-    """d(1) pushed through the transition matrix k-1 times."""
+    """The trivial character's row of A^k: the indicator of the row whose
+    values are all 1, multiplied by the transition matrix k times.  The
+    matrix is built from chi when none is passed."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
-    d = list(decompose(chi, table))
-    if k > 1 and matrix is None:
+    if matrix is None:
         matrix = transition_matrix(chi, table)
-    for _ in range(k - 1):
+    d = [int(all(v == 1 for v in row)) for row in table.values]
+    if sum(d) != 1:
+        raise InputError("table lacks a unique trivial character")
+    for _ in range(k):
         d = [sum(d[i] * matrix[i][j] for i in range(len(d)))
              for j in range(len(d))]
     return tuple(d)
@@ -209,29 +193,6 @@ class SemisimpleStructure:
                 "display": self.display()}
 
 
-def semisimple_structure(d) -> SemisimpleStructure:
-    return SemisimpleStructure(d)
-
-
-def dimension_from_vector(d) -> int:
-    return sum(int(x) * int(x) for x in d)
-
-
-def dimension_by_fixed_points(class_set: ClassSet, k: int) -> int:
-    """(1/|G|) sum over classes of |C| fix(C)^(2k): Burnside's orbit
-    count on 2k-tuples, which is the commutant dimension."""
-    if k < 1:
-        raise InputError("tensor power k must be at least 1")
-    order = class_set.group.order
-    total = 0
-    for c in class_set.classes:
-        total += c.size * c.representative.fixed_points() ** (2 * k)
-    if total % order:
-        raise InconsistencyError("fixed-point power sum is not divisible "
-                                 "by the group order")
-    return total // order
-
-
 def dimension_closed_form(family: str, k: int) -> int:
     """Published dimension formulas for the two embedded groups."""
     if k < 1:
@@ -253,8 +214,10 @@ def dims_row(class_set: ClassSet, d: tuple[int, ...], k: int,
              family: str | None = None) -> dict:
     """Dimension of the commutant at tensor power k by every available
     method, raising InconsistencyError unless all agree."""
-    sq = dimension_from_vector(d)
-    fx = dimension_by_fixed_points(class_set, k)
+    if k < 1:
+        raise InputError("tensor power k must be at least 1")
+    sq = SemisimpleStructure(d).dimension
+    fx = orbit_count_tuples(class_set.group, 2 * k, classes=class_set)
     row = {"k": k, "sum_of_squares": sq, "fixed_point_formula": fx}
     if family is not None:
         row["closed_form"] = dimension_closed_form(family, k)

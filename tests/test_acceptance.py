@@ -20,7 +20,7 @@ from ctrz.chartab import (inner_product, decompose, match_columns, validate,
 from ctrz.datasets import builtin_group, transcription_table
 from ctrz.tensor import (agreed_multiplicities, multiplicities_direct,
                          multiplicities_recurrence, closed_form_multiplicities,
-                         dims_row, semisimple_structure)
+                         dims_row, SemisimpleStructure)
 from ctrz.cli import main
 
 EXPECTED_SIZES = [1, 7, 42, 42, 84, 168, 168, 192, 192, 224, 224]
@@ -171,13 +171,13 @@ def test_criterion_09_structure_rendering(g8, g14):
                                family=g8.family, matrix=g8.transition)
     d14 = agreed_multiplicities(g14.permchar, g14.table, 1,
                                 family=g14.family, matrix=g14.transition)
-    assert semisimple_structure(d8).display() == "2M_1"
-    assert semisimple_structure(d14).display() == "3M_1"
+    assert SemisimpleStructure(d8).display() == "2M_1"
+    assert SemisimpleStructure(d14).display() == "3M_1"
     for a, name in ((g8, "g1344-deg8"), (g14, "g1344-deg14")):
         for k in range(1, 7):
             d = agreed_multiplicities(a.permchar, a.table, k,
                                       family=a.family, matrix=a.transition)
-            s = semisimple_structure(d)
+            s = SemisimpleStructure(d)
             total = sum(count * size * size for size, count in s.blocks)
             assert total == PUBLISHED_DIMS[name][k - 1]
     print("PASS criterion 9: semisimple structures render 2M_1 and 3M_1 at "

@@ -302,3 +302,45 @@ def test_match_table_file_against_builtin(tmp_path):
                     "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["findings"] == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("order", "six"), ("order", None), ("comments", 5)])
+def test_group_file_malformed_field_exits_two(tmp_path, field, value):
+    spec = {"name": "s3", "degree": 3, "generators": ["(1,2)", "(1,2,3)"],
+            field: value}
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(spec))
+    code, _ = run("order", "--group", str(path))
+    assert code == 2
+
+
+@pytest.mark.parametrize("field, value, argv", [
+    ("printed_size", "3", ["chartable", "check", "{}"]),
+    ("representative", 12, ["chartable", "match", "{}", "paper-table",
+                            "--allow-unverified"])])
+def test_table_file_malformed_class_field_exits_two(tmp_path, field, value,
+                                                    argv):
+    _, out = run("chartable", "compute", "--builtin", "g1344-deg8",
+                 "--format", "json")
+    table = json.loads(out)["results"]["table"]
+    table["classes"][1][field] = value
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, _ = run(*[a.format(path) for a in argv])
+    assert code == 2
+
+
+def test_match_tolerates_unparseable_representative(tmp_path):
+    """A representative that is not cycle text only loses its cycle type
+    as a matching invariant; the match falls back a constraint level."""
+    _, out = run("chartable", "compute", "--builtin", "g1344-deg8",
+                 "--format", "json")
+    table = json.loads(out)["results"]["table"]
+    table["classes"][1]["representative"] = "(a,b)"
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out = run("chartable", "match", str(path), "paper-table",
+                    "--allow-unverified")
+    assert code == 1
+    assert out.startswith("constraint level: size-order\n")

@@ -1,4 +1,4 @@
-"""Exact cyclotomic arithmetic, quadratic embeddings, matrix inversion.
+"""Exact cyclotomic arithmetic and quadratic embeddings.
 
 The oracles are classical identities: vanishing sums of roots of unity,
 Gauss sums squaring to +-D, and golden-ratio style quadratic values.
@@ -10,8 +10,7 @@ import pytest
 
 from ctrz.errors import InputError
 from ctrz.exact import (Cyclotomic, jacobi, sqrt_embedding, QuadraticView,
-                        to_quadratic, quadratic_candidates,
-                        cyclo_matrix_inverse)
+                        to_quadratic, quadratic_candidates)
 
 
 def rat(x, conductor=1):
@@ -165,23 +164,3 @@ def test_quadratic_view_strings():
     assert str(QuadraticView(-7, Fraction(0), Fraction(-1))) == "-√-7"
     assert str(QuadraticView(5, Fraction(1, 3), Fraction(-2, 3))) == "(1-2√5)/3"
     assert str(QuadraticView(5, Fraction(3, 2), Fraction(0))) == "3/2"
-
-
-def test_matrix_inverse_round_trip():
-    z = Cyclotomic.zeta(3)
-    m = [[rat(1, 3), rat(1, 3)],
-         [z, z * z]]
-    inv = cyclo_matrix_inverse(m)
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            entry = rat(0, 3)
-            for t in range(n):
-                entry = entry + m[i][t] * inv[t][j]
-            assert entry == rat(1 if i == j else 0)
-
-
-def test_matrix_inverse_rejects_singular():
-    one = rat(1)
-    with pytest.raises(InputError):
-        cyclo_matrix_inverse([[one, one], [one, one]])

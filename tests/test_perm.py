@@ -8,7 +8,7 @@ import pytest
 
 from ctrz.errors import InputError
 from ctrz.perm import (Permutation, parse_cycles, format_cycles, FiniteGroup,
-                       ClassSet, generate, orbit_count_tuples)
+                       ClassSet, orbit_count_tuples)
 
 
 def test_parse_simple_cycle():
@@ -192,11 +192,6 @@ def test_power_map_s3():
     assert cubes == [0, 0, 2]
     inverses = cs.power_map(-1)
     assert inverses == [0, 1, 2]
-
-
-def test_generate_wrapper():
-    g = generate([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
-    assert g.order == 6
 
 
 def test_orbit_counts_symmetric_groups_are_bell_numbers():

@@ -9,16 +9,15 @@ which is the same sum that counts orbits on 2k-tuples.
 
 import pytest
 
-from ctrz.errors import InputError
+from ctrz.errors import InconsistencyError, InputError
 from ctrz.exact import Cyclotomic
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles, orbit_count_tuples
 from ctrz.dixon import compute_character_table
-from ctrz.chartab import ClassFunction, decompose, permutation_character
+from ctrz.chartab import ClassFunction, permutation_character
 from ctrz.tensor import (AGREEMENT_BOUND, transition_matrix,
                          multiplicities_direct, multiplicities_recurrence,
                          closed_form_multiplicities, agreed_multiplicities,
-                         semisimple_structure, dimension_from_vector,
-                         dimension_by_fixed_points, dimension_closed_form,
+                         SemisimpleStructure, dimension_closed_form,
                          dims_row)
 
 PUBLISHED_DIMS = {
@@ -38,15 +37,24 @@ SECOND_MULTIPLICITIES = {
 
 
 def test_transition_matrix_against_inner_products(g8, g14):
-    """Entry (i, j) must equal the multiplicity of row j inside
-    row i times the natural character, computed the slow way."""
-    for a in (g8, g14):
-        tab = a.table
-        mat = a.transition
-        for i in range(tab.size):
-            product = tab.row(i) * a.permchar
-            expected = decompose(product, tab)
-            assert tuple(mat[i]) == expected
+    """The inner products <chi_i chi, chi_j> are the entries A_ij exactly
+    when sum_j A_ij chi_j(c) = chi_i(c) chi(c) at every class c, since
+    the irreducibles are linearly independent.  Checked in exact
+    arithmetic without going through decompose."""
+    s3 = FiniteGroup([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
+    cs = ClassSet(s3)
+    s3_tab = compute_character_table(s3, cs)
+    s3_chi = permutation_character(s3, cs, s3_tab)
+    cases = [(g8.table, g8.permchar), (g14.table, g14.permchar),
+             (s3_tab, s3_chi)]
+    for tab, chi in cases:
+        mat = transition_matrix(chi, tab)
+        for i, row in enumerate(mat):
+            for c in range(tab.size):
+                total = Cyclotomic.from_rational(0)
+                for j, m in enumerate(row):
+                    total = total + tab.values[j][c] * m
+                assert total == tab.values[i][c] * chi.values[c]
 
 
 def test_transition_matrix_for_trivial_character_is_identity(g8):
@@ -98,6 +106,17 @@ def test_three_methods_agree_up_to_the_bound(g8, g14):
             assert direct == recur == closed
 
 
+def test_agreed_multiplicities_checks_the_matrix_at_k1(g8):
+    """At k = 1 the recurrence reads the trivial row of A, so a corrupted
+    entry there must break the agreement with the direct route."""
+    bad = [list(row) for row in g8.transition]
+    trivial = next(i for i, row in enumerate(g8.table.values)
+                   if all(v == 1 for v in row))
+    bad[trivial][0] += 1
+    with pytest.raises(InconsistencyError):
+        agreed_multiplicities(g8.permchar, g8.table, 1, matrix=bad)
+
+
 def test_agreed_multiplicities_beyond_bound_uses_recurrence(g8):
     d = agreed_multiplicities(g8.permchar, g8.table, 20,
                               family=g8.family, matrix=g8.transition)
@@ -141,19 +160,8 @@ def test_published_dimensions_all_methods(g8, g14):
 
 
 def test_dimension_from_vector():
-    assert dimension_from_vector((2, 0, 0, 1, 0, 0, 0, 3, 1, 0, 1)) == 16
-    assert dimension_from_vector(()) == 0
-
-
-def test_dimension_by_fixed_points_counts_orbits(g8, g14):
-    """The dimension formula is word for word the orbit count on
-    2k-tuples, so both implementations must coincide."""
-    for a, t_small in ((g8, 2), (g14, 2)):
-        cs = a.class_set
-        assert dimension_by_fixed_points(cs, 1) == \
-            orbit_count_tuples(a.group, 2, classes=cs)
-        assert dimension_by_fixed_points(cs, 2) == \
-            orbit_count_tuples(a.group, 4, classes=cs)
+    assert SemisimpleStructure((2, 0, 0, 1, 0, 0, 0, 3, 1, 0, 1)).dimension == 16
+    assert SemisimpleStructure(()).dimension == 0
 
 
 def test_dimension_closed_form_rejects_unknown_family():
@@ -169,25 +177,25 @@ def test_closed_form_rejects_bad_k():
 
 
 def test_semisimple_structure_display():
-    s = semisimple_structure((2, 0, 0, 1, 0, 0, 0, 3, 1, 0, 1))
+    s = SemisimpleStructure((2, 0, 0, 1, 0, 0, 0, 3, 1, 0, 1))
     assert s.display() == "M_3 ⊕ M_2 ⊕ 3M_1"
     assert s.compact() == "M3+M2+3M1"
     assert s.dimension == 16
-    assert semisimple_structure((1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)).display() == "2M_1"
-    assert semisimple_structure((1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0)).display() == "3M_1"
-    assert semisimple_structure((3, 0, 0, 5, 1, 2, 5, 0, 3, 3, 0)).display() == \
+    assert SemisimpleStructure((1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)).display() == "2M_1"
+    assert SemisimpleStructure((1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0)).display() == "3M_1"
+    assert SemisimpleStructure((3, 0, 0, 5, 1, 2, 5, 0, 3, 3, 0)).display() == \
         "2M_5 ⊕ 3M_3 ⊕ M_2 ⊕ M_1"
 
 
 def test_semisimple_structure_empty_and_invalid():
-    assert semisimple_structure((0, 0)).display() == "0"
-    assert semisimple_structure((0, 0)).dimension == 0
+    assert SemisimpleStructure((0, 0)).display() == "0"
+    assert SemisimpleStructure((0, 0)).dimension == 0
     with pytest.raises(InputError):
-        semisimple_structure((1, -1))
+        SemisimpleStructure((1, -1))
 
 
 def test_semisimple_structure_to_dict():
-    s = semisimple_structure((2, 1))
+    s = SemisimpleStructure((2, 1))
     d = s.to_dict()
     assert d["dimension"] == 5
     assert d["blocks"] == [{"size": 2, "count": 1}, {"size": 1, "count": 1}]
@@ -205,7 +213,7 @@ def test_small_group_tensor_powers_by_hand():
     assert multiplicities_direct(chi, tab, 2) == (2, 1, 3)
     mat = transition_matrix(chi, tab)
     assert multiplicities_recurrence(chi, tab, 2, matrix=mat) == (2, 1, 3)
-    assert dimension_by_fixed_points(cs, 2) == 14
+    assert dims_row(cs, (2, 1, 3), 2)["fixed_point_formula"] == 14
     assert orbit_count_tuples(g, 4, method="direct") == 14
 
 
