@@ -6,6 +6,16 @@ conjugacy-class columns.  Tables loaded from external sources are
 untrusted (verified=False) until validate finds nothing; downstream
 arithmetic refuses unverified tables unless explicitly overridden.
 
+A table has two conductors.  The declared one, table.conductor, is what
+its values are stored, shown and serialized at: the group exponent for
+a computed table, whatever the file says for a loaded one.  The working
+one is the least divisor of it whose field Q(zeta_m) holds every value,
+7 for the order-1344 groups (whose exponent is 84 or 168) and 1 for a
+rational table.  Validation, class functions (hence inner products,
+decomposition and tensor powers) and matching all compute on a copy of
+the rows lifted to the working conductor, built once on first use, so a
+table's values must not change after it is built.
+
 match_columns searches for row and column permutations making two
 tables equal.  Columns are constrained by class fingerprints at the
 tightest feasible level (size, element order, cycle type of the
@@ -56,6 +66,7 @@ class CharacterTable:
         self.values = [tuple(row) for row in values]
         self.verified = verified
         self.extra = extra or {}
+        self._work = None
         r = len(self.classes)
         if len(self.values) != len(self.characters):
             raise InputError("one label per character row required")
@@ -77,8 +88,35 @@ class CharacterTable:
         col = self.identity_column()
         return [row[col].as_integer() for row in self.values]
 
+    def _working(self) -> tuple[int, list[tuple[Cyclotomic, ...]]]:
+        if self._work is None:
+            # equal cells share one descent; a rational cell is keyed by
+            # its value alone, which hashes far faster than its vector
+            keys = [[v.coeffs[0] if v.is_rational() else (v.conductor, v.coeffs)
+                     for v in row] for row in self.values]
+            least = {}
+            for krow, row in zip(keys, self.values):
+                for key, v in zip(krow, row):
+                    if key not in least:
+                        least[key] = v.reduced()
+            w = lcm(*(v.conductor for v in least.values()))
+            lifted = {key: v.lift(w) for key, v in least.items()}
+            self._work = (w, [tuple(lifted[key] for key in krow) for krow in keys])
+        return self._work
+
+    @property
+    def working_conductor(self) -> int:
+        """The least conductor dividing the declared one whose field
+        holds every value."""
+        return self._working()[0]
+
+    @property
+    def working_rows(self) -> list[tuple[Cyclotomic, ...]]:
+        """The rows with every value lifted to the working conductor."""
+        return self._working()[1]
+
     def row(self, i: int) -> "ClassFunction":
-        return ClassFunction(self, self.values[i])
+        return ClassFunction(self, self.working_rows[i])
 
     def reordered_rows(self, row_map: list[int],
                        labels: list[str] | None = None) -> "CharacterTable":
@@ -87,9 +125,12 @@ class CharacterTable:
             raise InputError("row_map must be a permutation of the row indices")
         rows = [self.values[i] for i in row_map]
         names = labels if labels is not None else [self.characters[i] for i in row_map]
-        return CharacterTable(self.name, self.group_order, self.conductor,
-                              self.classes, names, rows,
-                              verified=self.verified, extra=dict(self.extra))
+        out = CharacterTable(self.name, self.group_order, self.conductor,
+                             self.classes, names, rows,
+                             verified=self.verified, extra=dict(self.extra))
+        w, work = self._working()
+        out._work = (w, [work[i] for i in row_map])
+        return out
 
 
 @dataclass
@@ -138,23 +179,29 @@ def validate(table: CharacterTable) -> list[Violation]:
                              f"squares sum to {sum(d * d for d in degrees)}, "
                              f"group order is {order}"))
     r = table.size
-    conj_rows = [[v.conj() for v in row] for row in table.values]
+    rows = table.working_rows
+    conj_rows = [[v.conj() for v in row] for row in rows]
+
+    def shown(acc):
+        # a coefficient vector reads at the declared conductor, as stored
+        return display_value(acc.lift(lcm(acc.conductor, table.conductor)))
+
     for i in range(r):
         for j in range(i, r):
             acc = Cyclotomic.from_rational(0, 1)
             for c in range(r):
-                acc = acc + table.values[i][c] * conj_rows[j][c] * sizes[c]
+                acc = acc + rows[i][c] * conj_rows[j][c] * sizes[c]
             want = order if i == j else 0
             if acc != want:
                 out.append(Violation(
                     "row-orthogonality",
                     f"{table.characters[i]},{table.characters[j]}",
-                    f"sum is {display_value(acc)}, expected {want}"))
+                    f"sum is {shown(acc)}, expected {want}"))
     for a in range(r):
         for b in range(a, r):
             acc = Cyclotomic.from_rational(0, 1)
             for i in range(r):
-                acc = acc + table.values[i][a] * conj_rows[i][b]
+                acc = acc + rows[i][a] * conj_rows[i][b]
             want = order // sizes[a] if a == b else 0
             if a == b and order % sizes[a]:
                 out.append(Violation("class-sizes", table.classes[a].label,
@@ -164,7 +211,7 @@ def validate(table: CharacterTable) -> list[Violation]:
                 out.append(Violation(
                     "column-orthogonality",
                     f"{table.classes[a].label},{table.classes[b].label}",
-                    f"sum is {display_value(acc)}, expected {want}"))
+                    f"sum is {shown(acc)}, expected {want}"))
     return out
 
 
@@ -314,9 +361,9 @@ def _parsed_representatives(table: CharacterTable):
 
 
 def _canonical_cells(a: CharacterTable, b: CharacterTable):
-    e = lcm(a.conductor, b.conductor)
-    ca = [[v.lift(e).coeffs for v in row] for row in a.values]
-    cb = [[v.lift(e).coeffs for v in row] for row in b.values]
+    e = lcm(a.working_conductor, b.working_conductor)
+    ca = [[v.lift(e).coeffs for v in row] for row in a.working_rows]
+    cb = [[v.lift(e).coeffs for v in row] for row in b.working_rows]
     return ca, cb
 
 

@@ -6,7 +6,15 @@ polynomial, with Fraction coefficients throughout.  No floating point
 anywhere; float inputs are rejected.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
-so mixed-conductor arithmetic lifts both operands to the lcm.  Complex
+so mixed-conductor arithmetic lifts both operands to the lcm.  They also
+descend: Cyclotomic.reduced rewrites a value at the least conductor
+whose field holds it.  Each step down from e to e/p solves the integer
+lift matrix of Q(zeta_(e/p)) into Q(zeta_e) exactly and keeps the result
+only if it lifts back to the value (T. Breuer, "Integral bases for
+subfields of cyclotomic fields", AAECC 8, 1997, for the subfield view).
+Since Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a,b)), the conductors
+holding a value are closed under gcd, so stepping down one prime at a
+time while a step succeeds finds the least one.  Complex
 conjugation is the substitution zeta -> zeta^(e-1).  Division inverts
 through the extended Euclidean algorithm against the cyclotomic
 polynomial, which is irreducible over Q.
@@ -132,6 +140,58 @@ def _reduce_poly(e: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _descent(t: int, e: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """How to read a value of Q(zeta_e) back at a conductor t dividing e.
+
+    The lift zeta_t -> zeta_e**(e/t) is an integer matrix L with phi(t)
+    columns and one row per power-basis coordinate at e.  Row reducing
+    [L^T | I] picks phi(t) coordinates R where L is invertible and leaves
+    the inverse of L[R] transposed on the right.  Row i of the result
+    lists the (coordinate at e, weight) pairs whose weighted sum is
+    coefficient i at t, provided the value lies in Q(zeta_t) at all.
+    """
+    fld = _field(e)
+    deg, step, n = fld[0], e // t, _field(t)[0]
+    rows = []
+    for i in range(n):
+        k = i * step
+        col = [int(j == k) for j in range(deg)] if k < deg else _power_row(fld, k - deg)
+        rows.append([Fraction(x) for x in col] + [Fraction(int(i == j)) for j in range(n)])
+    pivots = []
+    for c in range(deg):
+        r = len(pivots)
+        if r == n:
+            break
+        pick = next((i for i in range(r, n) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return tuple(tuple((pivots[k], rows[k][deg + i]) for k in range(n) if rows[k][deg + i])
+                 for i in range(n))
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -180,6 +240,29 @@ class Cyclotomic:
             if c:
                 poly[i * step] += c
         return Cyclotomic(conductor, _reduce_poly(conductor, poly))
+
+    def _descend(self, conductor: int) -> "Cyclotomic | None":
+        """The same value at a conductor dividing this one, or None when
+        Q(zeta_conductor) does not hold it."""
+        coeffs = self.coeffs
+        down = Cyclotomic(conductor, (sum((w * coeffs[j] for j, w in row), Fraction(0))
+                                      for row in _descent(conductor, self.conductor)))
+        return down if down.lift(self.conductor).coeffs == coeffs else None
+
+    def reduced(self) -> "Cyclotomic":
+        """The same value at its least conductor: 1 for a rational, else
+        the smallest m whose field Q(zeta_m) holds it (never 2 mod 4)."""
+        if self.is_rational():
+            return Cyclotomic.from_rational(self.coeffs[0], 1)
+        v = self
+        while True:
+            for p in _prime_factors(v.conductor):
+                down = v._descend(v.conductor // p)
+                if down is not None:
+                    v = down
+                    break
+            else:
+                return v
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
         if isinstance(other, (int, Fraction)):

@@ -5,6 +5,7 @@ negative paths: its two wrong cells and three inconsistent class sizes
 must be flagged exactly, and nothing else.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -328,3 +329,63 @@ def test_reordered_rows(g8):
 
 def test_identity_column(g8):
     assert g8.canonical_table.identity_column() == 0
+
+
+def _computed(degree, generators):
+    return compute_character_table(
+        FiniteGroup([parse_cycles(g, degree) for g in generators]))
+
+
+def _coefficient_digest(table):
+    text = repr([[[str(c) for c in v.coeffs] for v in row]
+                 for row in table.values])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, degree, generators, declared, working, digest", [
+    ("psl(2,7)", 7, ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 84, 7, "870c2a01eabac81f"),
+    ("s4", 4, ["(1,2,3,4)", "(1,2)"], 12, 1, "a090744977f9eb81"),
+    ("c2^3", 6, ["(1,2)", "(3,4)", "(5,6)"], 2, 1, "5d44f65f53bb6566"),
+    ("a5", 5, ["(1,2,3,4,5)", "(1,2,3)"], 30, 5, "259fca065763dc90")])
+def test_working_conductor_of_computed_tables(name, degree, generators,
+                                              declared, working, digest):
+    """Arithmetic runs at the values' own field; the stored values stay
+    at the group exponent, coefficient for coefficient."""
+    tab = _computed(degree, generators)
+    assert tab.conductor == declared
+    assert tab.working_conductor == working
+    assert _coefficient_digest(tab) == digest
+    assert all(w.conductor == working and w == v
+               for row, wrow in zip(tab.values, tab.working_rows)
+               for v, w in zip(row, wrow))
+
+
+def test_working_conductor_of_builtins(g8, g14):
+    for analysis, declared, digest in ((g8, 84, "2046abbcc0497aed"),
+                                       (g14, 168, "ea9d46c75b69ddb3")):
+        tab = analysis.canonical_table
+        assert tab.conductor == declared
+        assert tab.working_conductor == 7
+        assert _coefficient_digest(tab) == digest
+        # the published row order carries the working copy along
+        shown = analysis.table
+        assert shown.working_conductor == 7
+        assert all(v == w for row, wrow in zip(shown.values, shown.working_rows)
+                   for v, w in zip(row, wrow))
+
+
+def test_validate_shows_coefficient_sums_at_the_declared_conductor():
+    """A C5 table declared at conductor 10 computes at 5, but a sum that
+    is neither rational nor quadratic is printed as the coefficient
+    vector at 10, as the table stores its values."""
+    tab = _computed(5, ["(1,2,3,4,5)"])
+    rows = [[v.lift(10) for v in row] for row in tab.values]
+    rows[1][1] = rows[1][1] + 1
+    bad = CharacterTable("c5", 5, 10, tab.classes, tab.characters, rows)
+    assert bad.working_conductor == 5
+    details = {v.subject: v.detail for v in validate(bad)}
+    assert details["chi2,chi3"] == "sum is cyclotomic['0', '-1', '0', '0'], expected 0"
+    assert details["chi2,chi4"] == "sum is cyclotomic['-1', '1', '-1', '1'], expected 0"
+    assert details["C2,C5"] == "sum is cyclotomic['0', '0', '1', '0'], expected 0"
+    assert details["chi2,chi2"] == "sum is (11+√5)/2, expected 5"
+    assert details["C1,C2"] == "sum is 1, expected 0"

@@ -344,3 +344,23 @@ def test_match_tolerates_unparseable_representative(tmp_path):
                     "--allow-unverified")
     assert code == 1
     assert out.startswith("constraint level: size-order\n")
+
+
+def test_match_tables_at_declared_conductors_beyond_the_cap(tmp_path):
+    """Two rational S3 tables declared at conductors 840 and 11 match at
+    their working conductor 1, not at lcm 9240, which is over the cap."""
+    spec = {"name": "s3", "degree": 3, "generators": ["(1,2)", "(1,2,3)"]}
+    group = tmp_path / "s3.json"
+    group.write_text(json.dumps(spec))
+    _, out = run("chartable", "compute", "--group", str(group),
+                 "--format", "json")
+    table = json.loads(out)["results"]["table"]
+    paths = []
+    for conductor in (840, 11):
+        path = tmp_path / f"s3_{conductor}.json"
+        path.write_text(json.dumps(dict(table, conductor=conductor)))
+        paths.append(str(path))
+    code, out = run("chartable", "match", *paths, "--allow-unverified",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["findings"] == []

@@ -164,3 +164,25 @@ def test_quadratic_view_strings():
     assert str(QuadraticView(-7, Fraction(0), Fraction(-1))) == "-√-7"
     assert str(QuadraticView(5, Fraction(1, 3), Fraction(-2, 3))) == "(1-2√5)/3"
     assert str(QuadraticView(5, Fraction(3, 2), Fraction(0))) == "3/2"
+
+
+def test_reduced_rational_goes_to_conductor_one():
+    r = rat(Fraction(-3, 2), 840).reduced()
+    assert r.conductor == 1 and r == Fraction(-3, 2)
+    assert rat(0, 12).reduced().conductor == 1
+
+
+def test_reduced_zeta_keeps_its_conductor_unless_2_mod_4():
+    for e in range(3, 121):
+        want = e // 2 if e % 4 == 2 else e
+        assert Cyclotomic.zeta(e).reduced().conductor == want
+
+
+def test_reduced_finds_the_values_own_field():
+    s = sqrt_embedding(-7, 168)
+    assert s.reduced().conductor == 7
+    assert s.reduced() == s
+    assert sqrt_embedding(5, 60).reduced().conductor == 5
+    mixed = (Cyclotomic.zeta(4) + Cyclotomic.zeta(3)).lift(84)
+    assert mixed.reduced().conductor == 12
+    assert mixed.reduced() == mixed
