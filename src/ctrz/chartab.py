@@ -20,15 +20,18 @@ match_columns searches for row and column permutations making two
 tables equal.  Columns are constrained by class fingerprints at the
 tightest feasible level (size, element order, cycle type of the
 representative, power profile; then size and order; then size alone)
-and rows by degree; cells that disagree under the best matching land in
-a TableErrata.  Algebraically conjugate classes can match either way,
-so one valid matching is returned and the ambiguity noted.
+and rows by degree.  A depth-first search under a mismatch budget
+raised 0, 1, 2, ... finds a matching with the fewest disagreeing cells;
+of equally good ones it returns the first in class order, each column
+and then each row going to the least free computed index that fits.
+Cells that disagree under it land in a TableErrata.  Algebraically
+conjugate classes can match either way, so the ambiguity is noted.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -361,10 +364,16 @@ def _parsed_representatives(table: CharacterTable):
 
 
 def _canonical_cells(a: CharacterTable, b: CharacterTable):
+    """Both tables' cells at a common conductor, each as a small int that
+    two cells share exactly when their values are equal."""
     e = lcm(a.working_conductor, b.working_conductor)
-    ca = [[v.lift(e).coeffs for v in row] for row in a.working_rows]
-    cb = [[v.lift(e).coeffs for v in row] for row in b.working_rows]
-    return ca, cb
+    ids = {}
+
+    def cells(table):
+        return [[ids.setdefault(v.lift(e).coeffs, len(ids)) for v in row]
+                for row in table.working_rows]
+
+    return cells(a), cells(b)
 
 
 def match_columns(computed: CharacterTable,
@@ -373,7 +382,8 @@ def match_columns(computed: CharacterTable,
 
     Tries constraint levels from tight to loose until the class
     fingerprints admit a bijection, then minimizes the number of
-    disagreeing cells, breaking ties toward the identity-like matching.
+    disagreeing cells, breaking ties toward the first matching in class
+    order.
     If no level admits a bijection the tables are paired positionally by
     sorted size and degree, which reports errata across the whole table.
     """
@@ -415,12 +425,10 @@ def match_columns(computed: CharacterTable,
         ext_fps = [fingerprint(external, ext_reps, j, level) for j in range(r)]
         if sorted(comp_fps) != sorted(ext_fps):
             continue
-        result = _search(comp_cells, ext_cells, comp_fps, ext_fps,
-                         comp_deg, ext_deg)
-        if result is not None:
-            row_map, col_map, mism = result
-            return _finish(computed, external, row_map, col_map, mism, level,
-                           comp_cells, ext_cells)
+        row_map, col_map, mism = _search(comp_cells, ext_cells, comp_fps,
+                                         ext_fps, comp_deg, ext_deg)
+        return _finish(computed, external, row_map, col_map, mism, level,
+                       comp_cells, ext_cells)
     # positional fallback: errata will cover whatever disagrees
     col_map = tuple(_positional(list(range(r)),
                                 [computed.classes[j].size for j in range(r)],
@@ -445,73 +453,69 @@ def _positional(idx, comp_keys, ext_keys):
 
 
 def _search(comp_cells, ext_cells, comp_fps, ext_fps, comp_deg, ext_deg):
-    """Minimal-mismatch assignment under fingerprint and degree groups.
+    """Minimal-mismatch assignment under fingerprint and degree groups,
+    as (row_map, col_map, mismatched cell list).
 
-    Returns (row_map, col_map, mismatched cell list) or None when the
-    grouping admits no bijection.  Deterministic: candidate orders are
-    ascending, first minimum wins.
+    A depth-first search maps the external columns, fingerprint groups in
+    order of their first column, then the external rows, degree groups
+    ascending, each to a free computed index of its own group, tried in
+    ascending order.  It runs under a mismatch budget of 0, 1, 2, ... and
+    cuts a branch once the mismatches of the rows already mapped, plus one
+    for each free external row whose cells on the mapped columns match no
+    free computed row of its degree, exceed the budget.  The first
+    complete map found has the fewest mismatches and, among those, comes
+    first in that order.  The caller has checked that both groupings
+    admit a bijection.
     """
     r = len(comp_fps)
-    col_groups = {}
-    for j, fp in enumerate(ext_fps):
-        col_groups.setdefault(fp, ([], []))[0].append(j)
-    for j, fp in enumerate(comp_fps):
-        if fp not in col_groups:
-            return None
-        col_groups[fp][1].append(j)
-    groups = []
-    for fp, (ext_idx, comp_idx) in sorted(col_groups.items(),
-                                          key=lambda kv: kv[1][0]):
-        if len(ext_idx) != len(comp_idx):
-            return None
-        groups.append((ext_idx, comp_idx))
+    cols = sorted(range(r), key=lambda b: (ext_fps.index(ext_fps[b]), b))
+    rows = sorted(range(r), key=lambda a: (ext_deg[a], a))
+    col_map, row_map = [None] * r, [None] * r
+    # ext_keys[k][a]: the degree of external row a and its cells on the
+    # first k columns of cols
+    ext_keys = [[(d,) for d in ext_deg]]
+    for b in cols:
+        ext_keys.append([key + (row[b],)
+                         for key, row in zip(ext_keys[-1], ext_cells)])
 
-    row_groups = {}
-    for i, d in enumerate(ext_deg):
-        row_groups.setdefault(d, ([], []))[0].append(i)
-    for i, d in enumerate(comp_deg):
-        if d not in row_groups:
-            return None
-        row_groups[d][1].append(i)
-    rgroups = [v for _, v in sorted(row_groups.items())]
-    if any(len(a) != len(b) for a, b in rgroups):
-        return None
-
-    best = None
-    for combo in itertools.product(
-            *[itertools.permutations(comp_idx) for _, comp_idx in groups]):
-        col_map = [0] * r
-        for (ext_idx, _), perm in zip(groups, combo):
-            for e, c in zip(ext_idx, perm):
-                col_map[e] = c
-        total = 0
-        row_map = [0] * r
-        for ext_rows, comp_rows in rgroups:
-            gbest = None
-            for perm in itertools.permutations(comp_rows):
-                cost = 0
-                for a, i in zip(ext_rows, perm):
-                    for b in range(r):
-                        if ext_cells[a][b] != comp_cells[i][col_map[b]]:
-                            cost += 1
-                    if gbest is not None and cost >= gbest[0]:
-                        break
-                if gbest is None or cost < gbest[0]:
-                    gbest = (cost, perm)
-            total += gbest[0]
-            for a, i in zip(ext_rows, gbest[1]):
+    def extend(k, spent, comp_keys):
+        # comp_keys[i]: the degree of computed row i and its cells on the
+        # columns mapped so far
+        ext = Counter(key for a, key in enumerate(ext_keys[min(k, r)])
+                      if row_map[a] is None)
+        comp = Counter(key for i, key in enumerate(comp_keys)
+                       if i not in row_map)
+        if spent + sum((ext - comp).values()) > budget:
+            return False
+        if k == 2 * r:
+            return True
+        if k < r:
+            b = cols[k]
+            for j in range(r):
+                if j not in col_map and comp_fps[j] == ext_fps[b]:
+                    col_map[b] = j
+                    if extend(k + 1, spent, [key + (row[j],) for key, row
+                                             in zip(comp_keys, comp_cells)]):
+                        return True
+                    col_map[b] = None
+            return False
+        a = rows[k - r]
+        for i in range(r):
+            if i not in row_map and comp_deg[i] == ext_deg[a]:
                 row_map[a] = i
-            if best is not None and total >= best[0]:
-                break
-        if best is None or total < best[0]:
-            mism = [(a, b) for a in range(r) for b in range(r)
-                    if ext_cells[a][b] != comp_cells[row_map[a]][col_map[b]]]
-            best = (total, tuple(row_map), tuple(col_map), mism)
-            if total == 0:
-                break
-    if best is None:
-        return None
-    return best[1], best[2], best[3]
+                cost = sum(ext_cells[a][b] != comp_cells[i][col_map[b]]
+                           for b in range(r))
+                if extend(k + 1, spent + cost, comp_keys):
+                    return True
+                row_map[a] = None
+        return False
+
+    budget = 0
+    while not extend(0, 0, [(d,) for d in comp_deg]):
+        budget += 1
+    mism = [(a, b) for a in range(r) for b in range(r)
+            if ext_cells[a][b] != comp_cells[row_map[a]][col_map[b]]]
+    return tuple(row_map), tuple(col_map), mism
 
 
 def _finish(computed, external, row_map, col_map, mismatches, level,
@@ -610,6 +614,14 @@ def class_metadata_findings(table: CharacterTable,
 _FRACTION_OK = set("0123456789/-")
 
 
+def json_int(value, name: str) -> int:
+    """value itself when it is a JSON integer; anything else, a float
+    such as 7.9 included, raises TypeError instead of being truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str) or not text or set(text) - _FRACTION_OK:
         raise InputError(f"not an exact rational string: {text!r}")
@@ -635,14 +647,15 @@ def decode_value(obj, conductor: int) -> Cyclotomic:
         return Cyclotomic.from_rational(_parse_fraction(obj), 1).lift(conductor)
     if isinstance(obj, dict) and "D" in obj:
         try:
-            qv = QuadraticView(int(obj["D"]), _parse_fraction(obj["a"]),
+            qv = QuadraticView(json_int(obj["D"], "D"),
+                               _parse_fraction(obj["a"]),
                                _parse_fraction(obj["b"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad quadratic value encoding: {obj!r}") from exc
         return qv.to_cyclotomic(conductor)
     if isinstance(obj, dict) and "conductor" in obj:
         try:
-            inner = int(obj["conductor"])
+            inner = json_int(obj["conductor"], "conductor")
             z = Cyclotomic(inner, [_parse_fraction(c) for c in obj["coeffs"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad cyclotomic value encoding: {obj!r}") from exc
@@ -675,9 +688,10 @@ def table_from_dict(data: dict) -> CharacterTable:
     """Rebuild a table from its JSON form.  Always lands unverified;
     run validate to earn the flag back."""
     try:
-        conductor = int(data["conductor"])
-        classes = [ClassInfo(label=str(c["label"]), size=int(c["size"]),
-                             order=int(c["order"]),
+        conductor = json_int(data["conductor"], "conductor")
+        classes = [ClassInfo(label=str(c["label"]),
+                             size=json_int(c["size"], "size"),
+                             order=json_int(c["order"], "order"),
                              representative=c.get("representative"),
                              printed_size=c.get("printed_size"))
                    for c in data["classes"]]
@@ -686,12 +700,14 @@ def table_from_dict(data: dict) -> CharacterTable:
                     or type(c.printed_size) not in (int, type(None))):
                 raise TypeError(f"class {c.label} needs a string representative "
                                 "and an integer printed_size")
+            if c.order < 1:
+                raise ValueError(f"class {c.label} needs a positive element order")
         characters = [str(ch["label"]) for ch in data["characters"]]
         values = [[decode_value(v, conductor) for v in ch["values"]]
                   for ch in data["characters"]]
         return CharacterTable(
             name=str(data.get("name", "external")),
-            group_order=int(data["group_order"]),
+            group_order=json_int(data["group_order"], "group_order"),
             conductor=conductor, classes=classes, characters=characters,
             values=values, verified=False)
     except (KeyError, TypeError, ValueError) as exc:

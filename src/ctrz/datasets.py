@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .chartab import CharacterTable, ClassInfo, decode_value
+from .chartab import CharacterTable, ClassInfo, decode_value, json_int
 from .errors import InputError
 from .perm import parse_cycles
 
@@ -182,7 +182,7 @@ def load_group_file(path: str) -> dict:
             raise TypeError("generators must be a list of cycle strings")
         spec = {
             "name": str(data["name"]),
-            "degree": int(data["degree"]),
+            "degree": json_int(data["degree"], "degree"),
             "generators": list(gens),
         }
         if "comments" in data:
@@ -190,7 +190,7 @@ def load_group_file(path: str) -> dict:
                 raise TypeError("comments must be a list of strings")
             spec["comments"] = list(data["comments"])
         if "order" in data:
-            spec["order"] = int(data["order"])
+            spec["order"] = json_int(data["order"], "order")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed group spec {path}: {exc}") from exc
     if spec["degree"] < 1:

@@ -32,6 +32,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import InputError, InconsistencyError
+from .modp import prime_factors
 
 CYCLOTOMIC_CAP = 1000
 
@@ -140,20 +141,6 @@ def _reduce_poly(e: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _descent(t: int, e: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """How to read a value of Q(zeta_e) back at a conductor t dividing e.
@@ -256,7 +243,7 @@ class Cyclotomic:
             return Cyclotomic.from_rational(self.coeffs[0], 1)
         v = self
         while True:
-            for p in _prime_factors(v.conductor):
+            for p in prime_factors(v.conductor):
                 down = v._descend(v.conductor // p)
                 if down is not None:
                     v = down

@@ -17,7 +17,7 @@ once.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import datasets
 from .chartab import (CharacterTable, ClassFunction, MatchResult, decompose,
@@ -38,103 +38,81 @@ class GroupAnalysis:
         self.spec = spec
         self.name = spec["name"]
         self.is_builtin = is_builtin
-        self._group = None
-        self._class_set = None
-        self._canonical_table = None
-        self._reporting = None       # (table, match or None, adopted flag)
-        self._permchar = None
-        self._transition = None
-        self._family_checked = False
-        self._family = None
 
-    @property
+    @cached_property
     def group(self) -> FiniteGroup:
-        if self._group is None:
-            degree = int(self.spec["degree"])
-            gens = [parse_cycles(g, degree) for g in self.spec["generators"]]
-            group = FiniteGroup(gens, degree=degree)
-            want = self.spec.get("order")
-            if want is not None and group.order != want:
-                raise InputError(
-                    f"group {self.name} enumerates to order {group.order}, "
-                    f"spec says {want}")
-            self._group = group
-        return self._group
+        degree = int(self.spec["degree"])
+        gens = [parse_cycles(g, degree) for g in self.spec["generators"]]
+        group = FiniteGroup(gens, degree=degree)
+        want = self.spec.get("order")
+        if want is not None and group.order != want:
+            raise InputError(
+                f"group {self.name} enumerates to order {group.order}, "
+                f"spec says {want}")
+        return group
 
-    @property
+    @cached_property
     def class_set(self) -> ClassSet:
-        if self._class_set is None:
-            self._class_set = ClassSet(self.group)
-        return self._class_set
+        return ClassSet(self.group)
 
-    @property
+    @cached_property
     def canonical_table(self) -> CharacterTable:
-        if self._canonical_table is None:
-            self._canonical_table = compute_character_table(
-                self.group, self.class_set, name=self.name)
-        return self._canonical_table
+        return compute_character_table(self.group, self.class_set,
+                                       name=self.name)
 
+    @cached_property
     def _reporting_parts(self):
-        if self._reporting is None:
-            table = self.canonical_table
-            match = None
-            adopted = False
-            if self.is_builtin and self.name in datasets.BUILTIN_GROUP_NAMES:
-                reference = datasets.transcription_table(self.name)
-                match = match_columns(table, reference)
-                if match.level != "positional":
-                    table = table.reordered_rows(
-                        list(match.row_map), labels=list(reference.characters))
-                    adopted = True
-            self._reporting = (table, match, adopted)
-        return self._reporting
+        """(reporting table, reference match or None, adopted flag)."""
+        table = self.canonical_table
+        if not (self.is_builtin and self.name in datasets.BUILTIN_GROUP_NAMES):
+            return table, None, False
+        reference = datasets.transcription_table(self.name)
+        match = match_columns(table, reference)
+        if match.level == "positional":
+            return table, match, False
+        return (table.reordered_rows(list(match.row_map),
+                                     labels=list(reference.characters)),
+                match, True)
 
     @property
     def table(self) -> CharacterTable:
         """The table used for all reporting: published row order for the
         embedded groups, canonical otherwise."""
-        return self._reporting_parts()[0]
+        return self._reporting_parts[0]
 
     @property
     def reference_match(self) -> MatchResult | None:
         """Match of the computed table against the embedded reference
         transcription; None for groups without one."""
-        return self._reporting_parts()[1]
+        return self._reporting_parts[1]
 
     @property
     def published_order_adopted(self) -> bool:
-        return self._reporting_parts()[2]
+        return self._reporting_parts[2]
 
-    @property
+    @cached_property
     def permchar(self) -> ClassFunction:
-        if self._permchar is None:
-            self._permchar = permutation_character(
-                self.group, self.class_set, self.table)
-        return self._permchar
+        return permutation_character(self.group, self.class_set, self.table)
 
-    @property
+    @cached_property
     def family(self) -> str | None:
         """Closed-form family name, only for the embedded groups and
         only after the published row alignment has been confirmed by
         decomposing the permutation character."""
-        if not self._family_checked:
-            self._family_checked = True
-            if (self.is_builtin and self.name in CLOSED_FORM_FAMILIES
-                    and self.published_order_adopted):
-                d1 = decompose(self.permchar, self.table)
-                want = _EXPECTED_FIRST_DECOMPOSITION[self.name]
-                if d1 != want:
-                    raise InconsistencyError(
-                        f"permutation character of {self.name} decomposes as "
-                        f"{d1}, published alignment expects {want}")
-                self._family = self.name
-        return self._family
+        if not (self.is_builtin and self.name in CLOSED_FORM_FAMILIES
+                and self.published_order_adopted):
+            return None
+        d1 = decompose(self.permchar, self.table)
+        want = _EXPECTED_FIRST_DECOMPOSITION[self.name]
+        if d1 != want:
+            raise InconsistencyError(
+                f"permutation character of {self.name} decomposes as "
+                f"{d1}, published alignment expects {want}")
+        return self.name
 
-    @property
+    @cached_property
     def transition(self) -> list[list[int]]:
-        if self._transition is None:
-            self._transition = transition_matrix(self.permchar, self.table)
-        return self._transition
+        return transition_matrix(self.permchar, self.table)
 
     def diag_variant_notes(self) -> list[str]:
         """Which printed fixed-point diagonal variant agrees with the

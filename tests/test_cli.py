@@ -7,6 +7,8 @@ Exit code contract: 0 success, 1 findings reported, 2 bad input,
 import io
 import contextlib
 import json
+import random
+import time
 
 import pytest
 
@@ -305,7 +307,8 @@ def test_match_table_file_against_builtin(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("order", "six"), ("order", None), ("comments", 5)])
+    ("order", "six"), ("order", None), ("comments", 5), ("degree", 3.7),
+    ("order", 6.2)])
 def test_group_file_malformed_field_exits_two(tmp_path, field, value):
     spec = {"name": "s3", "degree": 3, "generators": ["(1,2)", "(1,2,3)"],
             field: value}
@@ -318,17 +321,52 @@ def test_group_file_malformed_field_exits_two(tmp_path, field, value):
 @pytest.mark.parametrize("field, value, argv", [
     ("printed_size", "3", ["chartable", "check", "{}"]),
     ("representative", 12, ["chartable", "match", "{}", "paper-table",
-                            "--allow-unverified"])])
+                            "--allow-unverified"]),
+    ("size", 7.9, ["chartable", "check", "{}"]),
+    ("order", 2.0, ["chartable", "match", "{}", "paper-table",
+                    "--allow-unverified"]),
+    ("order", 0, ["chartable", "check", "{}"]),
+    ("order", 0, ["chartable", "match", "{}", "paper-table",
+                  "--allow-unverified"])])
 def test_table_file_malformed_class_field_exits_two(tmp_path, field, value,
                                                     argv):
     _, out = run("chartable", "compute", "--builtin", "g1344-deg8",
                  "--format", "json")
     table = json.loads(out)["results"]["table"]
+    # a printed size, as a published table has, sends the class order
+    # through the centralizer check of the class metadata
+    table["classes"][1].setdefault("printed_size", table["classes"][1]["size"])
     table["classes"][1][field] = value
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table))
     code, _ = run(*[a.format(path) for a in argv])
     assert code == 2
+
+
+@pytest.mark.parametrize("where", [
+    "group_order", "conductor", "quadratic D", "coefficient conductor"])
+def test_table_file_float_integer_field_exits_two(tmp_path, capsys, where):
+    """A float where the table JSON needs an integer is malformed input,
+    not truncated: 1344.6 is no group order and -7.4 no discriminant."""
+    _, out = run("chartable", "compute", "--builtin", "g1344-deg8",
+                 "--format", "json")
+    table = json.loads(out)["results"]["table"]
+    if where == "group_order":
+        table["group_order"] = 1344.6
+    elif where == "conductor":
+        table["conductor"] = 84.0
+    elif where == "quadratic D":
+        next(v for ch in table["characters"] for v in ch["values"]
+             if isinstance(v, dict))["D"] = -7.4
+    else:
+        table["characters"][0]["values"][1] = {"conductor": 1.0,
+                                               "coeffs": ["1"]}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    capsys.readouterr()
+    code, _ = run("chartable", "check", str(path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_match_tolerates_unparseable_representative(tmp_path):
@@ -364,3 +402,77 @@ def test_match_tables_at_declared_conductors_beyond_the_cap(tmp_path):
                     "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["findings"] == []
+
+
+def _computed_table_file(tmp_path, name, degree, generators):
+    group = tmp_path / f"{name}-group.json"
+    group.write_text(json.dumps({"name": name, "degree": degree,
+                                 "generators": generators}))
+    _, out = run("chartable", "compute", "--group", str(group),
+                 "--format", "json")
+    table = json.loads(out)["results"]["table"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(table))
+    return str(path), table
+
+
+def _timed_match(computed, external):
+    """Cell findings of `chartable match`, which must take under 1 s."""
+    start = time.perf_counter()
+    code, out = run("chartable", "match", computed, external,
+                    "--allow-unverified", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"match took {elapsed:.2f}s"
+    findings = json.loads(out)["results"]["findings"]
+    return code, {(f["row"], f["column"], f["external"]) for f in findings}
+
+
+def test_match_cyclic_table_with_itself_is_fast(tmp_path):
+    """C10 has only linear characters, and its classes of one order share
+    a fingerprint, so a search over permutations has 10! row orders."""
+    path, _ = _computed_table_file(tmp_path, "c10", 7, ["(1,2,3,4,5)(6,7)"])
+    assert _timed_match(path, path) == (0, set())
+
+
+def test_match_cyclic_table_with_one_wrong_cell_is_fast(tmp_path):
+    path, table = _computed_table_file(tmp_path, "c7", 7,
+                                       ["(1,2,3,4,5,6,7)"])
+    table["conductor"] = 14
+    table["characters"][3]["values"][5] = "2"
+    wrong = tmp_path / "c7-wrong.json"
+    wrong.write_text(json.dumps(table))
+    code, findings = _timed_match(path, str(wrong))
+    assert code == 1
+    assert findings == {(table["characters"][3]["label"],
+                         table["classes"][5]["label"], "2")}
+
+
+@pytest.mark.parametrize("name, generators", [
+    ("c2^3", ["(1,2)", "(3,4)", "(5,6)"]),
+    ("c2^4", ["(1,2)", "(3,4)", "(5,6)", "(7,8)"])])
+def test_match_shuffled_elementary_abelian_with_wrong_cells_is_fast(
+        tmp_path, name, generators):
+    """Rows and columns shuffled and two non-identity cells set to 0, a
+    value no linear character takes: exactly those two cells are found."""
+    path, table = _computed_table_file(tmp_path, name, 2 * len(generators),
+                                       generators)
+    rng = random.Random(1)
+    r = len(table["classes"])
+    cols, rows = rng.sample(range(r), r), rng.sample(range(r), r)
+    chars = table["characters"]
+    shuffled = dict(table, classes=[table["classes"][j] for j in cols],
+                    characters=[{"label": chars[i]["label"],
+                                 "values": [chars[i]["values"][j] for j in cols]}
+                                for i in rows])
+    identity = cols.index(0)
+    wrong = rng.sample([(a, b) for a in range(r) for b in range(r)
+                        if b != identity], 2)
+    for a, b in wrong:
+        shuffled["characters"][a]["values"][b] = "0"
+    external = tmp_path / f"{name}-wrong.json"
+    external.write_text(json.dumps(shuffled))
+    code, findings = _timed_match(path, str(external))
+    assert code == 1
+    assert findings == {(shuffled["characters"][a]["label"],
+                         shuffled["classes"][b]["label"], "0")
+                        for a, b in wrong}

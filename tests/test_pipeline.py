@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ctrz.errors import InputError
-from ctrz.pipeline import builtin_analysis, analysis_from_file
+from ctrz import datasets, pipeline
+from ctrz.errors import InconsistencyError, InputError
+from ctrz.pipeline import GroupAnalysis, builtin_analysis, analysis_from_file
 
 
 def test_builtin_analysis_is_cached():
@@ -36,6 +37,17 @@ def test_reporting_rows_are_canonical_rows_permuted(g8):
 def test_family_assignment(g8, g14):
     assert g8.family == "g1344-deg8"
     assert g14.family == "g1344-deg14"
+
+
+def test_failed_alignment_check_raises_on_every_access(monkeypatch):
+    """A failed closed-form alignment check is never cached as "no
+    family": the second access raises too."""
+    monkeypatch.setitem(pipeline._EXPECTED_FIRST_DECOMPOSITION,
+                        "g1344-deg8", (0,) * 11)
+    a = GroupAnalysis(datasets.builtin_group("g1344-deg8"), is_builtin=True)
+    for _ in range(2):
+        with pytest.raises(InconsistencyError):
+            a.family
 
 
 def test_permchar_identity_value(g8, g14):
