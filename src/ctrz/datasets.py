@@ -24,7 +24,7 @@ import json
 
 from .chartab import CharacterTable, ClassInfo, decode_value, json_int
 from .errors import InputError
-from .perm import parse_cycles
+from .perm import check_degree, parse_cycles
 
 BUILTIN_GROUP_NAMES = ("g1344-deg8", "g1344-deg14")
 TABLE_DATASET_NAME = "paper-table"
@@ -195,6 +195,7 @@ def load_group_file(path: str) -> dict:
         raise InputError(f"malformed group spec {path}: {exc}") from exc
     if spec["degree"] < 1:
         raise InputError(f"group spec {path} needs a positive degree")
+    check_degree(spec["degree"])  # before parsing allocates degree images
     if not spec["generators"]:
         raise InputError(f"group spec {path} lists no generators")
     return spec

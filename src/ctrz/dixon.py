@@ -52,15 +52,14 @@ class ClassAlgebra:
         cls_of = class_set.class_of
         self.inverse_class = class_set.power_map(-1)
         counts = [[[0] * r for _ in range(r)] for _ in range(r)]
-        elements = g.elements
-        index = g.index
+        words, index = g.words, g.index
         for k, ck in enumerate(class_set.classes):
-            z = ck.representative
+            z_table = g.translation_table(ck.representative)
             for i, ci in enumerate(class_set.classes):
                 row = counts[i]
-                for xi in ci.members:
-                    y = elements[inv_idx[xi]] * z
-                    row[cls_of[index[y.images]]][k] += 1
+                for xi in ci.members:  # y = x^-1 * z
+                    y = words[inv_idx[xi]].translate(z_table)
+                    row[cls_of[index[y]]][k] += 1
         self.constants = counts
 
     @property

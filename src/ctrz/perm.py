@@ -1,10 +1,20 @@
 """Permutations on {1..n}, finite groups from generators, conjugacy classes.
 
-Permutations are stored as image tuples (0-based internally, 1-based in
-all text I/O).  Products compose left to right: ``(p * q)(x) == q(p(x))``,
-so a cycle string like ``(1,2)(2,3)`` applies its leftmost cycle first.
-For products of disjoint cycles, the only kind appearing in the embedded
+Products compose left to right: ``(p * q)(x) == q(p(x))``, so a cycle
+string like ``(1,2)(2,3)`` applies its leftmost cycle first.  For
+products of disjoint cycles, the only kind appearing in the embedded
 datasets, the convention makes no difference.
+
+Storage.  ``Permutation`` holds a tuple of 0-based images; it is the
+public view and the form of all text I/O (1-based cycle strings).  The
+group layer holds each element as a *word*: ``bytes`` of its 0-based
+images.  A product is one C call, ``p * q == p.translate(q + pad)`` with
+``pad = bytes(range(degree, 256))`` filling the translation table to 256
+entries, and bytes compare exactly like the image tuples they encode, so
+``min`` over words picks the same element as ``min`` over tuples.  A
+word has one byte per point, so a group acts on at most ``MAX_DEGREE`` =
+256 points; FiniteGroup refuses a larger degree before it allocates
+anything.
 
 Group enumeration is a breadth-first closure under right multiplication
 by the generators, capped so a typo cannot eat all memory.  Conjugacy
@@ -15,13 +25,15 @@ lexicographically smallest member.
 
 from __future__ import annotations
 
-import itertools
+from array import array
+from functools import cached_property
 from math import lcm
 
 from .errors import InputError, InconsistencyError
 
 DEFAULT_ORDER_CAP = 10**7
 DEFAULT_TUPLE_CAP = 10**7
+MAX_DEGREE = 256  # one byte per image point
 
 
 class Permutation:
@@ -151,8 +163,20 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cycs)
 
 
+def check_degree(degree: int) -> None:
+    """Refuse a degree that a word cannot hold."""
+    if degree > MAX_DEGREE:
+        raise InputError(
+            f"degree {degree} exceeds the limit of {MAX_DEGREE} points")
+
+
 class FiniteGroup:
-    """A finite permutation group enumerated from its generators."""
+    """A finite permutation group enumerated from its generators.
+
+    words[i] is element i as a word (bytes of 0-based images), index maps
+    a word back to i; elements[i] is the same element as a Permutation,
+    built on first use.
+    """
 
     def __init__(self, generators: list[Permutation], degree: int | None = None,
                  order_cap: int = DEFAULT_ORDER_CAP):
@@ -160,51 +184,63 @@ class FiniteGroup:
             if not generators:
                 raise InputError("degree required when no generators are given")
             degree = generators[0].degree
+        check_degree(degree)
         for g in generators:
             if g.degree != degree:
                 raise InputError("generators act on different degrees")
         self.degree = degree
         self.generators = list(generators)
-        self.elements: list[Permutation] = []
-        self.index: dict[tuple[int, ...], int] = {}
-        self._enumerate(order_cap)
+        self.pad = bytes(range(degree, 256))
+        self.words, self.index = self._enumerate(order_cap)
         self._inverse_index: list[int] | None = None
 
-    def _enumerate(self, cap: int) -> None:
-        ident = Permutation.identity(self.degree)
-        self.elements = [ident]
-        self.index = {ident.images: 0}
-        frontier = 0
-        while frontier < len(self.elements):
-            cur = self.elements[frontier]
-            frontier += 1
-            for g in self.generators:
-                w = cur * g
-                if w.images not in self.index:
-                    if len(self.elements) >= cap:
+    def translation_table(self, p: Permutation) -> bytes:
+        """256-entry table with ``w.translate(table) == word of w * p``."""
+        return bytes(p.images) + self.pad
+
+    def _enumerate(self, cap: int) -> tuple[list[bytes], dict[bytes, int]]:
+        ident = bytes(range(self.degree))
+        words = [ident]
+        index = {ident: 0}
+        tables = [self.translation_table(g) for g in self.generators]
+        for cur in words:  # grows while iterated: a breadth-first queue
+            for t in tables:
+                w = cur.translate(t)
+                if w not in index:
+                    if len(words) >= cap:
                         raise InputError(
                             f"group order exceeds cap {cap}; raise order_cap if intended")
-                    self.index[w.images] = len(self.elements)
-                    self.elements.append(w)
+                    index[w] = len(words)
+                    words.append(w)
+        return words, index
+
+    @cached_property
+    def elements(self) -> list[Permutation]:
+        return [Permutation(w) for w in self.words]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     def element_index(self, p: Permutation) -> int:
-        try:
-            return self.index[p.images]
-        except KeyError:
-            raise InputError(f"{p} is not an element of this group") from None
+        i = self.index.get(bytes(p.images)) if p.degree == self.degree else None
+        if i is None:
+            raise InputError(f"{p} is not an element of this group")
+        return i
 
     def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and p.images in self.index
+        return (isinstance(p, Permutation) and p.degree == self.degree
+                and bytes(p.images) in self.index)
 
     def inverse_index(self) -> list[int]:
         """index of the inverse of element i, cached."""
         if self._inverse_index is None:
+            ident = self.words[0]
+            n = self.degree
+            index = self.index
+            # maketrans(w, ident) sends w[i] to i: w's inverse, padded
             self._inverse_index = [
-                self.index[e.inverse().images] for e in self.elements]
+                index[bytes.maketrans(w, ident)[:n]] for w in self.words]
         return self._inverse_index
 
 
@@ -233,17 +269,15 @@ class ClassSet:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        raw = self._orbits()
+        words = group.words
         keyed = []
-        for members in raw:
-            rep_min = min(group.elements[i].images for i in members)
-            p = group.elements[members[0]]
-            keyed.append((len(members), p.order(), rep_min, members))
+        for members in self._orbits():
+            rep = Permutation(min(words[i] for i in members))
+            keyed.append((len(members), rep.order(), rep.images, rep, members))
         keyed.sort(key=lambda t: t[:3])
         self.classes: list[ConjugacyClass] = []
         self.class_of = [0] * group.order
-        for ci, (size, order, rep_min, members) in enumerate(keyed):
-            rep = Permutation(rep_min)
+        for ci, (size, order, _, rep, members) in enumerate(keyed):
             cls = ConjugacyClass(f"C{ci + 1}", size, order, rep, sorted(members))
             self.classes.append(cls)
             for ei in members:
@@ -253,23 +287,23 @@ class ClassSet:
 
     def _orbits(self) -> list[list[int]]:
         g = self.group
-        assigned = [False] * g.order
-        gen_pairs = [(gen.inverse(), gen) for gen in g.generators]
+        words, index, pad = g.words, g.index, g.pad
+        assigned = bytearray(g.order)
+        # x -> gen^-1 * x * gen, as word translations
+        gen_pairs = [(bytes(gen.inverse().images), g.translation_table(gen))
+                     for gen in g.generators]
         orbits = []
-        for start in range(g.order):
-            if assigned[start]:
-                continue
+        start = 0
+        while (start := assigned.find(0, start)) >= 0:
             orbit = [start]
-            assigned[start] = True
+            assigned[start] = 1
             queue = [start]
             while queue:
-                ei = queue.pop()
-                x = g.elements[ei]
+                x = words[queue.pop()] + pad
                 for ginv, gen in gen_pairs:
-                    w = (ginv * x) * gen
-                    wi = g.index[w.images]
+                    wi = index[ginv.translate(x).translate(gen)]
                     if not assigned[wi]:
-                        assigned[wi] = True
+                        assigned[wi] = 1
                         orbit.append(wi)
                         queue.append(wi)
             orbits.append(orbit)
@@ -283,17 +317,20 @@ class ClassSet:
 
     def power_map(self, t: int) -> list[int]:
         """Class index of t-th powers, per class.  Defined for every
-        integer t; t = -1 gives the inverse classes."""
+        integer t; t = -1 gives the inverse classes.  x**t is read off
+        the cycles of x: a point at position i of a cycle of length L
+        goes to the point at position (i + t) mod L."""
         t = t % self.exponent if self.exponent else 0
         cached = self._power_maps.get(t)
         if cached is not None:
             return cached
         out = []
         for c in self.classes:
-            q = Permutation.identity(self.group.degree)
-            for _ in range(t):
-                q = q * c.representative
-            out.append(self.class_of[self.group.element_index(q)])
+            images = list(range(self.group.degree))
+            for cyc in c.representative.cycles():
+                for i, point in enumerate(cyc):
+                    images[point - 1] = cyc[(i + t) % len(cyc)] - 1
+            out.append(self.class_of[self.group.index[bytes(images)]])
         self._power_maps[t] = out
         return out
 
@@ -313,9 +350,13 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
     """Number of orbits of the group acting diagonally on t-tuples of points.
 
     method "burnside" averages fixed-point counts over the group, summed
-    per conjugacy class; method "direct" enumerates all degree**t tuples
-    and merges them with union-find under the generator action.  Both are
-    exact; "direct" refuses to build more than tuple_cap tuples.
+    per conjugacy class; method "direct" enumerates all n = degree**t
+    tuples as base-degree integers and counts the components of the
+    generator action by a stack traversal.  Both are exact; "direct"
+    refuses more than tuple_cap tuples before it allocates anything.
+    Otherwise it holds one image map per generator (about 4*n bytes
+    each), one seen flag per tuple (n bytes) and a stack of at most one
+    orbit (at most the group order entries).
     """
     if t < 0:
         raise InputError("tuple length must be nonnegative")
@@ -336,24 +377,27 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
     if count > tuple_cap:
         raise InputError(
             f"{n}**{t} tuples exceed cap {tuple_cap}; use method='burnside'")
-    parent = list(range(count))
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    digits = list(itertools.product(range(n), repeat=t))
+    typecode = "I" if count <= 1 << 32 else "Q"
+    maps = []
     for g in group.generators:
+        # tuple j*n + d goes to image(j)*n + g(d), one base-n digit at a time
         img = g.images
-        for i, tup in enumerate(digits):
-            j = 0
-            for d in tup:
-                j = j * n + img[d]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for i in range(count) if find(i) == i)
+        m = array(typecode, img)
+        for _ in range(t - 1):
+            m = array(typecode, (a * n + b for a in m for b in img))
+        maps.append(m)
+    seen = bytearray(count)
+    orbits = 0
+    start = 0
+    while (start := seen.find(0, start)) >= 0:
+        orbits += 1
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for m in maps:
+                j = m[i]
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
+    return orbits

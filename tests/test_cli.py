@@ -9,6 +9,7 @@ import contextlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -316,6 +317,27 @@ def test_group_file_malformed_field_exits_two(tmp_path, field, value):
     path.write_text(json.dumps(spec))
     code, _ = run("order", "--group", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["order"], 257), (["chartable", "compute"], 257), (["order"], 10**6)])
+def test_group_file_above_degree_limit_exits_two(tmp_path, capsys, argv,
+                                                 degree):
+    points = ",".join(str(i) for i in range(1, 258))
+    spec = {"name": "big", "degree": degree,
+            "generators": ["(1,2)", f"({points})"]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    tracemalloc.start()
+    try:
+        code, out = run(*argv, "--group", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: degree {degree} exceeds the limit of 256 points\n")
+    assert peak < 1 << 20  # refused before a generator is parsed
 
 
 @pytest.mark.parametrize("field, value, argv", [

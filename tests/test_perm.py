@@ -1,14 +1,22 @@
 """Permutations, group enumeration, conjugacy classes, orbit counts.
 
 Oracles here are small groups whose structure is known by hand: S3,
-S4, the Klein four-group, a cyclic group, and dihedral groups.
+S4, the Klein four-group, a cyclic group, and dihedral groups.  The
+builtins and S7 are pinned by digests of their classes, power maps and
+class constants.
 """
+
+import hashlib
+import json
+import tracemalloc
 
 import pytest
 
+from ctrz.dixon import class_constants
 from ctrz.errors import InputError
-from ctrz.perm import (Permutation, parse_cycles, format_cycles, FiniteGroup,
-                       ClassSet, orbit_count_tuples)
+from ctrz.perm import (MAX_DEGREE, Permutation, parse_cycles, format_cycles,
+                       FiniteGroup, ClassSet, orbit_count_tuples)
+from ctrz.pipeline import builtin_analysis
 
 
 def test_parse_simple_cycle():
@@ -229,3 +237,81 @@ def test_orbit_count_bad_method():
     s3 = FiniteGroup([parse_cycles("(1,2)", 3)])
     with pytest.raises(InputError):
         orbit_count_tuples(s3, 2, method="magic")
+
+
+def test_orbit_count_direct_cap_checked_before_maps_are_built():
+    # 4**8 = 65536 tuples: the image maps alone would take 512 KiB
+    s4 = FiniteGroup([parse_cycles("(1,2)", 4), parse_cycles("(1,2,3,4)", 4)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="exceed cap 1000"):
+            orbit_count_tuples(s4, 8, method="direct", tuple_cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+
+
+def test_degree_above_limit_refused_before_enumeration():
+    n = MAX_DEGREE + 1
+    gens = [parse_cycles("(1,2)", n),
+            parse_cycles("(" + ",".join(map(str, range(1, n + 1))) + ")", n)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="limit of 256 points"):
+            FiniteGroup(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    with pytest.raises(InputError, match="limit of 256 points"):
+        FiniteGroup([], degree=n)
+    assert FiniteGroup([parse_cycles("(1,256)", 256)]).order == 2
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pinned_group(name):
+    if name == "s7":
+        g = FiniteGroup([parse_cycles("(1,2)", 7),
+                         parse_cycles("(1,2,3,4,5,6,7)", 7)])
+        return g, ClassSet(g)
+    a = builtin_analysis(name)
+    return a.group, a.class_set
+
+
+# Digests of the output of the tuple-based permutation layer this one
+# replaced, taken on that code.  They pin the enumeration order, the
+# canonical class order and everything read off it.
+PINNED = {
+    "g1344-deg8": {
+        "elements": "ec722d155c3e1943", "classes": "c579048a550f622d",
+        "class_of": "ef1cb66def4921d6", "power_inverse": "05ca343357782a84",
+        "power_square": "c7d690fd2c239836", "constants": "86f713d76964794e"},
+    "g1344-deg14": {
+        "elements": "31e57b0c0dd6e937", "classes": "d2a7d18cb50fa253",
+        "class_of": "9a45944bccbce4fa", "power_inverse": "05ca343357782a84",
+        "power_square": "2f34439eb9e892a8", "constants": "86f713d76964794e"},
+    "s7": {
+        "elements": "4c925289e8b96ac3", "classes": "6164c46e2f4778a9",
+        "class_of": "a2519ae50beca8c7", "power_inverse": "e994167b45cad608",
+        "power_square": "266d475c2a929905", "constants": "29b054aeccbb72c9"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_classes_power_maps_and_constants_pinned(name):
+    g, cs = _pinned_group(name)
+    got = {
+        "elements": _digest([list(e.images) for e in g.elements]),
+        "classes": _digest([[c.label, c.size, c.order, str(c.representative)]
+                            for c in cs.classes]),
+        "class_of": _digest(cs.class_of),
+        "power_inverse": _digest(cs.power_map(-1)),
+        "power_square": _digest(cs.power_map(2)),
+        "constants": _digest(class_constants(cs).constants),
+    }
+    assert got == PINNED[name]
