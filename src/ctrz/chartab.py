@@ -39,7 +39,7 @@ from math import lcm
 from .errors import CtrzError, InputError
 from .exact import (Cyclotomic, QuadraticView, quadratic_candidates,
                     to_quadratic)
-from .perm import ClassSet, FiniteGroup, parse_cycles
+from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
 
 class DecompositionError(CtrzError):
@@ -93,10 +93,8 @@ class CharacterTable:
 
     def _working(self) -> tuple[int, list[tuple[Cyclotomic, ...]]]:
         if self._work is None:
-            # equal cells share one descent; a rational cell is keyed by
-            # its value alone, which hashes far faster than its vector
-            keys = [[v.coeffs[0] if v.is_rational() else (v.conductor, v.coeffs)
-                     for v in row] for row in self.values]
+            # equal cells share one descent
+            keys = [[(v.conductor, v.num, v.den) for v in row] for row in self.values]
             least = {}
             for krow, row in zip(keys, self.values):
                 for key, v in zip(krow, row):
@@ -172,7 +170,7 @@ def validate(table: CharacterTable) -> list[Violation]:
     degrees = []
     for i, row in enumerate(table.values):
         v = row[idc]
-        if not v.is_rational() or v.coeffs[0].denominator != 1 or v.coeffs[0] <= 0:
+        if not v.is_rational() or v.den != 1 or v.num[0] <= 0:
             out.append(Violation("degree", table.characters[i],
                                  "degree is not a positive integer"))
             return out
@@ -228,6 +226,7 @@ class ClassFunction:
             for v in values)
         if len(self.values) != table.size:
             raise InputError("one value per class required")
+        self._levels = None
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if other.table is not self.table:
@@ -237,6 +236,29 @@ class ClassFunction:
 
     def power(self, k: int) -> "ClassFunction":
         return ClassFunction(self.table, [v ** k for v in self.values])
+
+    def levels(self) -> list[tuple[Cyclotomic, tuple[Cyclotomic, ...]]]:
+        """Each distinct value f of this function, in the order of the
+        first class taking it, with a_(i,f) = <1_(self=f), chi_i> for
+        every row chi_i of the table: the inner product split by the
+        value taken, so <self^k, chi_i> = sum over f of f^k * a_(i,f).
+        Computed on first use and kept."""
+        if self._levels is None:
+            t = self.table
+            groups = []
+            for c, v in enumerate(self.values):
+                for f, members in groups:
+                    if f == v:
+                        members.add(c)
+                        break
+                else:
+                    groups.append((v, {c}))
+            self._levels = [
+                (f, tuple(inner_product(
+                    ClassFunction(t, [int(c in members) for c in range(t.size)]),
+                    t.row(i)) for i in range(t.size)))
+                for f, members in groups]
+        return self._levels
 
 
 def permutation_character(group: FiniteGroup, class_set: ClassSet,
@@ -266,6 +288,27 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:
     return acc / t.group_order
 
 
+def require_verified(f: ClassFunction, table: CharacterTable,
+                     allow_unverified: bool = False) -> None:
+    """Refuse to decompose f unless it lives on the table and the table
+    is verified (or allow_unverified is set)."""
+    if f.table is not table:
+        raise InputError("class function belongs to a different table")
+    if not table.verified and not allow_unverified:
+        raise InputError("table is unverified; validate it first or override")
+
+
+def as_multiplicity(value: Cyclotomic, label: str) -> int:
+    """An inner product against the row labelled label as a nonnegative
+    integer; anything else raises DecompositionError."""
+    if not value.is_rational():
+        raise DecompositionError(f"multiplicity of {label} is irrational")
+    q = value.as_rational()
+    if q.denominator != 1 or q < 0:
+        raise DecompositionError(f"multiplicity of {label} is {q}")
+    return q.numerator
+
+
 def decompose(f: ClassFunction, table: CharacterTable,
               allow_unverified: bool = False) -> tuple[int, ...]:
     """Multiplicities of f against the table rows.
@@ -274,22 +317,9 @@ def decompose(f: ClassFunction, table: CharacterTable,
     DecompositionError when any multiplicity is negative or fractional,
     which means f is not a character of this group.
     """
-    if f.table is not table:
-        raise InputError("class function belongs to a different table")
-    if not table.verified and not allow_unverified:
-        raise InputError("table is unverified; validate it first or override")
-    mults = []
-    for i in range(table.size):
-        ip = inner_product(f, table.row(i))
-        if not ip.is_rational():
-            raise DecompositionError(
-                f"multiplicity of {table.characters[i]} is irrational")
-        q = ip.as_rational()
-        if q.denominator != 1 or q < 0:
-            raise DecompositionError(
-                f"multiplicity of {table.characters[i]} is {q}")
-        mults.append(int(q))
-    return tuple(mults)
+    require_verified(f, table, allow_unverified)
+    return tuple(as_multiplicity(inner_product(f, table.row(i)), table.characters[i])
+                 for i in range(table.size))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +376,9 @@ class MatchResult:
 def _parsed_representatives(table: CharacterTable):
     """(degree, cycle types): the largest point any class representative
     names, and the cycle type of each representative, None where its
-    text does not parse.  None when some class has no representative."""
+    text does not parse or names a point above MAX_DEGREE (parsing
+    allocates one image per point).  None when some class has no
+    representative."""
     if any(c.representative is None for c in table.classes):
         return None
     degree, types = 0, []
@@ -357,7 +389,8 @@ def _parsed_representatives(table: CharacterTable):
                       rep.replace("(", " ").replace(")", " ").replace(",", " ").split()]
             top = max(points, default=1)
             degree = max(degree, top)
-            types.append(parse_cycles(rep, top).cycle_type())
+            types.append(parse_cycles(rep, top).cycle_type() if top <= MAX_DEGREE
+                         else None)
         except (InputError, ValueError):
             types.append(None)
     return degree, types
@@ -370,7 +403,8 @@ def _canonical_cells(a: CharacterTable, b: CharacterTable):
     ids = {}
 
     def cells(table):
-        return [[ids.setdefault(v.lift(e).coeffs, len(ids)) for v in row]
+        return [[ids.setdefault((w.num, w.den), len(ids))
+                 for w in (v.lift(e) for v in row)]
                 for row in table.working_rows]
 
     return cells(a), cells(b)

@@ -10,13 +10,15 @@ value is ever rendered through floating point.
 
 Exit codes: 0 success, 1 validation findings present, 2 input or parse
 error, 3 internal inconsistency (cross-method disagreement; must never
-happen on sound input).
+happen on sound input), 141 standard output closed before the report
+was written (as in `ctrz ... | head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import datasets
@@ -371,7 +373,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # 128 + SIGPIPE, as a shell reports a reader that went away; later
+        # flushes go to the null device so the exit itself cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

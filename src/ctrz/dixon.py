@@ -26,12 +26,12 @@ inconsistent input and raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .chartab import CharacterTable, ClassInfo, validate
 from .errors import InconsistencyError, InputError
-from .exact import Cyclotomic, _reduce_poly
+from .exact import (Cyclotomic, _from_ints, _reduce_poly,
+                    cyclotomic_polynomial)
 from .modp import (PrimeFieldMatrix, charpoly_mod_p, choose_prime,
                    nullspace_mod_p, poly_roots_mod_p, primitive_root_mod_p)
 from .perm import ClassSet, FiniteGroup
@@ -229,11 +229,10 @@ def lift_character_values(eigen: EigenData, class_set: ClassSet,
                 digits.append(c)
             if sum(digits) != d:
                 raise InconsistencyError("digits do not sum to the degree")
-            coeffs = [Fraction(0)] * conductor
+            poly = [0] * conductor
             for m, c in enumerate(digits):
-                if c:
-                    coeffs[(conductor // o) * m] += c
-            values.append(Cyclotomic(conductor, _reduce_poly(conductor, coeffs)))
+                poly[(conductor // o) * m] = c
+            values.append(_from_ints(conductor, _reduce_poly(conductor, poly)))
         if values[0] != d:
             raise InconsistencyError("identity value does not equal the degree")
         out.append((d, values))
@@ -268,15 +267,19 @@ def compute_character_table(group: FiniteGroup,
     instead of returning.
     """
     cs = class_set if class_set is not None else ClassSet(group)
-    algebra = class_constants(cs)
     conductor = cs.exponent
+    # the prime cap, then the conductor cap, refuse before the costly
+    # class constants
     p = choose_prime(conductor, group.order)
+    cyclotomic_polynomial(conductor)
+    algebra = class_constants(cs)
     eigen = common_eigenbasis(algebra, p)
     lifted = lift_character_values(eigen, cs, conductor)
 
     def sort_key(item):
         degree, values = item
-        neg = tuple(tuple(-c for c in v.coeffs) for v in values)
+        # every lifted value has den 1, so num orders as the coefficients
+        neg = tuple(tuple(-c for c in v.num) for v in values)
         return (degree, neg)
 
     lifted.sort(key=sort_key)

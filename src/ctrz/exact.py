@@ -2,8 +2,12 @@
 
 Elements are coefficient vectors of length phi(e) over the power basis
 1, zeta, ..., zeta^(phi(e)-1) reduced modulo the e-th cyclotomic
-polynomial, with Fraction coefficients throughout.  No floating point
-anywhere; float inputs are rejected.
+polynomial, stored as FLINT's fmpq_poly stores a rational polynomial:
+one tuple of int numerators over one positive int denominator, with
+their gcd divided out once per operation.  Sums, products (an int
+convolution reduced by cached int rows of x^k mod Phi_e), lifts and
+conjugates stay in ints; the Fraction coefficients are built only when
+read.  No floating point anywhere; float inputs are rejected.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
@@ -15,9 +19,10 @@ subfields of cyclotomic fields", AAECC 8, 1997, for the subfield view).
 Since Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a,b)), the conductors
 holding a value are closed under gcd, so stepping down one prime at a
 time while a step succeeds finds the least one.  Complex
-conjugation is the substitution zeta -> zeta^(e-1).  Division inverts
-through the extended Euclidean algorithm against the cyclotomic
-polynomial, which is irreducible over Q.
+conjugation is the substitution zeta -> zeta^(e-1).  Division multiplies
+by the other Galois conjugates zeta -> zeta^j, j prime to e, and divides
+by the norm, their product with the value: a rational, nonzero for a
+nonzero value because Phi_e is irreducible over Q.
 
 Square roots of squarefree D = 1 (mod 4) embed through the quadratic
 Gauss sum over zeta_|D|: the sum of jacobi(t, |D|) * zeta_|D|**t squares
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError, InconsistencyError
 from .modp import prime_factors
@@ -127,30 +132,32 @@ def _power_row(fld, m: int) -> tuple[int, ...]:
     return rows[m]
 
 
-def _reduce_poly(e: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce_poly(e: int, poly: list) -> list:
+    """An int polynomial in zeta_e, ascending coefficients, reduced mod
+    Phi_e to its phi(e) power-basis coefficients."""
     fld = _field(e)
     deg = fld[0]
-    out = list(coeffs[:deg]) + [Fraction(0)] * max(0, deg - len(coeffs))
-    for m in range(deg, len(coeffs)):
-        c = coeffs[m]
+    out = list(poly[:deg]) + [0] * max(0, deg - len(poly))
+    for m in range(deg, len(poly)):
+        c = poly[m]
         if c:
-            row = _power_row(fld, m - deg)
-            for j, r in enumerate(row):
+            for j, r in enumerate(_power_row(fld, m - deg)):
                 if r:
                     out[j] += c * r
-    return tuple(out)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _descent(t: int, e: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+def _descent(t: int, e: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
     """How to read a value of Q(zeta_e) back at a conductor t dividing e.
 
     The lift zeta_t -> zeta_e**(e/t) is an integer matrix L with phi(t)
     columns and one row per power-basis coordinate at e.  Row reducing
     [L^T | I] picks phi(t) coordinates R where L is invertible and leaves
-    the inverse of L[R] transposed on the right.  Row i of the result
-    lists the (coordinate at e, weight) pairs whose weighted sum is
-    coefficient i at t, provided the value lies in Q(zeta_t) at all.
+    the inverse of L[R] transposed on the right.  The result is (rows,
+    scale): row i lists the (coordinate at e, integer weight) pairs whose
+    weighted sum, divided by scale, is coefficient i at t, provided the
+    value lies in Q(zeta_t) at all.
     """
     fld = _field(e)
     deg, step, n = fld[0], e // t, _field(t)[0]
@@ -175,44 +182,69 @@ def _descent(t: int, e: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
             if i != r and f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-    return tuple(tuple((pivots[k], rows[k][deg + i]) for k in range(n) if rows[k][deg + i])
-                 for i in range(n))
+    scale = lcm(*(x.denominator for row in rows for x in row[deg:]))
+    return tuple(tuple((pivots[k], int(rows[k][deg + i] * scale))
+                       for k in range(n) if rows[k][deg + i])
+                 for i in range(n)), scale
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise InputError(f"exact rational required, got {type(x).__name__}")
 
 
-class Cyclotomic:
-    """An element of Q(zeta_e) as a reduced power-basis coefficient vector."""
+def _from_ints(conductor: int, num, den: int = 1) -> "Cyclotomic":
+    """The value num/den at a conductor, num an int vector already
+    reduced mod Phi_conductor and den positive; divides out
+    gcd(den, *num) so equal values have equal (num, den)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    v = object.__new__(Cyclotomic)
+    v.conductor = conductor
+    v.num = tuple(num)
+    v.den = den
+    return v
 
-    __slots__ = ("conductor", "coeffs")
+
+class Cyclotomic:
+    """An element of Q(zeta_e) as a reduced power-basis vector: the int
+    numerators num over one positive denominator den, with
+    gcd(den, *num) == 1."""
+
+    __slots__ = ("conductor", "num", "den")
     __hash__ = None  # cross-conductor equality makes hashing a trap
 
     def __init__(self, conductor: int, coeffs):
         deg = _field(conductor)[0]
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
-        if len(coeffs) != deg:
+        pairs = [_ratio(c) for c in coeffs]
+        if len(pairs) != deg:
             raise InputError(
-                f"conductor {conductor} needs {deg} coefficients, got {len(coeffs)}")
+                f"conductor {conductor} needs {deg} coefficients, got {len(pairs)}")
+        den = lcm(*(q for _, q in pairs))
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.num = tuple(p * (den // q) for p, q in pairs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "Cyclotomic":
-        v = _as_fraction(value)
-        return cls(conductor, (v,) + (Fraction(0),) * (_field(conductor)[0] - 1))
+        p, q = _ratio(value)
+        return _from_ints(conductor, (p,) + (0,) * (_field(conductor)[0] - 1), q)
 
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "Cyclotomic":
         _field(conductor)  # rejects a bad conductor before the modulus
         power %= conductor
-        poly = [Fraction(0)] * power + [Fraction(1)]
-        return cls(conductor, _reduce_poly(conductor, poly))
+        return _from_ints(conductor, _reduce_poly(conductor, [0] * power + [1]))
 
     def lift(self, conductor: int) -> "Cyclotomic":
         """Rewrite at a larger conductor; requires self.conductor | conductor."""
@@ -222,25 +254,25 @@ class Cyclotomic:
             raise InputError(
                 f"cannot lift conductor {self.conductor} into {conductor}")
         step = conductor // self.conductor
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                poly[i * step] += c
-        return Cyclotomic(conductor, _reduce_poly(conductor, poly))
+        poly = [0] * ((len(self.num) - 1) * step + 1)
+        for i, c in enumerate(self.num):
+            poly[i * step] = c
+        return _from_ints(conductor, _reduce_poly(conductor, poly), self.den)
 
     def _descend(self, conductor: int) -> "Cyclotomic | None":
         """The same value at a conductor dividing this one, or None when
         Q(zeta_conductor) does not hold it."""
-        coeffs = self.coeffs
-        down = Cyclotomic(conductor, (sum((w * coeffs[j] for j, w in row), Fraction(0))
-                                      for row in _descent(conductor, self.conductor)))
-        return down if down.lift(self.conductor).coeffs == coeffs else None
+        rows, scale = _descent(conductor, self.conductor)
+        num = self.num
+        down = _from_ints(conductor, [sum(w * num[j] for j, w in row) for row in rows],
+                          self.den * scale)
+        return down if down.lift(self.conductor) == self else None
 
     def reduced(self) -> "Cyclotomic":
         """The same value at its least conductor: 1 for a rational, else
         the smallest m whose field Q(zeta_m) holds it (never 2 mod 4)."""
         if self.is_rational():
-            return Cyclotomic.from_rational(self.coeffs[0], 1)
+            return _from_ints(1, self.num[:1], self.den)
         v = self
         while True:
             for p in prime_factors(v.conductor):
@@ -252,9 +284,11 @@ class Cyclotomic:
                 return v
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, 1)
+        # Cyclotomic is tested first: isinstance against the abstract
+        # Fraction costs far more than against a plain class
         if not isinstance(other, Cyclotomic):
+            if isinstance(other, (int, Fraction)):
+                return self, Cyclotomic.from_rational(other, self.conductor)
             raise InputError(f"cannot combine Cyclotomic with {type(other).__name__}")
         if self.conductor == other.conductor:
             return self, other
@@ -265,63 +299,56 @@ class Cyclotomic:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return Cyclotomic(a.conductor, (x + y for x, y in zip(a.coeffs, b.coeffs)))
+        p, q = a.den, b.den
+        return _from_ints(a.conductor, [x * q + y * p for x, y in zip(a.num, b.num)],
+                          p * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, (-x for x in self.coeffs))
+        return _from_ints(self.conductor, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return Cyclotomic(a.conductor, (x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return a + (-b)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            v = _as_fraction(other)
-            return Cyclotomic(self.conductor, (v * c for c in self.coeffs))
+        if not isinstance(other, Cyclotomic) and isinstance(other, (int, Fraction)):
+            p, q = _ratio(other)
+            return _from_ints(self.conductor, [p * x for x in self.num], self.den * q)
         a, b = self._pair(other)
-        deg = len(a.coeffs)
-        acc = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
+        an, bn = a.num, b.num
+        acc = [0] * (2 * len(an) - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(bn):
                     if y:
                         acc[i + j] += x * y
-        return Cyclotomic(a.conductor, _reduce_poly(a.conductor, acc))
+        return _from_ints(a.conductor, _reduce_poly(a.conductor, acc), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/self: the product of the other Galois conjugates divided by
+        the norm, the product of all of them, a nonzero rational."""
         if self.is_zero():
             raise InputError("division by zero")
-        phi = [Fraction(c) for c in _field(self.conductor)[1]]
-        # extended gcd of self against Phi_e over Q[x]; gcd is a nonzero constant
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while len(r1) > 1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _frac_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_sub(s0, _poly_mul(q, s1))
-        if not r1[0]:
-            raise InconsistencyError("unit inversion hit a zero gcd")
-        inv_const = 1 / r1[0]
-        coeffs = [c * inv_const for c in s1]
-        return Cyclotomic(self.conductor, _reduce_poly(self.conductor, coeffs))
+        e = self.conductor
+        others = Cyclotomic.from_rational(1, e)
+        for j in range(2, e):
+            if gcd(j, e) == 1:
+                others = others * self._galois(j)
+        return others / (self * others).as_rational()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            v = _as_fraction(other)
-            if not v:
+            p, q = _ratio(other)
+            if not p:
                 raise InputError("division by zero")
-            return self * (1 / v)
+            return self * Fraction(q, p)
         a, b = self._pair(other)
         return a * b.inverse()
 
@@ -342,70 +369,46 @@ class Cyclotomic:
             n >>= 1
         return result
 
+    def _galois(self, j: int) -> "Cyclotomic":
+        """The image under zeta -> zeta^j, for j prime to the conductor."""
+        e = self.conductor
+        poly = [0] * e
+        for i, c in enumerate(self.num):
+            poly[i * j % e] = c
+        return _from_ints(e, _reduce_poly(e, poly), self.den)
+
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: substitute zeta -> zeta^(e-1)."""
-        e = self.conductor
-        poly = [Fraction(0)] * e
-        for i, c in enumerate(self.coeffs):
-            if c:
-                poly[(-i) % e] += c
-        return Cyclotomic(e, _reduce_poly(e, poly))
+        return self._galois(self.conductor - 1)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise InputError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def as_integer(self) -> int:
         r = self.as_rational()
-        if r.denominator != 1:
+        if self.den != 1:
             raise InputError(f"value {r} is not an integer")
-        return r.numerator
+        return self.num[0]
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclotomic):
+            a, b = self._pair(other)
+            return a.num == b.num and a.den == b.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+            p, q = _ratio(other)
+            return self.is_rational() and self.num[0] * q == p * self.den
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
-
-
-def _frac_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while len(den) > 1 and not den[-1]:
-        den = den[:-1]
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(1, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        if num[i]:
-            c = num[i] / lead
-            q[i - dd] = c
-            for j, y in enumerate(den):
-                num[i - dd + j] -= c * y
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for j, y in enumerate(b):
-        a[j] -= y
-    return a
 
 
 def jacobi(a: int, n: int) -> int:
@@ -467,8 +470,8 @@ class QuadraticView:
 
     def __init__(self, D: int, a, b):
         self.D = D
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
+        self.a = Fraction(*_ratio(a))
+        self.b = Fraction(*_ratio(b))
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticView)

@@ -7,7 +7,11 @@ multiplicity vector d(k), and the commutant is a direct sum of one full
 matrix block of size d_i(k) per irreducible with d_i(k) > 0.  Three
 independent routes to d(k) are implemented and cross-checked:
 
-  direct      decompose the pointwise k-th power of chi,
+  direct      decompose the pointwise k-th power of chi, the inner
+              product with chi_i regrouped on the values f of chi:
+              m_i(k) = sum over f of f^k * <1_(chi=f), chi_i>, the
+              inner products kept on chi after its first use, so each
+              further k costs one power and r products per value,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix: A_ij is the multiplicity of the j-th
               irreducible in chi_i * chi, the inner product
@@ -30,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chartab import (CharacterTable, ClassFunction, DecompositionError,
-                      decompose)
+                      as_multiplicity, decompose, require_verified)
 from .errors import InconsistencyError, InputError
 from .perm import ClassSet, orbit_count_tuples
 
@@ -58,10 +62,16 @@ def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[in
 
 def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
                           k: int) -> tuple[int, ...]:
-    """Decompose the pointwise k-th power of chi."""
+    """Decompose the pointwise k-th power of chi, its inner product with
+    each row regrouped on chi's values: m_i(k) = sum over the values f of
+    chi of f^k * a_(i,f), with the a_(i,f) of chi.levels()."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
-    return decompose(chi.power(k), table)
+    require_verified(chi, table)
+    powers = [(f ** k, a) for f, a in chi.levels()]
+    return tuple(as_multiplicity(sum(fk * a[i] for fk, a in powers),
+                                 table.characters[i])
+                 for i in range(table.size))
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,

@@ -7,12 +7,17 @@ Exit code contract: 0 success, 1 findings reported, 2 bad input,
 import io
 import contextlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from ctrz import dixon
 from ctrz.cli import main
 
 
@@ -498,3 +503,62 @@ def test_match_shuffled_elementary_abelian_with_wrong_cells_is_fast(
     assert findings == {(shuffled["characters"][a]["label"],
                          shuffled["classes"][b]["label"], "0")
                         for a, b in wrong}
+
+
+def test_match_representative_beyond_the_degree_limit_is_bounded(tmp_path):
+    """A representative naming point 2000000 gets no cycle type instead of
+    being parsed over two million points; the match itself is unchanged."""
+    path, table = _computed_table_file(tmp_path, "s3", 3, ["(1,2)", "(1,2,3)"])
+    table["classes"][1]["representative"] = "(1,2000000)"
+    huge = tmp_path / "s3-huge.json"
+    huge.write_text(json.dumps(table))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out = run("chartable", "match", str(huge), str(huge),
+                        "--allow-unverified")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "constraint level: full\nrow map: [0, 1, 2]\n"
+                              "column map: [0, 1, 2]\n")
+    assert elapsed < 0.5, f"match took {elapsed:.2f}s"
+    assert peak < 1 << 20
+
+
+M11_GENERATORS = ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]
+
+
+def test_conductor_cap_refuses_before_class_constants(tmp_path, capsys,
+                                                      monkeypatch):
+    """M11 has exponent 1320: the cap refuses it with the same message
+    before the class constants, which are never computed."""
+    def refuse(class_set):
+        raise AssertionError("class constants computed before the caps")
+
+    monkeypatch.setattr(dixon, "class_constants", refuse)
+    group = tmp_path / "m11.json"
+    group.write_text(json.dumps({"name": "m11", "degree": 11,
+                                 "generators": M11_GENERATORS}))
+    code, out = run("chartable", "compute", "--group", str(group))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: conductor 1320 exceeds cap 1000\n"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    """A reader that went away (`ctrz ... | head -1`) is exit 141, with
+    nothing on stderr, not a BrokenPipeError traceback and exit 1."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctrz", "chartable", "check", "paper-table"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -1,0 +1,108 @@
+"""Property tests of the int storage of Cyclotomic: every operation agrees
+with a plain Fraction reference, polynomial arithmetic mod Phi_e (the
+inverse with a * a.inverse() == 1), and every result keeps a positive
+denominator coprime to its numerators."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from ctrz.errors import InputError
+from ctrz.exact import Cyclotomic, cyclotomic_polynomial
+
+
+# -- the reference: Fraction coefficient lists, reduced by long division
+def ref_reduce(e, poly):
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, deg - len(poly))
+    for m in range(len(poly) - 1, deg - 1, -1):
+        c = poly[m]
+        for j, p in enumerate(phi):  # Phi_e is monic: poly[m] becomes 0
+            poly[m - deg + j] -= c * p
+    return tuple(poly[:deg])
+
+
+def ref_mul(e, a, b):
+    acc = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            acc[i + j] += x * y
+    return ref_reduce(e, acc)
+
+
+def ref_map(src, dst, coeffs, power):
+    # substitute zeta_src -> zeta_dst**(power * dst/src), reduced at dst
+    poly = [Fraction(0)] * dst
+    for i, c in enumerate(coeffs):
+        poly[(i * power * (dst // src)) % dst] += c
+    return ref_reduce(dst, poly)
+
+
+@st.composite
+def pairs(draw):
+    e = draw(st.integers(min_value=1, max_value=120))
+    divisors = [d for d in range(1, e + 1) if e % d == 0]
+    out = []
+    for _ in range(2):
+        m = draw(st.sampled_from(divisors))
+        deg = len(cyclotomic_polynomial(m)) - 1
+        coeffs = draw(st.lists(
+            st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+            min_size=deg, max_size=deg))
+        out.append((m, coeffs))
+    return e, out
+
+
+def normalized(v):
+    return v.den > 0 and gcd(v.den, *v.num) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_int_storage_matches_the_fraction_reference(case):
+    e, ((ma, ca), (mb, cb)) = case
+    a, b = Cyclotomic(ma, ca), Cyclotomic(mb, cb)
+    assert a.coeffs == tuple(ca) and b.coeffs == tuple(cb)
+    assert all(type(c) is Fraction for c in a.coeffs)
+    m = lcm(ma, mb)
+    ra, rb = ref_map(ma, m, ca, 1), ref_map(mb, m, cb, 1)
+    results = {
+        "+": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        "-": (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        "*": (a * b, ref_mul(m, ra, rb)),
+        "scalar": (a * Fraction(-3, 4), tuple(x * Fraction(-3, 4) for x in ca)),
+        "conj": (a.conj(), ref_map(ma, ma, ca, -1)),
+        "lift": (a.lift(e), ref_map(ma, e, ca, 1)),
+    }
+    for name, (got, want) in results.items():
+        assert got.coeffs == want, name
+        assert normalized(got), name
+    assert (a + b).conductor == m
+    low = a.reduced()
+    assert normalized(low) and ma % low.conductor == 0
+    assert low.lift(ma).coeffs == tuple(ca)
+    assert (a == b) == (ra == rb)
+    assert a == a.lift(e)
+    assert (a == a * Fraction(1, 2)) == a.is_zero()
+    if not a.is_zero():
+        assert a * a.inverse() == 1 and normalized(a.inverse())
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs())
+def test_floats_are_still_refused(case):
+    _, ((ma, ca), _) = case
+    a = Cyclotomic(ma, ca)
+    with pytest.raises(InputError):
+        Cyclotomic(ma, [0.5] + list(ca[1:]))
+    with pytest.raises(InputError):
+        a * 0.5
+    with pytest.raises(InputError):
+        a + 0.5
+    with pytest.raises(InputError):
+        0.5 + a

@@ -13,7 +13,8 @@ from ctrz.errors import InconsistencyError, InputError
 from ctrz.exact import Cyclotomic
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles, orbit_count_tuples
 from ctrz.dixon import compute_character_table
-from ctrz.chartab import ClassFunction, permutation_character
+from ctrz.chartab import (ClassFunction, DecompositionError, decompose,
+                          permutation_character)
 from ctrz.tensor import (AGREEMENT_BOUND, transition_matrix,
                          multiplicities_direct, multiplicities_recurrence,
                          closed_form_multiplicities, agreed_multiplicities,
@@ -220,3 +221,62 @@ def test_small_group_tensor_powers_by_hand():
 def test_agreed_multiplicities_without_family(g8):
     d = agreed_multiplicities(g8.permchar, g8.table, 3, matrix=g8.transition)
     assert d == closed_form_multiplicities("g1344-deg8", 3)
+
+
+def _small_group_character(generators, degree):
+    g = FiniteGroup([parse_cycles(x, degree) for x in generators])
+    cs = ClassSet(g)
+    tab = compute_character_table(g, cs)
+    return permutation_character(g, cs, tab), tab
+
+
+def _psl27():
+    return _small_group_character(["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 7)
+
+
+@pytest.mark.parametrize("name", ["g1344-deg8", "g1344-deg14", "psl(2,7)", "s4"])
+def test_direct_route_equals_decomposing_each_power(name, g8, g14):
+    """The regrouped sum over chi's values is the inner product of the
+    pointwise power, for every k to 30."""
+    if name in ("g1344-deg8", "g1344-deg14"):
+        a = g8 if name == "g1344-deg8" else g14
+        chi, tab = a.permchar, a.table
+    elif name == "psl(2,7)":
+        chi, tab = _psl27()
+    else:
+        chi, tab = _small_group_character(["(1,2,3,4)", "(1,2)"], 4)
+    for k in range(1, 31):
+        assert multiplicities_direct(chi, tab, k) == decompose(chi.power(k), tab)
+
+
+def test_direct_route_on_an_irrational_character():
+    """chi_i * conj(chi_j) of PSL(2,7) with irrational values: its levels
+    are grouped by exact equality and its f^k are cyclotomic powers."""
+    _, tab = _psl27()
+    r = tab.size
+    products = [tab.row(i) * ClassFunction(tab, [v.conj() for v in tab.row(j).values])
+                for i in range(r) for j in range(r)]
+    chi = min((p for p in products if not all(v.is_rational() for v in p.values)),
+              key=lambda p: len(p.levels()))
+    assert len(chi.levels()) == 4  # 24, 0 on three classes, two irrationals
+    for k in range(1, 31):
+        assert multiplicities_direct(chi, tab, k) == decompose(chi.power(k), tab)
+
+
+def test_direct_route_rejects_a_non_character_as_decompose_does():
+    chi, tab = _psl27()
+    for values in ([1] + [0] * (tab.size - 1), [-v for v in chi.values]):
+        f = ClassFunction(tab, values)
+        for k in (1, 3):
+            with pytest.raises(DecompositionError) as direct:
+                multiplicities_direct(f, tab, k)
+            with pytest.raises(DecompositionError) as reference:
+                decompose(f.power(k), tab)
+            assert str(direct.value) == str(reference.value)
+
+
+def test_direct_route_requires_a_verified_table():
+    chi, tab = _psl27()
+    tab.verified = False
+    with pytest.raises(InputError, match="unverified"):
+        multiplicities_direct(chi, tab, 2)
