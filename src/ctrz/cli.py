@@ -9,9 +9,10 @@ text, default), json (a RunReport object with sorted keys), csv
 value is ever rendered through floating point.
 
 Exit codes: 0 success, 1 validation findings present, 2 input or parse
-error, 3 internal inconsistency (cross-method disagreement; must never
-happen on sound input), 141 standard output closed before the report
-was written (as in `ctrz ... | head -1`).
+error or a capacity limit (a cap, a result too long to print), 3 internal
+inconsistency (cross-method disagreement; must never happen on sound
+input), 141 standard output closed before the report was written (as in
+`ctrz ... | head -1`).
 """
 
 from __future__ import annotations
@@ -157,6 +158,15 @@ def _report(args, dataset, results, findings: bool = False) -> dict:
             "status": "findings" if findings else "ok"}
 
 
+def _printable(value: int = 0, floor_bits: int = 0) -> None:
+    """Refuse a result of at least value, or 2**floor_bits, with more
+    digits than Python prints; raising that limit makes printing quadratic."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (value >= 10**limit or floor_bits >= (10**limit).bit_length()):
+        raise InputError(f"the result has more than {limit} decimal digits, "
+                         "the limit for printing an integer")
+
+
 def cmd_order(args) -> int:
     a = _analysis(args)
     report = _report(args, a.name, {"order": a.group.order})
@@ -291,12 +301,13 @@ def cmd_chartable_match(args) -> int:
 
 
 def _vector(args, a: GroupAnalysis, k: int) -> tuple[int, ...]:
-    if args.method == "direct":
+    method = getattr(args, "method", None)  # structure and dims have none
+    if method == "direct":
         return multiplicities_direct(a.permchar, a.table, k)
-    if args.method == "recurrence":
+    if method == "recurrence":
         return multiplicities_recurrence(a.permchar, a.table, k,
                                          matrix=a.transition)
-    if args.method == "closed-form":
+    if method == "closed-form":
         if a.family is None:
             raise InputError(f"no closed forms are published for {a.name}")
         return closed_form_multiplicities(a.family, k)
@@ -310,6 +321,7 @@ def cmd_decompose(args) -> int:
         raise InputError("--k must be at least 1")
     a = _analysis(args)
     d = _vector(args, a, args.k)
+    _printable(max(d))
     labels = list(a.table.characters)
     default = "cross-checked" if args.k <= args.agreement_bound else "recurrence"
     results = {"k": args.k, "method": args.method or default,
@@ -326,9 +338,8 @@ def cmd_structure(args) -> int:
     if args.k < 1:
         raise InputError("--k must be at least 1")
     a = _analysis(args)
-    args.method = None
-    d = _vector(args, a, args.k)
-    s = SemisimpleStructure(d)
+    s = SemisimpleStructure(_vector(args, a, args.k))
+    _printable(s.dimension)  # at least every block size
     results = {"k": args.k, "structure": s.to_dict()}
     report = _report(args, a.name, results)
     tlines = [s.display(), f"dimension {s.dimension}"]
@@ -341,7 +352,6 @@ def cmd_dims(args) -> int:
     if args.k_from < 1 or args.k_to < args.k_from:
         raise InputError("--from and --to must satisfy 1 <= from <= to")
     a = _analysis(args)
-    args.method = None
     rows = []
     for k in range(args.k_from, args.k_to + 1):
         d = _vector(args, a, k)
@@ -350,6 +360,7 @@ def cmd_dims(args) -> int:
         else:
             dim = SemisimpleStructure(d).dimension
             rows.append({"k": k, "sum_of_squares": dim, "dimension": dim})
+    _printable(max(r["dimension"] for r in rows))
     report = _report(args, a.name, {"dims": rows})
     tlines = [f"k={r['k']}  dim {r['dimension']}" for r in rows]
     clines = [",".join(str(r["dimension"]) for r in rows)]
@@ -361,8 +372,13 @@ def cmd_orbits(args) -> int:
     if args.t < 1:
         raise InputError("--t must be at least 1")
     a = _analysis(args)
-    n = orbit_count_tuples(a.group, args.t, method=args.method,
-                           classes=a.class_set)
+    g = a.group
+    if args.method == "burnside":  # the direct count's tuple cap is smaller
+        # at least degree**t / order orbits: refuse one too long to print
+        _printable(floor_bits=args.t * (g.degree.bit_length() - 1)
+                   - g.order.bit_length())
+    n = orbit_count_tuples(g, args.t, method=args.method, classes=a.class_set)
+    _printable(n)
     results = {"t": args.t, "method": args.method, "orbits": n}
     report = _report(args, a.name, results)
     _emit(args, report, [str(n)], [str(n)])

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InputError, InconsistencyError
 from .modp import prime_factors
@@ -70,15 +70,8 @@ def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({x for d in small for x in (d, n // d)})
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +94,7 @@ def cyclotomic_polynomial(e: int, cap: int = CYCLOTOMIC_CAP) -> tuple[int, ...]:
     for d in _divisors(e)[:-1]:
         den = _poly_mul(den, list(cyclotomic_polynomial(d, cap)))
     q, rem = _poly_divmod_monic(num, den)
-    if any(rem[i] for i in range(len(rem))):
+    if any(rem):
         raise InconsistencyError("cyclotomic polynomial division left a remainder")
     return tuple(q)
 

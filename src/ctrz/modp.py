@@ -16,18 +16,7 @@ from .errors import InputError, InconsistencyError
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:

@@ -20,12 +20,13 @@ Group enumeration is a breadth-first closure under right multiplication
 by the generators, capped so a typo cannot eat all memory.  Conjugacy
 classes are conjugation orbits under the generators, reported in a
 canonical order: size ascending, then element order ascending, then the
-lexicographically smallest member.
+lexicographically smallest member.  Orbits on t-tuples are counted by
+Burnside's average over the classes, or by a descent through point
+stabilizers of the enumerated words that reads no class data.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
 from math import lcm
 
@@ -350,13 +351,17 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
     """Number of orbits of the group acting diagonally on t-tuples of points.
 
     method "burnside" averages fixed-point counts over the group, summed
-    per conjugacy class; method "direct" enumerates all n = degree**t
-    tuples as base-degree integers and counts the components of the
-    generator action by a stack traversal.  Both are exact; "direct"
-    refuses more than tuple_cap tuples before it allocates anything.
-    Otherwise it holds one image map per generator (about 4*n bytes
-    each), one seen flag per tuple (n bytes) and a stack of at most one
-    orbit (at most the group order entries).
+    per conjugacy class.  Method "direct" reads no class data: it descends
+    through point stabilizers of the enumerated words.  H has as many
+    orbits on m-tuples as the sum, over its orbits on points with
+    representative p, of those of H_p = [w for w in H if w[p] == p] on
+    (m-1)-tuples; a trivial H has n**m.  A point fixed by all of H keeps
+    H, so each subgroup gives its counts for every length up to m at
+    once, and the recursion is only as deep as a chain of stabilizers.
+    It refuses degree**t > tuple_cap tuples before any work, which bounds
+    it: the descent has at most as many leaves as there are orbits.  It
+    holds one stabilizer list per level, each at most the group order of
+    references, and per level at most degree lists of t + 1 counts.
     """
     if t < 0:
         raise InputError("tuple length must be nonnegative")
@@ -373,31 +378,27 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
         raise InputError(f"unknown orbit method {method!r}")
 
     n = group.degree
-    count = n**t
-    if count > tuple_cap:
+    # 2**t already exceeds the cap once t reaches its bit length
+    if (n > 1 and t >= tuple_cap.bit_length()) or n**t > tuple_cap:
         raise InputError(
             f"{n}**{t} tuples exceed cap {tuple_cap}; use method='burnside'")
-    typecode = "I" if count <= 1 << 32 else "Q"
-    maps = []
-    for g in group.generators:
-        # tuple j*n + d goes to image(j)*n + g(d), one base-n digit at a time
-        img = g.images
-        m = array(typecode, img)
-        for _ in range(t - 1):
-            m = array(typecode, (a * n + b for a in m for b in img))
-        maps.append(m)
-    seen = bytearray(count)
-    orbits = 0
-    start = 0
-    while (start := seen.find(0, start)) >= 0:
-        orbits += 1
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for m in maps:
-                j = m[i]
-                if not seen[j]:
-                    seen[j] = 1
-                    stack.append(j)
-    return orbits
+
+    def counts(h: list[bytes], m: int) -> list[int]:
+        """Orbits of h on k-tuples for k = 0..m."""
+        if len(h) == 1 or m == 0:
+            return [n**k for k in range(m + 1)]
+        fixed, below, seen = 0, [], set()
+        for p in range(n):
+            if p not in seen:
+                orbit = {w[p] for w in h}
+                seen |= orbit
+                if len(orbit) == 1:
+                    fixed += 1
+                else:
+                    below.append(counts([w for w in h if w[p] == p], m - 1))
+        c = [1]
+        for k in range(m):
+            c.append(fixed * c[k] + sum(b[k] for b in below))
+        return c
+
+    return counts(group.words, t)[t]

@@ -562,3 +562,40 @@ def test_closed_stdout_exits_141_without_traceback():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--builtin", "g1344-deg8", "--t", "5000"],
+    ["orbits", "--builtin", "g1344-deg8", "--t", "5000", "--format", "json"],
+    ["orbits", "--builtin", "g1344-deg8", "--t", "4765"],  # counted first
+    ["structure", "--builtin", "g1344-deg14", "--k", "2000"],
+    ["dims", "--builtin", "g1344-deg14", "--from", "2000", "--to", "2000",
+     "--format", "csv"],
+    ["decompose", "--builtin", "g1344-deg8", "--k", "5000", "--format", "csv"],
+], ids=["orbits", "orbits-json", "orbits-counted", "structure", "dims-csv",
+        "decompose-csv"])
+def test_result_too_long_to_print_exits_two(capsys, argv):
+    """Python prints an int of at most 4300 digits; a longer result is a
+    capacity limit, exit 2 with one line, not a traceback and exit 1."""
+    code, out = run(*argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: the result has more than 4300 decimal digits, the limit for "
+        "printing an integer\n")
+
+
+def test_orbit_count_too_long_to_print_is_refused_before_counting(capsys):
+    """At least 8**t / 1344 orbits: refused from bit lengths alone, where
+    the Burnside sum would hold 8**(10**9)."""
+    start = time.perf_counter()
+    code, out = run("orbits", "--builtin", "g1344-deg8", "--t", "1000000000")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert "4300 decimal digits" in capsys.readouterr().err
+    assert elapsed < 1.0, f"refusal took {elapsed:.2f}s"
+
+
+def test_longest_printable_orbit_count_prints():
+    code, out = run("orbits", "--builtin", "g1344-deg8", "--t", "4764")
+    assert code == 0
+    assert len(out) == 4301  # 4300 digits and a newline

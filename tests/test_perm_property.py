@@ -4,13 +4,17 @@ Each group is generated by one to three random permutations of degree
 at most six.  Every oracle is built from Permutation.__mul__ alone: the
 element set by naive closure, inverses as the last power before the
 identity, classes by conjugating with every element, powers and class
-constants by repeated products.
+constants by repeated products.  The direct orbit count on t-tuples,
+t <= 5, is checked against a walk over all degree**t tuples under the
+generators, with ClassSet replaced so that reading class data fails.
 """
+
+import itertools
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctrz.dixon import class_constants
 from ctrz.perm import ClassSet, FiniteGroup, Permutation, orbit_count_tuples
@@ -101,3 +105,41 @@ def check_group(gens):
 @given(generator_lists())
 def test_random_groups_agree_with_product_oracles(gens):
     check_group(gens)
+
+
+def orbits_by_walk(gens, n, t):
+    """Components of the generator action on all n**t tuples."""
+    seen = set()
+    orbits = 0
+    for start in itertools.product(range(n), repeat=t):
+        if start in seen:
+            continue
+        orbits += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = tuple(g.images[i] for i in x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return orbits
+
+
+def refuse_class_data(*args, **kwargs):
+    raise AssertionError("the direct count read class data")
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), st.integers(min_value=1, max_value=5))
+@example([Permutation.identity(4)], 5)                 # trivial
+@example([Permutation((1, 0, 2, 4, 3, 5))], 4)          # intransitive
+@example([Permutation((1, 2, 0, 3, 4, 5)),
+          Permutation((0, 1, 2, 4, 5, 3))], 4)          # two orbits, C3 x C3
+def test_direct_orbit_count_equals_a_walk_over_every_tuple(gens, t):
+    g = FiniteGroup(gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ctrz.perm.ClassSet", refuse_class_data)
+        got = orbit_count_tuples(g, t, method="direct")
+    assert got == orbits_by_walk(gens, g.degree, t)
