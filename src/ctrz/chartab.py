@@ -37,8 +37,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CtrzError, InputError
-from .exact import (Cyclotomic, QuadraticView, quadratic_candidates,
-                    to_quadratic)
+from .exact import Cyclotomic, QuadraticView, to_quadratic
 from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
 
@@ -764,13 +763,13 @@ def load_table(path: str) -> CharacterTable:
 
 
 def _quadratic(v: Cyclotomic) -> QuadraticView | None:
-    """v as a + b*sqrt(D) for the first quadratic field of its conductor
-    that holds it, or None."""
-    for D in quadratic_candidates(v.conductor):
-        qv = to_quadratic(v, D)
-        if qv is not None:
-            return qv
-    return None
+    """An irrational v as a + b*sqrt(D), D squarefree and 1 mod 4, or
+    None.  Such a value has least conductor |D|, so D is read off it."""
+    r = v.reduced()
+    m = r.conductor
+    if m % 2 == 0:
+        return None
+    return to_quadratic(r, m if m % 4 == 1 else -m)
 
 
 def display_value(v: Cyclotomic) -> str:

@@ -300,16 +300,24 @@ def cmd_chartable_match(args) -> int:
     return 1 if found else 0
 
 
+def _refuse_orbits(group, t: int) -> None:
+    """Refuse before counting when the orbits on t-tuples, at least
+    degree**t / order of them, are too many to print."""
+    _printable(floor_bits=t * (group.degree.bit_length() - 1)
+               - group.order.bit_length())
+
+
 def _vector(args, a: GroupAnalysis, k: int) -> tuple[int, ...]:
     method = getattr(args, "method", None)  # structure and dims have none
+    if method == "closed-form" and a.family is None:
+        raise InputError(f"no closed forms are published for {a.name}")
+    _refuse_orbits(a.group, k)  # the trivial multiplicity counts them
     if method == "direct":
         return multiplicities_direct(a.permchar, a.table, k)
     if method == "recurrence":
         return multiplicities_recurrence(a.permchar, a.table, k,
                                          matrix=a.transition)
     if method == "closed-form":
-        if a.family is None:
-            raise InputError(f"no closed forms are published for {a.name}")
         return closed_form_multiplicities(a.family, k)
     return agreed_multiplicities(
         a.permchar, a.table, k, family=a.family,
@@ -352,6 +360,7 @@ def cmd_dims(args) -> int:
     if args.k_from < 1 or args.k_to < args.k_from:
         raise InputError("--from and --to must satisfy 1 <= from <= to")
     a = _analysis(args)
+    _refuse_orbits(a.group, args.k_to)
     rows = []
     for k in range(args.k_from, args.k_to + 1):
         d = _vector(args, a, k)
@@ -374,9 +383,7 @@ def cmd_orbits(args) -> int:
     a = _analysis(args)
     g = a.group
     if args.method == "burnside":  # the direct count's tuple cap is smaller
-        # at least degree**t / order orbits: refuse one too long to print
-        _printable(floor_bits=args.t * (g.degree.bit_length() - 1)
-                   - g.order.bit_length())
+        _refuse_orbits(g, args.t)
     n = orbit_count_tuples(g, args.t, method=args.method, classes=a.class_set)
     _printable(n)
     results = {"t": args.t, "method": args.method, "orbits": n}

@@ -155,10 +155,7 @@ TABLE_PRINTED_DIAG = {
 
 TABLE_CONDUCTOR = 84
 
-_SIDE_ALIASES = {
-    "g1344-deg8": "g", "g": "g", "deg8": "g", "8": "g",
-    "g1344-deg14": "h", "h": "h", "deg14": "h", "14": "h",
-}
+_SIDE_KEYS = {"g1344-deg8": "g", "g1344-deg14": "h"}
 
 
 def builtin_group(name: str) -> dict:
@@ -213,7 +210,7 @@ def transcription_table(side: str) -> CharacterTable:
     sizes are derived from the centralizer row; the printed size list
     survives as printed_size so the two can be compared.
     """
-    key = _SIDE_ALIASES.get(side)
+    key = _SIDE_KEYS.get(side)
     if key is None:
         raise InputError(f"unknown table side {side!r}; use g1344-deg8 or g1344-deg14")
     degree = 8 if key == "g" else 14
@@ -232,10 +229,9 @@ def transcription_table(side: str) -> CharacterTable:
     characters = [label for label, _ in TABLE_ROWS]
     values = [[decode_value(v, TABLE_CONDUCTOR) for v in row]
               for _, row in TABLE_ROWS]
-    side_name = "g1344-deg8" if key == "g" else "g1344-deg14"
     return CharacterTable(
         name=TABLE_DATASET_NAME, group_order=order,
         conductor=TABLE_CONDUCTOR, classes=classes, characters=characters,
         values=values, verified=False,
-        extra={"side": side_name,
-               "printed_diag": TABLE_PRINTED_DIAG[side_name]})
+        extra={"side": side,
+               "printed_diag": TABLE_PRINTED_DIAG[side]})

@@ -12,10 +12,13 @@ read.  No floating point anywhere; float inputs are rejected.
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
 descend: Cyclotomic.reduced rewrites a value at the least conductor
-whose field holds it.  Each step down from e to e/p solves the integer
-lift matrix of Q(zeta_(e/p)) into Q(zeta_e) exactly and keeps the result
-only if it lifts back to the value (T. Breuer, "Integral bases for
-subfields of cyclotomic fields", AAECC 8, 1997, for the subfield view).
+whose field holds it.  Each step down from e to t = e/p, p prime, is a
+closed form in ints.  If p divides t, Phi_e(x) = Phi_t(x^p), so the
+coordinates at t are every p-th coordinate at e.  Otherwise Q(zeta_e)
+has degree p-1 over Q(zeta_t), and a value x of Q(zeta_t) is its
+relative trace over p-1; the trace of zeta_e^k is zeta_t^(k*p' mod t),
+p' the inverse of p mod t, times p-1 when p divides k and -1 otherwise.
+Either way the result is kept only if it lifts back to the value.
 Since Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a,b)), the conductors
 holding a value are closed under gcd, so stepping down one prime at a
 time while a step succeeds finds the least one.  Complex
@@ -140,47 +143,6 @@ def _reduce_poly(e: int, poly: list) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _descent(t: int, e: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
-    """How to read a value of Q(zeta_e) back at a conductor t dividing e.
-
-    The lift zeta_t -> zeta_e**(e/t) is an integer matrix L with phi(t)
-    columns and one row per power-basis coordinate at e.  Row reducing
-    [L^T | I] picks phi(t) coordinates R where L is invertible and leaves
-    the inverse of L[R] transposed on the right.  The result is (rows,
-    scale): row i lists the (coordinate at e, integer weight) pairs whose
-    weighted sum, divided by scale, is coefficient i at t, provided the
-    value lies in Q(zeta_t) at all.
-    """
-    fld = _field(e)
-    deg, step, n = fld[0], e // t, _field(t)[0]
-    rows = []
-    for i in range(n):
-        k = i * step
-        col = [int(j == k) for j in range(deg)] if k < deg else _power_row(fld, k - deg)
-        rows.append([Fraction(x) for x in col] + [Fraction(int(i == j)) for j in range(n)])
-    pivots = []
-    for c in range(deg):
-        r = len(pivots)
-        if r == n:
-            break
-        pick = next((i for i in range(r, n) if rows[i][c]), None)
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    scale = lcm(*(x.denominator for row in rows for x in row[deg:]))
-    return tuple(tuple((pivots[k], int(rows[k][deg + i] * scale))
-                       for k in range(n) if rows[k][deg + i])
-                 for i in range(n)), scale
-
-
 def _ratio(x) -> tuple[int, int]:
     """(numerator, positive denominator) of an exact rational."""
     if isinstance(x, (int, Fraction)):
@@ -253,13 +215,21 @@ class Cyclotomic:
         return _from_ints(conductor, _reduce_poly(conductor, poly), self.den)
 
     def _descend(self, conductor: int) -> "Cyclotomic | None":
-        """The same value at a conductor dividing this one, or None when
-        Q(zeta_conductor) does not hold it."""
-        rows, scale = _descent(conductor, self.conductor)
-        num = self.num
-        down = _from_ints(conductor, [sum(w * num[j] for j, w in row) for row in rows],
-                          self.den * scale)
-        return down if down.lift(self.conductor) == self else None
+        """The same value at the conductor t = e/p, for a prime p, or
+        None when Q(zeta_t) does not hold it."""
+        e, t, num = self.conductor, conductor, self.num
+        p = e // t
+        if t % p == 0:
+            # Phi_e(x) = Phi_t(x^p): read every p-th coordinate
+            down = _from_ints(t, num[::p], self.den)
+        else:
+            # x = Tr(x)/(p-1), Tr(zeta_e^k) = (p-1 or -1) * zeta_t^(k*p' mod t)
+            inv, poly = pow(p, -1, t), [0] * t
+            for k, c in enumerate(num):
+                if c:
+                    poly[k * inv % t] += c * (p - 1) if k % p == 0 else -c
+            down = _from_ints(t, _reduce_poly(t, poly), self.den * (p - 1))
+        return down if down.lift(e) == self else None
 
     def reduced(self) -> "Cyclotomic":
         """The same value at its least conductor: 1 for a rational, else
@@ -313,14 +283,8 @@ class Cyclotomic:
             p, q = _ratio(other)
             return _from_ints(self.conductor, [p * x for x in self.num], self.den * q)
         a, b = self._pair(other)
-        an, bn = a.num, b.num
-        acc = [0] * (2 * len(an) - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    if y:
-                        acc[i + j] += x * y
-        return _from_ints(a.conductor, _reduce_poly(a.conductor, acc), a.den * b.den)
+        return _from_ints(a.conductor, _reduce_poly(a.conductor, _poly_mul(a.num, b.num)),
+                          a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -518,17 +482,3 @@ def to_quadratic(z: Cyclotomic, D: int) -> QuadraticView | None:
     if not rest.is_rational():
         return None
     return QuadraticView(D, rest.coeffs[0], b)
-
-
-def quadratic_candidates(conductor: int) -> list[int]:
-    """Squarefree D = 1 (mod 4) whose sqrt lies in Q(zeta_conductor),
-    ordered by |D| then sign, for display and serialization choices."""
-    out = []
-    for m in _divisors(conductor):
-        if m < 3 or m % 2 == 0 or not _is_squarefree(m):
-            continue
-        for D in (m, -m):
-            if D % 4 == 1:
-                out.append(D)
-    return sorted(set(out), key=lambda d: (abs(d), d))
-

@@ -58,7 +58,7 @@ def test_criterion_02_class_sanity(g8, g14):
             assert centralizer * c.size == 1344
             assert centralizer % c.order == 0
     # The same divisibility test detects the printed inconsistencies.
-    for a, side in ((g8, "g"), (g14, "h")):
+    for a, side in ((g8, "g1344-deg8"), (g14, "g1344-deg14")):
         match = match_columns(a.canonical_table, transcription_table(side))
         assert match.errata.findings
         assert any(f.kind == "class-order" for f in match.errata.findings)

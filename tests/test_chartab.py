@@ -7,11 +7,12 @@ must be flagged exactly, and nothing else.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from ctrz.errors import InputError
-from ctrz.exact import Cyclotomic
+from ctrz.exact import Cyclotomic, sqrt_embedding
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
 from ctrz.dixon import compute_character_table
 from ctrz.datasets import transcription_table
@@ -41,7 +42,7 @@ def test_validate_accepts_computed_tables(g8, g14):
 def test_validate_transcription_localizes_the_wrong_column():
     """Every orthogonality failure of the published table involves the
     two degree-3 rows or the printed column holding their wrong cell."""
-    ext = transcription_table("g")
+    ext = transcription_table("g1344-deg8")
     violations = validate(ext)
     assert violations
     kinds = {v.kind for v in violations}
@@ -58,7 +59,7 @@ def test_validate_transcription_localizes_the_wrong_column():
 
 
 def test_validate_transcription_h_side():
-    violations = validate(transcription_table("h"))
+    violations = validate(transcription_table("g1344-deg14"))
     assert violations
     for v in violations:
         if v.kind == "row-orthogonality":
@@ -143,7 +144,7 @@ def test_decompose_rejects_non_character():
 
 
 def test_decompose_requires_verified_table():
-    ext = transcription_table("g")
+    ext = transcription_table("g1344-deg8")
     f = ClassFunction(ext, [rat(1)] * 11)
     with pytest.raises(InputError):
         decompose(f, ext)
@@ -179,7 +180,7 @@ def test_match_cross_group_finds_no_differences(g8, g14):
 
 
 def test_match_against_transcription_g(g8):
-    m = match_columns(g8.canonical_table, transcription_table("g"))
+    m = match_columns(g8.canonical_table, transcription_table("g1344-deg8"))
     assert m.level == "full"
     cells = [(f.row, f.column, f.external, f.computed)
              for f in m.errata.findings if f.kind == "cell"]
@@ -194,7 +195,7 @@ def test_match_against_transcription_g(g8):
 
 
 def test_match_against_transcription_h(g14):
-    m = match_columns(g14.canonical_table, transcription_table("h"))
+    m = match_columns(g14.canonical_table, transcription_table("g1344-deg14"))
     cells = [(f.row, f.column, f.external, f.computed)
              for f in m.errata.findings if f.kind == "cell"]
     assert cells == [("chi2", "C4'", "0", "-1"), ("chi3", "C4'", "0", "-1")]
@@ -205,7 +206,7 @@ def test_match_against_transcription_h(g14):
 
 
 def test_match_notes_flag_conventional_column_choice(g8):
-    m = match_columns(g8.canonical_table, transcription_table("g"))
+    m = match_columns(g8.canonical_table, transcription_table("g1344-deg8"))
     assert any("C10" in note and "C11" in note for note in m.notes)
 
 
@@ -226,7 +227,7 @@ def test_match_falls_back_to_positional():
 
 
 def test_match_result_to_dict(g8):
-    m = match_columns(g8.canonical_table, transcription_table("g"))
+    m = match_columns(g8.canonical_table, transcription_table("g1344-deg8"))
     d = m.to_dict()
     assert set(d) == {"matching", "findings"}
     assert d["matching"]["constraint_level"] == "full"
@@ -235,7 +236,7 @@ def test_match_result_to_dict(g8):
 
 
 def test_class_metadata_findings_direct():
-    ext = transcription_table("g")
+    ext = transcription_table("g1344-deg8")
     findings = class_metadata_findings(ext)
     assert len(findings) == 5
     assert {f.kind for f in findings} == {"class-size", "class-order"}
@@ -243,7 +244,7 @@ def test_class_metadata_findings_direct():
 
 def test_encode_decode_round_trip_all_values(g8, g14):
     for tab in (g8.canonical_table, g14.canonical_table,
-                transcription_table("g"), transcription_table("h")):
+                transcription_table("g1344-deg8"), transcription_table("g1344-deg14")):
         for row in tab.values:
             for v in row:
                 assert decode_value(encode_value(v), tab.conductor) == v
@@ -279,6 +280,47 @@ def test_display_value_strings(g8):
     assert "-1" in shown and "8" in shown
 
 
+QUADRATIC_D = (-43, -39, -35, -31, -23, -19, -15, -11, -7, -3,
+               5, 13, 17, 21, 29, 33, 37, 41)
+
+
+def test_quadratic_values_render_in_their_own_field():
+    """Every squarefree D = 1 (mod 4) with |D| <= 43, stored at the
+    conductors |D|, 2|D|, 3|D| and 4|D|, prints and encodes as a+b*sqrt(D)."""
+    assert QUADRATIC_D == tuple(
+        d for d in range(-43, 44)
+        if d not in (0, 1) and d % 4 == 1
+        and all(abs(d) % (q * q) for q in range(2, 7)))
+    for D in QUADRATIC_D:
+        for c in (1, 2, 3, 4):
+            root = sqrt_embedding(D, abs(D) * c)
+            v = root * Fraction(-3, 2) + Fraction(1, 2)
+            assert display_value(v) == f"(1-3√{D})/2"
+            assert encode_value(v) == {"D": D, "a": "1/2", "b": "-3/2"}
+            w = root + 2
+            assert display_value(w) == f"2+√{D}"
+            assert encode_value(w) == {"D": D, "a": "2", "b": "1"}
+
+
+def test_values_outside_such_fields_render_as_vectors():
+    """A value in no Q(sqrt(D)) with D = 1 (mod 4), squarefree, prints as
+    its coefficient vector at the conductor it is stored at."""
+    z8 = Cyclotomic.zeta(8)
+    root2 = z8 + z8.conj()
+    assert display_value(root2) == "cyclotomic['0', '1', '0', '-1']"
+    assert encode_value(root2) == {"conductor": 8, "coeffs": ["0", "1", "0", "-1"]}
+    z9 = Cyclotomic.zeta(9)
+    assert display_value(z9) == "cyclotomic['0', '1', '0', '0', '0', '0']"
+    assert encode_value(z9) == {"conductor": 9,
+                                "coeffs": ["0", "1", "0", "0", "0", "0"]}
+    mixed = sqrt_embedding(-3, 84) + sqrt_embedding(-7, 84)
+    coeffs = [str(c) for c in mixed.coeffs]
+    assert len(coeffs) == 24
+    assert display_value(mixed) == f"cyclotomic{coeffs}"
+    assert encode_value(mixed) == {"conductor": 84, "coeffs": coeffs}
+    assert decode_value(encode_value(mixed), 84) == mixed
+
+
 def test_table_dict_round_trip(g8):
     data = table_to_dict(g8.canonical_table)
     back = table_from_dict(data)
@@ -290,7 +332,7 @@ def test_table_dict_round_trip(g8):
 
 
 def test_table_dict_keeps_printed_sizes():
-    data = table_to_dict(transcription_table("g"))
+    data = table_to_dict(transcription_table("g1344-deg8"))
     back = table_from_dict(data)
     assert any(c.printed_size is not None and c.printed_size != c.size
                for c in back.classes)

@@ -595,6 +595,47 @@ def test_orbit_count_too_long_to_print_is_refused_before_counting(capsys):
     assert elapsed < 1.0, f"refusal took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--builtin", "g1344-deg8", "--k", "20000", "--method",
+     "recurrence"],
+    ["decompose", "--builtin", "g1344-deg8", "--k", "20000", "--method",
+     "direct"],
+    ["decompose", "--builtin", "g1344-deg14", "--k", "20000"],
+    ["structure", "--builtin", "g1344-deg8", "--k", "20000"],
+    ["dims", "--builtin", "g1344-deg8", "--from", "1", "--to", "20000"],
+], ids=["recurrence", "direct", "cross-checked", "structure", "dims"])
+def test_tensor_power_too_long_to_print_is_refused_before_computing(capsys, argv):
+    """The trivial multiplicity counts the orbits on k-tuples, at least
+    n**k / |G| of them, so bit lengths refuse k before any route runs."""
+    start = time.perf_counter()
+    code, out = run(*argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: the result has more than 4300 decimal digits, the limit for "
+        "printing an integer\n")
+    assert elapsed < 0.5, f"refusal took {elapsed:.2f}s"
+
+
+def test_checks_ahead_of_the_tensor_power_refusal_still_win(tmp_path, capsys):
+    spec = tmp_path / "c5.json"
+    spec.write_text(json.dumps({"name": "c5", "degree": 5,
+                                "generators": ["(1,2,3,4,5)"]}))
+    for argv, err in [
+        (["decompose", "--group", str(spec), "--k", "20000", "--method",
+          "closed-form"], "error: no closed forms are published for c5\n"),
+        (["decompose", "--builtin", "g1344-deg8", "--k", "0"],
+         "error: --k must be at least 1\n"),
+        (["structure", "--k", "20000"],
+         "error: select a group with --builtin or --group\n"),
+        (["dims", "--group", str(tmp_path / "none.json"), "--from", "1",
+          "--to", "20000"], None),
+    ]:
+        assert run(*argv) == (2, "")
+        shown = capsys.readouterr().err
+        assert shown == err if err else shown.startswith("error: cannot read group spec")
+
+
 def test_longest_printable_orbit_count_prints():
     code, out = run("orbits", "--builtin", "g1344-deg8", "--t", "4764")
     assert code == 0

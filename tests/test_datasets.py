@@ -46,8 +46,8 @@ def test_builtin_specs_carry_source_comments():
 
 
 def test_transcription_table_sides_share_values():
-    tg = transcription_table("g")
-    th = transcription_table("h")
+    tg = transcription_table("g1344-deg8")
+    th = transcription_table("g1344-deg14")
     assert tg.values == th.values
     assert tg.conductor == th.conductor == 84
     assert not tg.verified and not th.verified
@@ -57,27 +57,27 @@ def test_transcription_table_sides_share_values():
 def test_transcription_side_aliases():
     assert transcription_table("g1344-deg8").extra["side"] == "g1344-deg8"
     assert transcription_table("g1344-deg14").extra["side"] == "g1344-deg14"
-    assert transcription_table("h").extra["side"] == "g1344-deg14"
-    with pytest.raises(InputError):
-        transcription_table("x")
+    for name in ("x", "g", "h", "deg8", "8", "deg14", "14"):
+        with pytest.raises(InputError):
+            transcription_table(name)
 
 
 def test_transcription_class_metadata():
-    tg = transcription_table("g")
+    tg = transcription_table("g1344-deg8")
     assert [c.label for c in tg.classes] == [
         "C1", "C2", "C6", "C4", "C3", "C5", "C9", "C7", "C8", "C10", "C11"]
     assert [c.size for c in tg.classes] == [
         1, 7, 84, 42, 42, 224, 224, 168, 168, 192, 192]
     assert [c.printed_size for c in tg.classes] == [
         1, 7, 168, 42, 42, 84, 224, 168, 224, 192, 192]
-    th = transcription_table("h")
+    th = transcription_table("g1344-deg14")
     assert [c.label for c in th.classes] == [
         "C1'", "C2'", "C6'", "C3'", "C4'", "C5'", "C9'", "C7'", "C8'",
         "C10'", "C11'"]
 
 
 def test_transcription_representatives_parse_at_their_degree():
-    for side, degree in (("g", 8), ("h", 14)):
+    for side, degree in (("g1344-deg8", 8), ("g1344-deg14", 14)):
         tab = transcription_table(side)
         for c in tab.classes:
             p = parse_cycles(c.representative, degree)
@@ -85,19 +85,19 @@ def test_transcription_representatives_parse_at_their_degree():
 
 
 def test_transcription_degrees_published_row_order():
-    tab = transcription_table("g")
+    tab = transcription_table("g1344-deg8")
     assert tab.degrees() == [1, 3, 3, 6, 7, 8, 7, 7, 14, 21, 21]
 
 
 def test_transcription_diag_variants():
-    tg = transcription_table("g")
+    tg = transcription_table("g1344-deg8")
     assert sorted(tg.extra["printed_diag"]) == [
         "power-derivation", "transition-definition"]
     assert tg.extra["printed_diag"]["transition-definition"] == [
         8, 0, 0, 0, 4, 2, 0, 2, 0, 1, 1]
     assert tg.extra["printed_diag"]["power-derivation"] == [
         8, 0, 0, 0, 4, 2, 0, 0, 2, 1, 1]
-    th = transcription_table("h")
+    th = transcription_table("g1344-deg14")
     assert th.extra["printed_diag"]["transition-definition"] == [
         14, 6, 2, 6, 2, 2, 0, 0, 2, 0, 0]
     assert th.extra["printed_diag"]["power-derivation"] == [

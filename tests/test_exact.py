@@ -10,7 +10,7 @@ import pytest
 
 from ctrz.errors import InputError
 from ctrz.exact import (Cyclotomic, jacobi, sqrt_embedding, QuadraticView,
-                        to_quadratic, quadratic_candidates)
+                        to_quadratic)
 
 
 def rat(x, conductor=1):
@@ -128,16 +128,6 @@ def test_jacobi_symbol():
     assert jacobi(3, 5) == -1
     assert jacobi(4, 15) == 1
     assert jacobi(0, 3) == 0
-
-
-def test_quadratic_candidates():
-    """Squarefree divisors d > 1 of the conductor contribute the D with
-    D = d or -d chosen so that D = 1 mod 4 splits correctly; 84 and 168
-    both give -3, -7, 21, and the conductor 30 gives -3, 5, -15."""
-    assert quadratic_candidates(84) == [-3, -7, 21]
-    assert quadratic_candidates(168) == [-3, -7, 21]
-    assert quadratic_candidates(30) == [-3, 5, -15]
-    assert quadratic_candidates(1) == []
 
 
 def test_to_quadratic_round_trip():
