@@ -5,8 +5,9 @@ decompose, structure, dims, orbits.  Groups come from --builtin or from
 a --group JSON file; table operands for chartable check and match are
 dataset names or table JSON paths.  Output formats: table (aligned
 text, default), json (a RunReport object with sorted keys), csv
-(unquoted, integers and identifiers only).  All numbers are exact; no
-value is ever rendered through floating point.
+(through the stdlib csv writer, a cell quoted only where it holds a
+comma or a quote).  All numbers are exact; no value is ever rendered
+through floating point.
 
 Exit codes: 0 success, 1 validation findings present, 2 input or parse
 error or a capacity limit (a cap, a result too long to print), 3 internal
@@ -18,6 +19,7 @@ input), 141 standard output closed before the report was written (as in
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -45,8 +47,6 @@ def _group_args(sub):
 def _common_args(sub):
     sub.add_argument("--format", choices=["table", "json", "csv"],
                      default="table", dest="fmt")
-    sub.add_argument("--allow-unverified", action="store_true",
-                     help="let an unverified table drive computations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,6 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm = tsubs.add_parser("match", help="reconcile two tables")
     pm.add_argument("computed", help="dataset name or table JSON path")
     pm.add_argument("external", help="dataset name or table JSON path")
+    pm.add_argument("--allow-unverified", action="store_true",
+                    help="match against an unverified computed table")
     _common_args(pm)
     pm.set_defaults(func=cmd_chartable_match)
 
@@ -99,14 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method",
                    choices=["direct", "recurrence", "closed-form"],
                    help="force one route instead of cross-checking")
-    p.add_argument("--agreement-bound", type=int, default=AGREEMENT_BOUND)
     _common_args(p)
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("structure", help="semisimple block structure")
     _group_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--agreement-bound", type=int, default=AGREEMENT_BOUND)
     _common_args(p)
     p.set_defaults(func=cmd_structure)
 
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     _group_args(p)
     p.add_argument("--from", dest="k_from", type=int, required=True)
     p.add_argument("--to", dest="k_to", type=int, required=True)
-    p.add_argument("--agreement-bound", type=int, default=AGREEMENT_BOUND)
     _common_args(p)
     p.set_defaults(func=cmd_dims)
 
@@ -139,12 +138,11 @@ def _analysis(args) -> GroupAnalysis:
     raise InputError("select a group with --builtin or --group")
 
 
-def _emit(args, report: dict, table_lines, csv_lines) -> None:
+def _emit(args, report: dict, table_lines, csv_rows) -> None:
     if args.fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     elif args.fmt == "csv":
-        for line in csv_lines:
-            print(line)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         for line in table_lines:
             print(line)
@@ -170,7 +168,7 @@ def _printable(value: int = 0, floor_bits: int = 0) -> None:
 def cmd_order(args) -> int:
     a = _analysis(args)
     report = _report(args, a.name, {"order": a.group.order})
-    _emit(args, report, [str(a.group.order)], [str(a.group.order)])
+    _emit(args, report, [str(a.group.order)], [[a.group.order]])
     return 0
 
 
@@ -183,9 +181,9 @@ def cmd_classes(args) -> int:
     width = max(len(r["label"]) for r in rows)
     tlines = [f"{r['label']:<{width}}  size {r['size']:>4}  order "
               f"{r['order']:>2}  {r['representative']}" for r in rows]
-    clines = ["label,size,order"]
-    clines += [f"{r['label']},{r['size']},{r['order']}" for r in rows]
-    _emit(args, report, tlines, clines)
+    crows = [["label", "size", "order"]]
+    crows += [[r["label"], r["size"], r["order"]] for r in rows]
+    _emit(args, report, tlines, crows)
     return 0
 
 
@@ -196,9 +194,9 @@ def cmd_permchar(args) -> int:
     report = _report(args, a.name, {"permchar": rows})
     width = max(len(r["label"]) for r in rows)
     tlines = [f"{r['label']:<{width}}  {r['fixed_points']}" for r in rows]
-    clines = ["label,fixed_points"]
-    clines += [f"{r['label']},{r['fixed_points']}" for r in rows]
-    _emit(args, report, tlines, clines)
+    crows = [["label", "fixed_points"]]
+    crows += [[r["label"], r["fixed_points"]] for r in rows]
+    _emit(args, report, tlines, crows)
     return 0
 
 
@@ -221,10 +219,10 @@ def cmd_chartable_compute(args) -> int:
         name = a.name
     payload = table_to_dict(table)
     report = _report(args, name, {"table": payload})
-    clines = ["label," + ",".join(c.label for c in table.classes)]
-    for label, row in zip(table.characters, table.values):
-        clines.append(label + "," + ",".join(display_value(v) for v in row))
-    _emit(args, report, _table_text(table), clines)
+    crows = [["label"] + [c.label for c in table.classes]]
+    crows += [[label] + [display_value(v) for v in row]
+              for label, row in zip(table.characters, table.values)]
+    _emit(args, report, _table_text(table), crows)
     return 0
 
 
@@ -260,10 +258,10 @@ def cmd_chartable_check(args) -> int:
                       f"{f.computed} ({f.relation})")
     if not tlines:
         tlines = ["table is consistent"]
-    clines = ["kind,subject"]
-    clines += [f"{v.kind},{v.subject}" for v in violations]
-    clines += [f"{f.kind},{f.column or f.row or 'table'}" for f in metadata]
-    _emit(args, report, tlines, clines)
+    crows = [["kind", "subject"]]
+    crows += [[v.kind, v.subject] for v in violations]
+    crows += [[f.kind, f.column or f.row or "table"] for f in metadata]
+    _emit(args, report, tlines, crows)
     return 1 if found else 0
 
 
@@ -293,10 +291,9 @@ def cmd_chartable_match(args) -> int:
                       f"{f.computed} ({f.relation})")
     for n in notes:
         tlines.append(f"note: {n}")
-    clines = ["kind,row,column"]
-    clines += [f"{f.kind},{f.row or ''},{f.column or ''}"
-               for f in result.errata.findings]
-    _emit(args, report, tlines, clines)
+    crows = [["kind", "row", "column"]]
+    crows += [[f.kind, f.row, f.column] for f in result.errata.findings]
+    _emit(args, report, tlines, crows)
     return 1 if found else 0
 
 
@@ -319,9 +316,8 @@ def _vector(args, a: GroupAnalysis, k: int) -> tuple[int, ...]:
                                          matrix=a.transition)
     if method == "closed-form":
         return closed_form_multiplicities(a.family, k)
-    return agreed_multiplicities(
-        a.permchar, a.table, k, family=a.family,
-        matrix=a.transition, bound=args.agreement_bound)
+    return agreed_multiplicities(a.permchar, a.table, k, family=a.family,
+                                 matrix=a.transition)
 
 
 def cmd_decompose(args) -> int:
@@ -331,14 +327,13 @@ def cmd_decompose(args) -> int:
     d = _vector(args, a, args.k)
     _printable(max(d))
     labels = list(a.table.characters)
-    default = "cross-checked" if args.k <= args.agreement_bound else "recurrence"
+    default = "cross-checked" if args.k <= AGREEMENT_BOUND else "recurrence"
     results = {"k": args.k, "method": args.method or default,
                "characters": labels, "multiplicities": list(d)}
     report = _report(args, a.name, results)
     width = max(len(x) for x in labels)
     tlines = [f"{lab:<{width}}  {m}" for lab, m in zip(labels, d)]
-    clines = [",".join(str(m) for m in d)]
-    _emit(args, report, tlines, clines)
+    _emit(args, report, tlines, [d])
     return 0
 
 
@@ -351,8 +346,7 @@ def cmd_structure(args) -> int:
     results = {"k": args.k, "structure": s.to_dict()}
     report = _report(args, a.name, results)
     tlines = [s.display(), f"dimension {s.dimension}"]
-    clines = [f"{s.compact()},{s.dimension}"]
-    _emit(args, report, tlines, clines)
+    _emit(args, report, tlines, [[s.compact(), s.dimension]])
     return 0
 
 
@@ -364,7 +358,7 @@ def cmd_dims(args) -> int:
     rows = []
     for k in range(args.k_from, args.k_to + 1):
         d = _vector(args, a, k)
-        if k <= args.agreement_bound:
+        if k <= AGREEMENT_BOUND:
             rows.append(dims_row(a.class_set, d, k, family=a.family))
         else:
             dim = SemisimpleStructure(d).dimension
@@ -372,8 +366,7 @@ def cmd_dims(args) -> int:
     _printable(max(r["dimension"] for r in rows))
     report = _report(args, a.name, {"dims": rows})
     tlines = [f"k={r['k']}  dim {r['dimension']}" for r in rows]
-    clines = [",".join(str(r["dimension"]) for r in rows)]
-    _emit(args, report, tlines, clines)
+    _emit(args, report, tlines, [[r["dimension"] for r in rows]])
     return 0
 
 
@@ -388,7 +381,7 @@ def cmd_orbits(args) -> int:
     _printable(n)
     results = {"t": args.t, "method": args.method, "orbits": n}
     report = _report(args, a.name, results)
-    _emit(args, report, [str(n)], [str(n)])
+    _emit(args, report, [str(n)], [[n]])
     return 0
 
 
@@ -409,7 +402,7 @@ def main(argv=None) -> int:
         return 2
     except DecompositionError as exc:
         print(f"finding: {exc}", file=sys.stderr)
-        return 1 if getattr(args, "allow_unverified", False) else 3
+        return 3
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -32,8 +32,8 @@ from .chartab import CharacterTable, ClassInfo, validate
 from .errors import InconsistencyError, InputError
 from .exact import (Cyclotomic, _from_ints, _reduce_poly,
                     cyclotomic_polynomial)
-from .modp import (PrimeFieldMatrix, charpoly_mod_p, choose_prime,
-                   nullspace_mod_p, poly_roots_mod_p, primitive_root_mod_p)
+from .modp import (charpoly_mod_p, choose_prime, nullspace_mod_p,
+                   poly_roots_mod_p, primitive_root_mod_p, rref)
 from .perm import ClassSet, FiniteGroup
 
 
@@ -87,31 +87,20 @@ class ClassAlgebra:
             raise InconsistencyError("class sizes do not sum to the group order")
 
 
-class EigenData:
-    """Common eigendata of the class-sum matrices modulo p.
-
-    vectors[t] is the normalized eigenvector of character t: its entry at
-    class i is omega_i = |C_i| chi_t(g_i)/chi_t(1) mod p, and it satisfies
-    M_i v = v[i] * v for every i.
-    """
-
-    def __init__(self, prime: int, vectors: list[tuple[int, ...]]):
-        self.prime = prime
-        self.vectors = vectors
-
-
 def class_constants(class_set: ClassSet) -> ClassAlgebra:
     ca = ClassAlgebra(class_set)
     ca.check_consistency()
     return ca
 
 
-def _restriction(matrix: list[list[int]], basis: list[tuple[int, ...]],
-                 pivots: list[int], p: int) -> list[list[int]]:
-    """Matrix of the action on span(basis), basis rows in RREF with the
-    given pivot columns.  Verifies invariance and raises otherwise."""
+def _restriction(matrix: list[list[int]], basis: list[list[int]],
+                 p: int) -> list[list[int]]:
+    """Matrix of the action on span(basis), basis rows in RREF, each
+    pivot its first nonzero entry.  Verifies invariance and raises
+    otherwise."""
     d = len(basis)
     r = len(matrix)
+    pivots = [next(c for c, x in enumerate(v) if x) for v in basis]
     images = []
     for v in basis:
         img = [sum(matrix[row][c] * v[c] for c in range(r) if v[c]) % p
@@ -128,36 +117,36 @@ def _restriction(matrix: list[list[int]], basis: list[tuple[int, ...]],
     return rest
 
 
-def _echelon_basis(vectors: list[list[int]], p: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    m, pivots = PrimeFieldMatrix(p, vectors).rref()
-    rows = [tuple(r) for r in m[: len(pivots)]]
-    return rows, pivots
-
-
-def common_eigenbasis(algebra: ClassAlgebra, p: int) -> EigenData:
+def common_eigenbasis(algebra: ClassAlgebra,
+                      p: int) -> tuple[int, list[tuple[int, ...]]]:
     """Split F_p^r into the r common one-dimensional eigenspaces of the
     class-sum matrices, eigenvalues found by root-scanning characteristic
-    polynomials mod p.  Deterministic throughout."""
+    polynomials mod p.  Deterministic throughout.
+
+    Each subspace is kept as its RREF rows.  Returns (p, vectors), one
+    vector per character t: the RREF row of its eigenspace, which leads
+    with 1 at the identity class, so its entry at class i is
+    omega_i = |C_i| chi_t(g_i)/chi_t(1) mod p and M_i v = v[i] * v for
+    every i.
+    """
     r = algebra.size
-    full = [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
-    subspaces = [(full, list(range(r)))]
+    subspaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
     for i in range(1, r):
-        if all(len(b) == 1 for b, _ in subspaces):
+        if all(len(b) == 1 for b in subspaces):
             break
         m_i = algebra.constants[i]
         refined = []
-        for basis, pivots in subspaces:
+        for basis in subspaces:
             if len(basis) == 1:
-                refined.append((basis, pivots))
+                refined.append(basis)
                 continue
-            rest = _restriction(m_i, basis, pivots, p)
-            cp = charpoly_mod_p(PrimeFieldMatrix(p, rest))
-            roots = poly_roots_mod_p(cp, p)
+            rest = _restriction(m_i, basis, p)
+            roots = poly_roots_mod_p(charpoly_mod_p(rest, p), p)
             found = 0
             for w in roots:
-                shifted = [[(rest[a][b] - (w if a == b else 0)) % p
-                            for b in range(len(rest))] for a in range(len(rest))]
-                coords = nullspace_mod_p(PrimeFieldMatrix(p, shifted))
+                shifted = [[x - w if a == b else x for b, x in enumerate(row)]
+                           for a, row in enumerate(rest)]
+                coords = nullspace_mod_p(shifted, p)
                 if not coords:
                     continue
                 ambient = []
@@ -168,38 +157,36 @@ def common_eigenbasis(algebra: ClassAlgebra, p: int) -> EigenData:
                             for col in range(r):
                                 v[col] = (v[col] + c * basis[m][col]) % p
                     ambient.append(v)
-                eb, ep = _echelon_basis(ambient, p)
-                refined.append((eb, ep))
-                found += len(eb)
+                reduced, pivots = rref(ambient, p)
+                refined.append(reduced[:len(pivots)])
+                found += len(pivots)
             if found != len(basis):
                 raise InconsistencyError(
                     "eigenspace splitting stalled: matrix not diagonalizable mod p")
         subspaces = refined
-    if len(subspaces) != r or any(len(b) != 1 for b, _ in subspaces):
+    if len(subspaces) != r or any(len(b) != 1 for b in subspaces):
         raise InconsistencyError(
             f"expected {r} one-dimensional common eigenspaces, "
-            f"got {[len(b) for b, _ in subspaces]}")
-    vectors = []
-    for basis, _ in subspaces:
-        v = basis[0]
-        if v[0] == 0:
-            raise InconsistencyError("eigenvector vanishes at the identity class")
-        scale = pow(v[0], p - 2, p)
-        vectors.append(tuple((x * scale) % p for x in v))
+            f"got {[len(b) for b in subspaces]}")
+    vectors = [tuple(basis[0]) for basis in subspaces]
+    if any(v[0] != 1 for v in vectors):
+        raise InconsistencyError("eigenvector vanishes at the identity class")
     if len(set(vectors)) != r:
         raise InconsistencyError("eigenvalue vectors are not pairwise distinct")
-    return EigenData(p, vectors)
+    return p, vectors
 
 
-def lift_character_values(eigen: EigenData, class_set: ClassSet,
+def lift_character_values(eigen: tuple[int, list[tuple[int, ...]]],
+                          class_set: ClassSet,
                           conductor: int) -> list[tuple[int, list[Cyclotomic]]]:
-    """Exact character values from eigenvectors mod p.
+    """Exact character values from the (p, vectors) pair that
+    common_eigenbasis returns.
 
     Returns one (degree, values) pair per character, in eigenvector
     order.  All roots of unity are expressed through one fixed primitive
     e-th root eta mod p, so values at different classes cohere.
     """
-    p = eigen.prime
+    p, vectors = eigen
     if (p - 1) % conductor:
         raise InputError("prime does not admit the required roots of unity")
     eta = pow(primitive_root_mod_p(p), (p - 1) // conductor, p)
@@ -207,7 +194,7 @@ def lift_character_values(eigen: EigenData, class_set: ClassSet,
     orders = [c.order for c in class_set.classes]
     r = len(class_set)
     out = []
-    for omega in eigen.vectors:
+    for omega in vectors:
         d = _degree_for(omega, class_set, p)
         modvals = [d * w * pow(sizes[j], p - 2, p) % p for j, w in enumerate(omega)]
         values = []

@@ -33,51 +33,31 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-class PrimeFieldMatrix:
-    """A rows x cols matrix over F_p."""
-
-    __slots__ = ("p", "rows")
-
-    def __init__(self, p: int, rows):
-        self.p = p
-        self.rows = [[x % p for x in row] for row in rows]
-        if self.rows and any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise InputError("ragged matrix")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0]) if self.rows else 0
-
-    def mat_vec(self, v: list[int]) -> list[int]:
-        p = self.p
-        return [sum(a * b for a, b in zip(row, v)) % p for row in self.rows]
-
-    def rref(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form and its pivot column list."""
-        p = self.p
-        m = [row[:] for row in self.rows]
-        nrows, ncols = self.shape
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = pow(m[r][c], p - 2, p)
-            m[r] = [(x * inv) % p for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return m, pivots
+def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of the rows mod p and its pivot columns."""
+    m = [[x % p for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
 
 
-def nullspace_mod_p(matrix: PrimeFieldMatrix) -> list[tuple[int, ...]]:
+def nullspace_mod_p(rows: list[list[int]], p: int) -> list[tuple[int, ...]]:
     """Basis of the right nullspace, one vector per free column.
 
     Deterministic convention: columns scanned ascending; the vector for
@@ -85,9 +65,8 @@ def nullspace_mod_p(matrix: PrimeFieldMatrix) -> list[tuple[int, ...]]:
     pivot position, 0 elsewhere.  The zero matrix therefore yields the
     standard basis.
     """
-    nrows, ncols = matrix.shape
-    rref, pivots = matrix.rref()
-    p = matrix.p
+    reduced, pivots = rref(rows, p)
+    ncols = len(rows[0]) if rows else 0
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -96,13 +75,13 @@ def nullspace_mod_p(matrix: PrimeFieldMatrix) -> list[tuple[int, ...]]:
         v = [0] * ncols
         v[f] = 1
         for r, c in enumerate(pivots):
-            v[c] = (-rref[r][f]) % p
+            v[c] = (-reduced[r][f]) % p
         basis.append(tuple(v))
     return basis
 
 
 def _hessenberg(m: list[list[int]], p: int) -> list[list[int]]:
-    a = [row[:] for row in m]
+    a = [[x % p for x in row] for row in m]
     n = len(a)
     for c in range(n - 2):
         piv = next((r for r in range(c + 1, n) if a[r][c]), None)
@@ -122,16 +101,14 @@ def _hessenberg(m: list[list[int]], p: int) -> list[list[int]]:
     return a
 
 
-def charpoly_mod_p(matrix: PrimeFieldMatrix) -> list[int]:
-    """Monic characteristic polynomial det(xI - M) mod p, ascending
-    coefficients, via the Hessenberg determinant recurrence."""
-    n, ncols = matrix.shape
-    if n != ncols:
-        raise InputError("characteristic polynomial needs a square matrix")
-    p = matrix.p
+def charpoly_mod_p(rows: list[list[int]], p: int) -> list[int]:
+    """Monic characteristic polynomial det(xI - M) mod p of the square
+    matrix M, ascending coefficients, via the Hessenberg determinant
+    recurrence."""
+    n = len(rows)
     if n == 0:
         return [1]
-    h = _hessenberg(matrix.rows, p)
+    h = _hessenberg(rows, p)
     # polys[k] = charpoly of leading k x k block, ascending coeffs
     polys = [[1]]
     for k in range(1, n + 1):

@@ -144,14 +144,14 @@ def closed_form_multiplicities(family: str, k: int) -> tuple[int, ...]:
 
 def agreed_multiplicities(chi: ClassFunction, table: CharacterTable, k: int,
                           family: str | None = None,
-                          matrix: list[list[int]] | None = None,
-                          bound: int = AGREEMENT_BOUND) -> tuple[int, ...]:
+                          matrix: list[list[int]] | None = None
+                          ) -> tuple[int, ...]:
     """The multiplicity vector, cross-checked between methods for small
-    k.  Up to the bound every available route is computed and compared;
-    beyond it only the recurrence runs.  Requires the table rows to be
+    k.  Up to AGREEMENT_BOUND every available route is computed and
+    compared; beyond it only the recurrence runs.  Requires the table rows to be
     in the published order when a closed-form family is given.
     """
-    if k > bound:
+    if k > AGREEMENT_BOUND:
         return multiplicities_recurrence(chi, table, k, matrix=matrix)
     direct = multiplicities_direct(chi, table, k)
     rec = multiplicities_recurrence(chi, table, k, matrix=matrix)

@@ -388,7 +388,13 @@ def _coefficient_digest(table):
     ("psl(2,7)", 7, ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 84, 7, "870c2a01eabac81f"),
     ("s4", 4, ["(1,2,3,4)", "(1,2)"], 12, 1, "a090744977f9eb81"),
     ("c2^3", 6, ["(1,2)", "(3,4)", "(5,6)"], 2, 1, "5d44f65f53bb6566"),
-    ("a5", 5, ["(1,2,3,4,5)", "(1,2,3)"], 30, 5, "259fca065763dc90")])
+    ("a5", 5, ["(1,2,3,4,5)", "(1,2,3)"], 30, 5, "259fca065763dc90"),
+    ("s7", 7, ["(1,2,3,4,5,6,7)", "(1,2)"], 420, 1, "220ae5a9014e65c3"),
+    # p = 11 and 13 lie below r = 16 and 32 characters
+    ("c2^4", 8, ["(1,2)", "(3,4)", "(5,6)", "(7,8)"], 2, 1,
+     "364601b62b9ed42e"),
+    ("c2^5", 10, ["(1,2)", "(3,4)", "(5,6)", "(7,8)", "(9,10)"], 2, 1,
+     "40c77a65ec2c1b6e")])
 def test_working_conductor_of_computed_tables(name, degree, generators,
                                               declared, working, digest):
     """Arithmetic runs at the values' own field; the stored values stay

@@ -4,8 +4,10 @@ Exit code contract: 0 success, 1 findings reported, 2 bad input,
 3 internal inconsistency or refused unverified decomposition.
 """
 
+import argparse
 import io
 import contextlib
+import csv
 import json
 import os
 import random
@@ -17,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from ctrz import dixon
-from ctrz.cli import main
+from ctrz import cli, dixon
+from ctrz.chartab import DecompositionError, display_value, table_from_dict
+from ctrz.cli import build_parser, main
 
 
 def run(*argv):
@@ -640,3 +643,84 @@ def test_longest_printable_orbit_count_prints():
     code, out = run("orbits", "--builtin", "g1344-deg8", "--t", "4764")
     assert code == 0
     assert len(out) == 4301  # 4300 digits and a newline
+
+
+def test_decomposition_error_exits_3(monkeypatch, capsys):
+    """A class function that fails to decompose is an internal
+    cross-check failure, so exit 3 with the finding on stderr."""
+    def fail(chi, table, k):
+        raise DecompositionError("multiplicity 1/2 is not an integer")
+
+    monkeypatch.setattr(cli, "multiplicities_direct", fail)
+    code, out = run("decompose", "--builtin", "g1344-deg8", "--k", "2",
+                    "--method", "direct")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "finding: multiplicity 1/2 is not an integer\n")
+
+
+def _csv_rows(*argv):
+    code, out = run(*argv, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == len(rows[0]) for row in rows)
+    return code, rows
+
+
+def test_csv_cells_holding_commas_are_quoted(tmp_path):
+    """Every CSV row parses to the header's width, each cell as the JSON
+    report or display_value gives it."""
+    code, rows = _csv_rows("chartable", "check", "paper-table")
+    results = json.loads(run("chartable", "check", "paper-table",
+                             "--format", "json")[1])["results"]
+    assert code == 1
+    assert rows == [["kind", "subject"]] + [
+        [v["kind"], v["subject"]] for v in results["violations"]] + [
+        [f["kind"], f.get("column") or f.get("row") or "table"]
+        for f in results["metadata_findings"]]
+    assert any("," in row[1] for row in rows)
+
+    spec = tmp_path / "c5.json"
+    spec.write_text(json.dumps({"name": "c5", "degree": 5,
+                                "generators": ["(1,2,3,4,5)"]}))
+    code, rows = _csv_rows("chartable", "compute", "--group", str(spec))
+    table = table_from_dict(json.loads(run(
+        "chartable", "compute", "--group", str(spec),
+        "--format", "json")[1])["results"]["table"])
+    assert code == 0
+    assert rows == [["label"] + [c.label for c in table.classes]] + [
+        [label] + [display_value(v) for v in row]
+        for label, row in zip(table.characters, table.values)]
+    assert any("," in cell for row in rows for cell in row)
+
+
+def _options(parser, prefix=()):
+    """Option strings of every (sub)command, keyed by its name path."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_options(sub, prefix + (name,)))
+    if prefix:
+        out[" ".join(prefix)] = sorted(
+            s for a in parser._actions for s in a.option_strings)
+    return out
+
+
+def test_every_subcommand_takes_exactly_its_pinned_options():
+    """Adding or dropping a flag is a conscious edit of this table;
+    --allow-unverified is on match, the one command that reads it."""
+    group = ["--builtin", "--group"]
+    common = ["--format", "--help", "-h"]
+    assert _options(build_parser()) == {
+        "order": sorted(group + common),
+        "classes": sorted(group + common),
+        "permchar": sorted(group + common),
+        "chartable": ["--help", "-h"],
+        "chartable compute": sorted(group + common),
+        "chartable check": sorted(common),
+        "chartable match": sorted(["--allow-unverified"] + common),
+        "decompose": sorted(group + ["--k", "--method"] + common),
+        "structure": sorted(group + ["--k"] + common),
+        "dims": sorted(group + ["--from", "--to"] + common),
+        "orbits": sorted(group + ["--t", "--method"] + common),
+    }
