@@ -4,7 +4,7 @@ and reconciliation of two tables against each other.
 A CharacterTable is rows of exact cyclotomic values over labeled
 conjugacy-class columns.  Tables loaded from external sources are
 untrusted (verified=False) until validate finds nothing; downstream
-arithmetic refuses unverified tables unless explicitly overridden.
+arithmetic refuses unverified tables.
 
 A table has two conductors.  The declared one, table.conductor, is what
 its values are stored, shown and serialized at: the group exponent for
@@ -59,7 +59,7 @@ class ClassInfo:
 class CharacterTable:
     def __init__(self, name: str, group_order: int, conductor: int,
                  classes: list[ClassInfo], characters: list[str],
-                 values, verified: bool = False, extra: dict | None = None):
+                 values, verified: bool = False):
         self.name = name
         self.group_order = group_order
         self.conductor = conductor
@@ -67,7 +67,6 @@ class CharacterTable:
         self.characters = list(characters)
         self.values = [tuple(row) for row in values]
         self.verified = verified
-        self.extra = extra or {}
         self._work = None
         r = len(self.classes)
         if len(self.values) != len(self.characters):
@@ -127,7 +126,7 @@ class CharacterTable:
         names = labels if labels is not None else [self.characters[i] for i in row_map]
         out = CharacterTable(self.name, self.group_order, self.conductor,
                              self.classes, names, rows,
-                             verified=self.verified, extra=dict(self.extra))
+                             verified=self.verified)
         w, work = self._working()
         out._work = (w, [work[i] for i in row_map])
         return out
@@ -287,13 +286,12 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:
     return acc / t.group_order
 
 
-def require_verified(f: ClassFunction, table: CharacterTable,
-                     allow_unverified: bool = False) -> None:
+def require_verified(f: ClassFunction, table: CharacterTable) -> None:
     """Refuse to decompose f unless it lives on the table and the table
-    is verified (or allow_unverified is set)."""
+    is verified."""
     if f.table is not table:
         raise InputError("class function belongs to a different table")
-    if not table.verified and not allow_unverified:
+    if not table.verified:
         raise InputError("table is unverified; validate it first or override")
 
 
@@ -308,15 +306,14 @@ def as_multiplicity(value: Cyclotomic, label: str) -> int:
     return q.numerator
 
 
-def decompose(f: ClassFunction, table: CharacterTable,
-              allow_unverified: bool = False) -> tuple[int, ...]:
+def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
     """Multiplicities of f against the table rows.
 
-    Requires a verified table unless allow_unverified is set.  Raises
-    DecompositionError when any multiplicity is negative or fractional,
-    which means f is not a character of this group.
+    Requires a verified table.  Raises DecompositionError when any
+    multiplicity is negative or fractional, which means f is not a
+    character of this group.
     """
-    require_verified(f, table, allow_unverified)
+    require_verified(f, table)
     return tuple(as_multiplicity(inner_product(f, table.row(i)), table.characters[i])
                  for i in range(table.size))
 

@@ -232,6 +232,4 @@ def transcription_table(side: str) -> CharacterTable:
     return CharacterTable(
         name=TABLE_DATASET_NAME, group_order=order,
         conductor=TABLE_CONDUCTOR, classes=classes, characters=characters,
-        values=values, verified=False,
-        extra={"side": side,
-               "printed_diag": TABLE_PRINTED_DIAG[side]})
+        values=values, verified=False)

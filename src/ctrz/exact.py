@@ -22,22 +22,24 @@ Either way the result is kept only if it lifts back to the value.
 Since Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a,b)), the conductors
 holding a value are closed under gcd, so stepping down one prime at a
 time while a step succeeds finds the least one.  Complex
-conjugation is the substitution zeta -> zeta^(e-1).  Division multiplies
-by the other Galois conjugates zeta -> zeta^j, j prime to e, and divides
-by the norm, their product with the value: a rational, nonzero for a
-nonzero value because Phi_e is irreducible over Q.
+conjugation is the substitution zeta -> zeta^(e-1).  A value divides
+only by a nonzero rational; nothing divides by a cyclotomic.
 
-Square roots of squarefree D = 1 (mod 4) embed through the quadratic
-Gauss sum over zeta_|D|: the sum of jacobi(t, |D|) * zeta_|D|**t squares
-to D, giving the canonical embedding used by to_quadratic.  For D = -7
-this constant is 2*(z + z**2 + z**4) + 1 with z = zeta_7.
+Phi_e, for e > 1, is the Moebius product over squarefree s | e of
+(1 - x^(e/s))^mu(s), multiplied out in ints as a power series of degree
+phi(e).  Square roots of squarefree D = 1 (mod 4) embed through the
+quadratic Gauss sum over zeta_m, m = |D|: the sum of zeta_m**(t*t) over
+t mod m squares to D.  For squarefree m it is the same value as the
+sum of (t/m) * zeta_m**t, (t/m) the Jacobi symbol, and it is the
+canonical embedding used by to_quadratic.  For D = -7 this constant is
+2*(z + z**2 + z**4) + 1 with z = zeta_7.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import InputError, InconsistencyError
 from .modp import prime_factors
@@ -56,50 +58,35 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den must be monic; exact division over Z
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * max(1, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q[i - dd] = c
-            for j, y in enumerate(den):
-                num[i - dd + j] -= c * y
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _divisors(n: int) -> list[int]:
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted({x for d in small for x in (d, n // d)})
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(e: int, cap: int = CYCLOTOMIC_CAP) -> tuple[int, ...]:
+def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of the e-th cyclotomic polynomial, ascending degree.
 
-    Computed by exact division: Phi_e = (x^e - 1) / prod of Phi_d over
-    proper divisors d of e.  Degrees above the cap are refused so a typo
-    in a conductor cannot trigger a huge recursion.
+    For e > 1 the product over squarefree s | e of (1 - x^(e/s))^mu(s),
+    taken as a power series to degree phi(e): multiplying by 1 - x^d
+    subtracts the series shifted by d, dividing adds it.  Conductors
+    above the cap are refused so a typo in a conductor cannot build a
+    huge field.
     """
     if e < 1:
         raise InputError("conductor must be positive")
-    if e > cap:
-        raise InputError(f"conductor {e} exceeds cap {cap}")
+    if e > CYCLOTOMIC_CAP:
+        raise InputError(f"conductor {e} exceeds cap {CYCLOTOMIC_CAP}")
     if e == 1:
         return (-1, 1)
-    num = [0] * (e + 1)
-    num[0], num[e] = -1, 1
-    den = [1]
-    for d in _divisors(e)[:-1]:
-        den = _poly_mul(den, list(cyclotomic_polynomial(d, cap)))
-    q, rem = _poly_divmod_monic(num, den)
-    if any(rem):
-        raise InconsistencyError("cyclotomic polynomial division left a remainder")
-    return tuple(q)
+    terms = [(e, 1)]  # (e/s, mu(s)) for every squarefree s | e
+    for p in prime_factors(e):
+        terms += [(d // p, -mu) for d, mu in terms]
+    deg = sum(mu * d for d, mu in terms)  # phi(e)
+    out = [1] + [0] * deg
+    for d, mu in terms:
+        if mu < 0:
+            for i in range(d, deg + 1):
+                out[i] += out[i - d]
+        else:
+            for i in range(deg, d - 1, -1):
+                out[i] -= out[i - d]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -288,35 +275,18 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyclotomic":
-        """1/self: the product of the other Galois conjugates divided by
-        the norm, the product of all of them, a nonzero rational."""
-        if self.is_zero():
-            raise InputError("division by zero")
-        e = self.conductor
-        others = Cyclotomic.from_rational(1, e)
-        for j in range(2, e):
-            if gcd(j, e) == 1:
-                others = others * self._galois(j)
-        return others / (self * others).as_rational()
-
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p, q = _ratio(other)
-            if not p:
-                raise InputError("division by zero")
-            return self * Fraction(q, p)
-        a, b = self._pair(other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return Cyclotomic.from_rational(other, 1) / self
+        """Division by a nonzero rational, the only divisor allowed."""
+        p, q = _ratio(other)
+        if not p:
+            raise InputError("division by zero")
+        return self * Fraction(q, p)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise InputError("exponent must be an integer")
         if n < 0:
-            return self.inverse() ** (-n)
+            raise InputError("exponent must be nonnegative")
         result = Cyclotomic.from_rational(1, self.conductor)
         base = self
         while n:
@@ -326,17 +296,13 @@ class Cyclotomic:
             n >>= 1
         return result
 
-    def _galois(self, j: int) -> "Cyclotomic":
-        """The image under zeta -> zeta^j, for j prime to the conductor."""
+    def conj(self) -> "Cyclotomic":
+        """Complex conjugate: substitute zeta -> zeta^(e-1)."""
         e = self.conductor
         poly = [0] * e
         for i, c in enumerate(self.num):
-            poly[i * j % e] = c
+            poly[-i % e] = c
         return _from_ints(e, _reduce_poly(e, poly), self.den)
-
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugate: substitute zeta -> zeta^(e-1)."""
-        return self._galois(self.conductor - 1)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -368,53 +334,25 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n."""
-    if n <= 0 or n % 2 == 0:
-        raise InputError("jacobi symbol needs odd positive n")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
-
-
 def sqrt_embedding(D: int, conductor: int) -> Cyclotomic:
     """The canonical square root of D inside Q(zeta_conductor).
 
     Requires squarefree D = 1 (mod 4), D != 1, with |D| dividing the
-    conductor.  Built from the quadratic Gauss sum over zeta_|D|, whose
-    square is D exactly when D = 1 (mod 4).
+    conductor.  Built from the quadratic Gauss sum over zeta_|D|, the
+    sum of zeta_|D|**(t*t) over t mod |D|, whose square is D exactly
+    when D = 1 (mod 4).
     """
     m = abs(D)
-    if D == 1 or D == 0 or D % 4 != 1 or not _is_squarefree(m):
+    if (D == 1 or D % 4 != 1
+            or any(m % (p * p) == 0 for p in prime_factors(m))):
         raise InputError(f"no canonical Gauss-sum embedding for D={D}")
     if conductor % m:
         raise InputError(f"sqrt({D}) does not lie in conductor {conductor}")
-    total = Cyclotomic.from_rational(0, m)
-    for t in range(1, m):
-        j = jacobi(t, m)
-        if j:
-            total = total + Cyclotomic.zeta(m, t) * j
-    s = total.lift(conductor)
+    _field(m)  # refuses |D| above the cap before the m-term sum
+    poly = [0] * m
+    for t in range(m):
+        poly[t * t % m] += 1
+    s = _from_ints(m, _reduce_poly(m, poly)).lift(conductor)
     if s * s != Cyclotomic.from_rational(D, conductor):
         raise InconsistencyError("Gauss sum failed to square to D")
     return s

@@ -549,6 +549,24 @@ def test_conductor_cap_refuses_before_class_constants(tmp_path, capsys,
     assert capsys.readouterr().err == "error: conductor 1320 exceeds cap 1000\n"
 
 
+def test_quadratic_cell_above_the_cap_is_refused_at_once(tmp_path, capsys):
+    """A table whose conductor and first cell's D are the prime
+    10**9 + 9 (1 mod 4) is refused by the cap before any sum over
+    10**9 terms is built."""
+    big = 1000000009
+    table = {"name": "big", "group_order": 1, "conductor": big,
+             "classes": [{"label": "1A", "size": 1, "order": 1}],
+             "characters": [{"label": "X.1",
+                             "values": [{"D": big, "a": "0", "b": "1"}]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(table))
+    start = time.perf_counter()
+    code, out = run("chartable", "check", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: conductor {big} exceeds cap 1000\n"
+
+
 def test_closed_stdout_exits_141_without_traceback():
     """A reader that went away (`ctrz ... | head -1`) is exit 141, with
     nothing on stderr, not a BrokenPipeError traceback and exit 1."""

@@ -13,8 +13,8 @@ import pytest
 from ctrz.errors import InputError
 from ctrz.perm import FiniteGroup, parse_cycles
 from ctrz.datasets import (BUILTIN_GROUP_NAMES, TABLE_DATASET_NAME,
-                           builtin_group, load_group_file,
-                           transcription_table)
+                           TABLE_PRINTED_DIAG, builtin_group,
+                           load_group_file, transcription_table)
 
 
 def test_builtin_names():
@@ -55,8 +55,8 @@ def test_transcription_table_sides_share_values():
 
 
 def test_transcription_side_aliases():
-    assert transcription_table("g1344-deg8").extra["side"] == "g1344-deg8"
-    assert transcription_table("g1344-deg14").extra["side"] == "g1344-deg14"
+    assert transcription_table("g1344-deg8").classes[1].label == "C2"
+    assert transcription_table("g1344-deg14").classes[1].label == "C2'"
     for name in ("x", "g", "h", "deg8", "8", "deg14", "14"):
         with pytest.raises(InputError):
             transcription_table(name)
@@ -90,17 +90,17 @@ def test_transcription_degrees_published_row_order():
 
 
 def test_transcription_diag_variants():
-    tg = transcription_table("g1344-deg8")
-    assert sorted(tg.extra["printed_diag"]) == [
+    tg = TABLE_PRINTED_DIAG["g1344-deg8"]
+    assert sorted(tg) == [
         "power-derivation", "transition-definition"]
-    assert tg.extra["printed_diag"]["transition-definition"] == [
+    assert tg["transition-definition"] == [
         8, 0, 0, 0, 4, 2, 0, 2, 0, 1, 1]
-    assert tg.extra["printed_diag"]["power-derivation"] == [
+    assert tg["power-derivation"] == [
         8, 0, 0, 0, 4, 2, 0, 0, 2, 1, 1]
-    th = transcription_table("g1344-deg14")
-    assert th.extra["printed_diag"]["transition-definition"] == [
+    th = TABLE_PRINTED_DIAG["g1344-deg14"]
+    assert th["transition-definition"] == [
         14, 6, 2, 6, 2, 2, 0, 0, 2, 0, 0]
-    assert th.extra["printed_diag"]["power-derivation"] == [
+    assert th["power-derivation"] == [
         14, 6, 2, 6, 2, 2, 0, 2, 0, 0, 0]
 
 

@@ -1,16 +1,21 @@
 """Exact cyclotomic arithmetic and quadratic embeddings.
 
 The oracles are classical identities: vanishing sums of roots of unity,
-Gauss sums squaring to +-D, and golden-ratio style quadratic values.
+the product of Phi_d over d | e being x^e - 1, Gauss sums squaring to
++-D, and golden-ratio style quadratic values.  Digests pin Phi_e and the
+signs of the square roots to the values of the long-division and
+Jacobi-symbol forms they replaced.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from ctrz.errors import InputError
-from ctrz.exact import (Cyclotomic, jacobi, sqrt_embedding, QuadraticView,
-                        to_quadratic)
+from ctrz.exact import (Cyclotomic, cyclotomic_polynomial, sqrt_embedding,
+                        QuadraticView, to_quadratic)
+from ctrz.modp import prime_factors
 
 
 def rat(x, conductor=1):
@@ -88,17 +93,16 @@ def test_arithmetic_mixed_conductors():
 
 
 def test_negative_powers():
+    """Nothing divides by a cyclotomic; division by a rational stays."""
     z = Cyclotomic.zeta(7)
-    assert z ** -1 == Cyclotomic.zeta(7, 6)
-    assert z ** 0 == rat(1)
-
-
-def test_inverse():
-    for v in (Cyclotomic.zeta(3), rat(Fraction(-2, 5)),
-              Cyclotomic.zeta(8) + rat(2, 8)):
-        assert v.inverse() * v == rat(1)
     with pytest.raises(InputError):
-        rat(0).inverse()
+        z ** -1
+    with pytest.raises(InputError):
+        z / z
+    with pytest.raises(TypeError):
+        1 / z
+    assert z ** 0 == rat(1)
+    assert z / Fraction(2, 3) == z * Fraction(3, 2)
 
 
 def test_conjugation():
@@ -122,12 +126,43 @@ def test_sqrt_embedding_needs_compatible_conductor():
         sqrt_embedding(-7, 5)
 
 
-def test_jacobi_symbol():
-    assert jacobi(2, 7) == 1
-    assert jacobi(3, 7) == -1
-    assert jacobi(3, 5) == -1
-    assert jacobi(4, 15) == 1
-    assert jacobi(0, 3) == 0
+def test_cyclotomic_polynomials_multiply_to_x_e_minus_one():
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+
+    for e in range(1, 301):
+        acc = [1]
+        for d in range(1, e + 1):
+            if e % d == 0:
+                acc = mul(acc, cyclotomic_polynomial(d))
+        assert acc == [-1] + [0] * (e - 1) + [1], e
+
+
+def test_cyclotomic_polynomial_digest():
+    h = hashlib.sha256()
+    for e in range(1, 1001):
+        h.update(repr(cyclotomic_polynomial(e)).encode())
+    assert h.hexdigest()[:16] == "6996ba3006b8abaa"
+
+
+def test_sqrt_embedding_digest():
+    """One embedding per odd squarefree m < 200, sign included."""
+    h = hashlib.sha256()
+    count = 0
+    for m in range(3, 200, 2):
+        if any(m % (p * p) == 0 for p in prime_factors(m)):
+            continue
+        D = m if m % 4 == 1 else -m
+        s = sqrt_embedding(D, m)
+        h.update(repr((D, s.conductor, s.num, s.den)).encode())
+        count += 1
+    assert count == 80
+    assert h.hexdigest()[:16] == "21dee0a64d247048"
 
 
 def test_to_quadratic_round_trip():

@@ -1,7 +1,6 @@
 """Property tests of the int storage of Cyclotomic: every operation agrees
-with a plain Fraction reference, polynomial arithmetic mod Phi_e (the
-inverse with a * a.inverse() == 1), and every result keeps a positive
-denominator coprime to its numerators."""
+with a plain Fraction reference, polynomial arithmetic mod Phi_e, and
+every result keeps a positive denominator coprime to its numerators."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -89,8 +88,6 @@ def test_int_storage_matches_the_fraction_reference(case):
     assert (a == b) == (ra == rb)
     assert a == a.lift(e)
     assert (a == a * Fraction(1, 2)) == a.is_zero()
-    if not a.is_zero():
-        assert a * a.inverse() == 1 and normalized(a.inverse())
 
 
 @settings(max_examples=30, deadline=None)
