@@ -37,7 +37,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CtrzError, InputError
-from .exact import Cyclotomic, QuadraticView, to_quadratic
+from .exact import (Cyclotomic, QuadraticView, _from_ints, _reduce_poly,
+                    to_quadratic)
 from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
 
@@ -149,6 +150,11 @@ def validate(table: CharacterTable) -> list[Violation]:
     exists; degrees are positive integers with squares summing to the
     group order; both orthogonality relations, reported per row pair and
     per column pair.  An empty list means the table is consistent.
+
+    Each orthogonality sum runs in ints at the working conductor w: a
+    row or column, and its conjugate, is int vectors over its least
+    common denominator, and the products are summed as one polynomial
+    and reduced mod Phi_w once.
     """
     out = []
     order = table.group_order
@@ -159,7 +165,8 @@ def validate(table: CharacterTable) -> list[Violation]:
         return out
     if sum(sizes) != order:
         out.append(Violation("class-sizes", "table",
-                             f"sizes sum to {sum(sizes)}, group order is {order}"))
+                             f"sizes sum to {_shown(sum(sizes))}, "
+                             f"group order is {_shown(order)}"))
     try:
         idc = table.identity_column()
     except InputError as exc:
@@ -175,43 +182,72 @@ def validate(table: CharacterTable) -> list[Violation]:
         degrees.append(v.as_integer())
     if sum(d * d for d in degrees) != order:
         out.append(Violation("degree-squares", "table",
-                             f"squares sum to {sum(d * d for d in degrees)}, "
-                             f"group order is {order}"))
+                             f"squares sum to {_shown(sum(d * d for d in degrees))}, "
+                             f"group order is {_shown(order)}"))
     r = table.size
-    rows = table.working_rows
+    w, rows = table.working_conductor, table.working_rows
     conj_rows = [[v.conj() for v in row] for row in rows]
+    span = 2 * len(rows[0][0].num) - 1  # terms of a product of two values
 
-    def shown(acc):
+    def line(cells):
+        """(den, vectors): the cells as sparse int vectors, lists of
+        (k, coefficient of zeta_w**k), over their least common
+        denominator."""
+        den = lcm(*(v.den for v in cells))
+        return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
+                     for v in cells]
+
+    def mismatch(a, b, weights, want):
+        """The sum of weights[c] * a[c] * b[c] as shown, or None when it
+        equals want."""
+        acc = [0] * span
+        for s, x, y in zip(weights, a[1], b[1]):
+            for k, xk in x:
+                xk *= s
+                for m, ym in y:
+                    acc[k + m] += xk * ym
+        den = a[0] * b[0]
+        num = _reduce_poly(w, acc)
+        if num[0] == want * den and not any(num[1:]):
+            return None
         # a coefficient vector reads at the declared conductor, as stored
-        return display_value(acc.lift(lcm(acc.conductor, table.conductor)))
+        return _shown(_from_ints(w, num, den).lift(lcm(w, table.conductor)))
 
+    by_row = [(line(row), line(c)) for row, c in zip(rows, conj_rows)]
     for i in range(r):
         for j in range(i, r):
-            acc = Cyclotomic.from_rational(0, 1)
-            for c in range(r):
-                acc = acc + rows[i][c] * conj_rows[j][c] * sizes[c]
             want = order if i == j else 0
-            if acc != want:
+            got = mismatch(by_row[i][0], by_row[j][1], sizes, want)
+            if got is not None:
                 out.append(Violation(
                     "row-orthogonality",
                     f"{table.characters[i]},{table.characters[j]}",
-                    f"sum is {shown(acc)}, expected {want}"))
+                    f"sum is {got}, expected {_shown(want)}"))
+    by_col = [(line(col), line(c)) for col, c in zip(zip(*rows), zip(*conj_rows))]
+    ones = [1] * r
     for a in range(r):
         for b in range(a, r):
-            acc = Cyclotomic.from_rational(0, 1)
-            for i in range(r):
-                acc = acc + rows[i][a] * conj_rows[i][b]
-            want = order // sizes[a] if a == b else 0
             if a == b and order % sizes[a]:
                 out.append(Violation("class-sizes", table.classes[a].label,
                                      "size does not divide group order"))
                 continue
-            if acc != want:
+            want = order // sizes[a] if a == b else 0
+            got = mismatch(by_col[a][0], by_col[b][1], ones, want)
+            if got is not None:
                 out.append(Violation(
                     "column-orthogonality",
                     f"{table.classes[a].label},{table.classes[b].label}",
-                    f"sum is {shown(acc)}, expected {want}"))
+                    f"sum is {got}, expected {_shown(want)}"))
     return out
+
+
+def _shown(x) -> str:
+    """An int or a value as a violation prints it, or a stand-in where it
+    has more digits than Python prints."""
+    try:
+        return str(x) if isinstance(x, int) else display_value(x)
+    except ValueError:
+        return "a number too long to print"
 
 
 class ClassFunction:
@@ -642,6 +678,10 @@ def class_metadata_findings(table: CharacterTable,
 
 
 _FRACTION_OK = set("0123456789/-")
+# digits allowed in the numerator or the denominator of a rational read
+# from table JSON: table values are small, and the limit bounds the ints
+# that validate's sums of their products work with
+RATIONAL_DIGITS = 100
 
 
 def json_int(value, name: str) -> int:
@@ -655,6 +695,10 @@ def json_int(value, name: str) -> int:
 def _parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str) or not text or set(text) - _FRACTION_OK:
         raise InputError(f"not an exact rational string: {text!r}")
+    if any(len(part.lstrip("-")) > RATIONAL_DIGITS for part in text.split("/")):
+        raise InputError(f"a rational in the table has more than {RATIONAL_DIGITS} "
+                         "digits in its numerator or denominator, the limit for "
+                         "table values")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -750,7 +794,7 @@ def load_table(path: str) -> CharacterTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSON, or an int too long
         raise InputError(f"cannot read table {path}: {exc}") from exc
     if isinstance(data, dict) and "conductor" not in data:
         inner = data.get("results")

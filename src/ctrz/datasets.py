@@ -171,7 +171,7 @@ def load_group_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSON, or an int too long
         raise InputError(f"cannot read group spec {path}: {exc}") from exc
     try:
         gens = data["generators"]

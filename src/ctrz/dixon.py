@@ -6,7 +6,11 @@ M_i with (M_i)[j][k] = a[i][j][k] commute, and their simultaneous
 eigenvectors mod a well-chosen prime p are, after normalizing the entry
 at the identity class to 1, exactly the vectors of class-sum eigenvalues
 omega_i = |C_i| chi(g_i) / chi(1) reduced mod p, one per irreducible
-character chi.
+character chi.  The split takes the M_i in class order, smallest class
+first, and stops once every eigenspace is one-dimensional, so only the
+matrices it uses are built, M_i at |C_i| * r products (J. D. Dixon,
+Numer. Math. 10 (1967) 446-450; G. J. A. Schneider, J. Symbolic
+Comput. 9 (1990) 601-606).
 
 The prime is the smallest p = 1 (mod exponent) with p > 2*sqrt(|G|):
 then F_p holds the needed roots of unity, degrees satisfy d <= sqrt(|G|)
@@ -38,59 +42,72 @@ from .perm import ClassSet, FiniteGroup
 
 
 class ClassAlgebra:
-    """Class multiplication data of a finite group.
+    """Class multiplication data of a finite group, built on demand.
 
-    constants[i][j][k] = a[i][j][k], so constants[i] is the matrix M_i;
+    matrix(i) is M_i, (M_i)[j][k] = a[i][j][k], built on first use from
+    the |C_i| * r products x^-1 * z, x in C_i and z the representative
+    of class k.  constants is the full tensor, every matrix built;
     inverse_class[i] is the class of inverses of class i.
     """
 
     def __init__(self, class_set: ClassSet):
         self.class_set = class_set
-        g = class_set.group
-        r = len(class_set)
-        inv_idx = g.inverse_index()
-        cls_of = class_set.class_of
         self.inverse_class = class_set.power_map(-1)
-        counts = [[[0] * r for _ in range(r)] for _ in range(r)]
-        words, index = g.words, g.index
-        for k, ck in enumerate(class_set.classes):
-            z_table = g.translation_table(ck.representative)
-            for i, ci in enumerate(class_set.classes):
-                row = counts[i]
-                for xi in ci.members:  # y = x^-1 * z
-                    y = words[inv_idx[xi]].translate(z_table)
-                    row[cls_of[index[y]]][k] += 1
-        self.constants = counts
+        self._matrices: dict[int, list[list[int]]] = {}
+        if sum(class_set.sizes()) != class_set.group.order:
+            raise InconsistencyError("class sizes do not sum to the group order")
 
     @property
     def size(self) -> int:
-        return len(self.constants)
+        return len(self.class_set)
 
-    def check_consistency(self) -> None:
-        """Structural identities every class algebra satisfies."""
-        cs = self.class_set
-        sizes = cs.sizes()
-        order = cs.group.order
-        r = self.size
-        for i in range(r):
-            for j in range(r):
-                total = sum(self.constants[i][j][k] * sizes[k] for k in range(r))
+    @property
+    def constants(self) -> list[list[list[int]]]:
+        return [self.matrix(i) for i in range(self.size)]
+
+    def matrix(self, i: int) -> list[list[int]]:
+        """M_i, built on first use and checked against the structural
+        identities every class algebra satisfies, then kept."""
+        if i not in self._matrices:
+            m = self._build(i)
+            sizes = self.class_set.sizes()
+            for j, row in enumerate(m):
+                total = sum(a * s for a, s in zip(row, sizes))
                 if total != sizes[i] * sizes[j]:
                     raise InconsistencyError(
                         f"weighted constants at ({i},{j}) sum to {total}, "
                         f"expected {sizes[i] * sizes[j]}")
-            if self.constants[i][self.inverse_class[i]][0] != sizes[i]:
+            if m[self.inverse_class[i]][0] != sizes[i]:
                 raise InconsistencyError(
                     f"identity coefficient of class {i} times its inverse class "
                     "does not equal the class size")
-        if sum(sizes) != order:
-            raise InconsistencyError("class sizes do not sum to the group order")
+            self._matrices[i] = m
+        return self._matrices[i]
+
+    def _build(self, i: int) -> list[list[int]]:
+        cs = self.class_set
+        g = cs.group
+        words, index, cls_of = g.words, g.index, cs.class_of
+        ident, n = words[0], g.degree
+        # maketrans(x, ident) sends x[a] to a: x's inverse, padded
+        inverses = [bytes.maketrans(words[x], ident)[:n]
+                    for x in cs.classes[i].members]
+        m = [[0] * self.size for _ in range(self.size)]
+        for k, ck in enumerate(cs.classes):
+            z_table = g.translation_table(ck.representative)
+            for x_inv in inverses:  # y = x^-1 * z
+                m[cls_of[index[x_inv.translate(z_table)]]][k] += 1
+        return m
+
+    def check_consistency(self) -> None:
+        """Build, and so check, every matrix."""
+        for i in range(self.size):
+            self.matrix(i)
 
 
 def class_constants(class_set: ClassSet) -> ClassAlgebra:
-    ca = ClassAlgebra(class_set)
-    ca.check_consistency()
-    return ca
+    """The class algebra, its matrices built as they are asked for."""
+    return ClassAlgebra(class_set)
 
 
 def _restriction(matrix: list[list[int]], basis: list[list[int]],
@@ -134,7 +151,7 @@ def common_eigenbasis(algebra: ClassAlgebra,
     for i in range(1, r):
         if all(len(b) == 1 for b in subspaces):
             break
-        m_i = algebra.constants[i]
+        m_i = algebra.matrix(i)
         refined = []
         for basis in subspaces:
             if len(basis) == 1:
@@ -190,36 +207,41 @@ def lift_character_values(eigen: tuple[int, list[tuple[int, ...]]],
     if (p - 1) % conductor:
         raise InputError("prime does not admit the required roots of unity")
     eta = pow(primitive_root_mod_p(p), (p - 1) // conductor, p)
-    sizes = class_set.sizes()
-    orders = [c.order for c in class_set.classes]
-    r = len(class_set)
-    out = []
+    inv_sizes = [pow(s, p - 2, p) for s in class_set.sizes()]
+    # per class j of element order o: the classes of g**t for t < o,
+    # eta_o**s for s < o, and 1/o mod p
+    columns = []
+    for j, c in enumerate(class_set.classes):
+        o = c.order
+        eta_o = pow(eta, conductor // o, p)
+        columns.append(([class_set.power_map(t)[j] for t in range(o)],
+                        [pow(eta_o, s, p) for s in range(o)],
+                        pow(o % p, p - 2, p)))
+    out, built = [], {}
     for omega in vectors:
         d = _degree_for(omega, class_set, p)
-        modvals = [d * w * pow(sizes[j], p - 2, p) % p for j, w in enumerate(omega)]
+        modvals = [d * w * q % p for w, q in zip(omega, inv_sizes)]
         values = []
-        for j in range(r):
-            o = orders[j]
-            eta_o = pow(eta, conductor // o, p)
-            inv_o = pow(o % p, p - 2, p)
+        for powers, roots, inv_o in columns:
+            o = len(roots)
+            chi = [modvals[k] for k in powers]
             digits = []
-            powers = [class_set.power_map(t)[j] for t in range(o)]
             for m in range(o):
-                acc = 0
-                for t in range(o):
-                    acc = (acc + modvals[powers[t]]
-                           * pow(eta_o, (-m * t) % (p - 1), p)) % p
-                c = (acc * inv_o) % p
+                acc = sum(x * roots[-m * t % o] for t, x in enumerate(chi))
+                c = acc % p * inv_o % p
                 if c > d:
                     raise InconsistencyError(
                         f"digit {c} exceeds degree {d}; inputs inconsistent")
                 digits.append(c)
             if sum(digits) != d:
                 raise InconsistencyError("digits do not sum to the degree")
-            poly = [0] * conductor
-            for m, c in enumerate(digits):
-                poly[(conductor // o) * m] = c
-            values.append(_from_ints(conductor, _reduce_poly(conductor, poly)))
+            key = (o, tuple(digits))
+            if key not in built:  # equal digits, one reduction
+                poly = [0] * conductor
+                for m, c in enumerate(digits):
+                    poly[(conductor // o) * m] = c
+                built[key] = _from_ints(conductor, _reduce_poly(conductor, poly))
+            values.append(built[key])
         if values[0] != d:
             raise InconsistencyError("identity value does not equal the degree")
         out.append((d, values))

@@ -343,12 +343,14 @@ def sqrt_embedding(D: int, conductor: int) -> Cyclotomic:
     when D = 1 (mod 4).
     """
     m = abs(D)
-    if (D == 1 or D % 4 != 1
-            or any(m % (p * p) == 0 for p in prime_factors(m))):
+    if D == 1 or D % 4 != 1:
         raise InputError(f"no canonical Gauss-sum embedding for D={D}")
     if conductor % m:
         raise InputError(f"sqrt({D}) does not lie in conductor {conductor}")
-    _field(m)  # refuses |D| above the cap before the m-term sum
+    # the cap refuses |D| before the factoring and the m-term sum
+    _field(m)
+    if any(m % (p * p) == 0 for p in prime_factors(m)):
+        raise InputError(f"no canonical Gauss-sum embedding for D={D}")
     poly = [0] * m
     for t in range(m):
         poly[t * t % m] += 1

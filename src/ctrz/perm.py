@@ -193,7 +193,6 @@ class FiniteGroup:
         self.generators = list(generators)
         self.pad = bytes(range(degree, 256))
         self.words, self.index = self._enumerate(order_cap)
-        self._inverse_index: list[int] | None = None
 
     def translation_table(self, p: Permutation) -> bytes:
         """256-entry table with ``w.translate(table) == word of w * p``."""
@@ -232,17 +231,6 @@ class FiniteGroup:
     def __contains__(self, p: Permutation) -> bool:
         return (isinstance(p, Permutation) and p.degree == self.degree
                 and bytes(p.images) in self.index)
-
-    def inverse_index(self) -> list[int]:
-        """index of the inverse of element i, cached."""
-        if self._inverse_index is None:
-            ident = self.words[0]
-            n = self.degree
-            index = self.index
-            # maketrans(w, ident) sends w[i] to i: w's inverse, padded
-            self._inverse_index = [
-                index[bytes.maketrans(w, ident)[:n]] for w in self.words]
-        return self._inverse_index
 
 
 class ConjugacyClass:

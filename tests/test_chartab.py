@@ -437,3 +437,22 @@ def test_validate_shows_coefficient_sums_at_the_declared_conductor():
     assert details["C2,C5"] == "sum is cyclotomic['0', '0', '1', '0'], expected 0"
     assert details["chi2,chi2"] == "sum is (11+√5)/2, expected 5"
     assert details["C1,C2"] == "sum is 1, expected 0"
+
+
+def test_violation_text_never_raises_on_numbers_too_long_to_print():
+    """Sums whose digits pass Python's printing limit are named, not
+    printed: an S3 cell 1/7**3000 squares to a 5000-digit denominator,
+    and sizes summing to 10**4300 have 4301 digits."""
+    tab = _computed(3, ["(1,2)", "(1,2,3)"])
+    rows = [list(row) for row in tab.values]
+    rows[1][2] = rat(Fraction(1, 7**3000), tab.conductor)
+    bad = CharacterTable("s3", 6, tab.conductor, tab.classes, tab.characters,
+                         rows)
+    details = {v.subject: v.detail for v in validate(bad)}
+    assert details["chi2,chi2"] == "sum is a number too long to print, expected 6"
+    big = CharacterTable("s3", 6, tab.conductor,
+                         tab.classes[:2] + [ClassInfo("C3", 10**4300 - 3, 2)],
+                         tab.characters, tab.values)
+    assert [v.describe() for v in validate(big)][0] == (
+        "class-sizes [table]: sizes sum to a number too long to print, "
+        "group order is 6")

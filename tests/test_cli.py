@@ -567,6 +567,50 @@ def test_quadratic_cell_above_the_cap_is_refused_at_once(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: conductor {big} exceeds cap 1000\n"
 
 
+def test_huge_quadratic_d_outside_the_conductor_is_refused_at_once(
+        tmp_path, capsys):
+    """D = -(2**61 - 1) is prime, so factoring it first takes minutes;
+    it does not divide the C7 table's conductor, which is checked first."""
+    path, table = _computed_table_file(tmp_path, "c7", 7, ["(1,2,3,4,5,6,7)"])
+    D = -2305843009213693951
+    table["characters"][1]["values"][1] = {"D": D, "a": "0", "b": "1"}
+    Path(path).write_text(json.dumps(table))
+    start = time.perf_counter()
+    code, out = run("chartable", "check", path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: sqrt({D}) does not lie in conductor 7\n")
+
+
+def test_rational_with_too_many_digits_is_a_capacity_limit(tmp_path, capsys):
+    """A cell 1/777...7 of 4000 digits is refused when read, with a
+    message naming the limit, not one calling the input malformed, and
+    not a traceback from printing the violation its sums would raise."""
+    path, table = _computed_table_file(tmp_path, "c7", 7, ["(1,2,3,4,5,6,7)"])
+    table["characters"][1]["values"][1] = "1/" + "7" * 4000
+    Path(path).write_text(json.dumps(table))
+    code, out = run("chartable", "check", path)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == ("error: a rational in the table has more than 100 digits "
+                   "in its numerator or denominator, the limit for table "
+                   "values\n")
+    assert "malformed" not in err
+
+
+@pytest.mark.parametrize("command", [["chartable", "check"],
+                                     ["order", "--group"]])
+def test_json_int_longer_than_python_reads_exits_2(tmp_path, capsys, command):
+    """json refuses an int of more than 4300 digits with a ValueError
+    that is not a JSONDecodeError; it is a bad file, exit 2."""
+    path = tmp_path / "long.json"
+    path.write_text('{"group_order": ' + "1" * 5000 + "}")
+    code, out = run(*command, str(path))
+    assert (code, out) == (2, "")
+    assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
 def test_closed_stdout_exits_141_without_traceback():
     """A reader that went away (`ctrz ... | head -1`) is exit 141, with
     nothing on stderr, not a BrokenPipeError traceback and exit 1."""

@@ -7,11 +7,17 @@ values in a quadratic field (the Frobenius group of order 21, A5),
 and a prime p smaller than the matrix dimension (Klein four-group).
 """
 
+import time
 from fractions import Fraction
 
+import pytest
+
+from ctrz.errors import InconsistencyError
 from ctrz.exact import Cyclotomic, to_quadratic
+from ctrz.modp import choose_prime
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
-from ctrz.dixon import class_constants, compute_character_table
+from ctrz.dixon import (ClassAlgebra, class_constants, common_eigenbasis,
+                        compute_character_table)
 from ctrz.chartab import validate, decompose, permutation_character
 
 
@@ -206,3 +212,72 @@ def test_builtin_class_profiles(g8, g14):
         cs = a.class_set
         assert [c.size for c in cs.classes] == expected_sizes
         assert [c.order for c in cs.classes] == orders
+
+
+def _counting_builds(monkeypatch):
+    built = []
+    original = ClassAlgebra._build
+
+    def build(self, i):
+        built.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(ClassAlgebra, "_build", build)
+    return built
+
+
+def test_class_matrices_are_built_on_demand(monkeypatch):
+    """The eigensplit of S8 is done after the two smallest non-identity
+    classes, so the table builds at most those two of its 22 matrices."""
+    built = _counting_builds(monkeypatch)
+    g = group(["(1,2,3,4,5,6,7,8)", "(1,2)"], 8)
+    cs = ClassSet(g)
+    ct = compute_character_table(g, cs)
+    assert len(ct.classes) == 22 and ct.verified
+    assert len(built) <= 2 and len(set(built)) == len(built)
+    assert set(built) <= {1, 2}
+
+
+def test_full_tensor_builds_each_matrix_once(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    ca = class_constants(ClassSet(group(["(1,2)", "(1,2,3,4)"], 4)))
+    assert built == []
+    first = ca.constants
+    ca.check_consistency()
+    assert ca.constants == first
+    assert sorted(built) == list(range(ca.size))
+
+
+def test_corrupted_class_matrix_raises(monkeypatch):
+    """One count off in a built matrix breaks the weighted row sums,
+    checked on every matrix as it is built."""
+    original = ClassAlgebra._build
+
+    def corrupted(self, i):
+        m = original(self, i)
+        if i == 1:
+            m[2][3] += 1
+        return m
+
+    monkeypatch.setattr(ClassAlgebra, "_build", corrupted)
+    g = group(["(1,2)", "(1,2,3,4)"], 4)
+    with pytest.raises(InconsistencyError, match=r"weighted constants at \(1,2\)"):
+        compute_character_table(g)
+    ca = class_constants(ClassSet(g))
+    ca.matrix(2)
+    with pytest.raises(InconsistencyError):
+        ca.constants
+
+
+def test_s9_constants_and_eigensplit_are_fast():
+    """Two-generator S9, order 362880 with 30 classes: the class algebra
+    and the eigensplit at the table's prime, within a generous bound."""
+    g = group(["(1,2,3,4,5,6,7,8,9)", "(1,2)"], 9)
+    cs = ClassSet(g)
+    assert (g.order, len(cs)) == (362880, 30)
+    start = time.perf_counter()
+    algebra = class_constants(cs)
+    _, vectors = common_eigenbasis(algebra, choose_prime(cs.exponent, g.order))
+    elapsed = time.perf_counter() - start
+    assert len(set(vectors)) == 30
+    assert elapsed < 1.5, f"constants and eigensplit took {elapsed:.2f}s"

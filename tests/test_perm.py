@@ -132,10 +132,8 @@ def test_trivial_group_needs_degree():
 
 def test_element_index_round_trip():
     g = FiniteGroup([parse_cycles("(1,2,3,4)", 4)])
-    inv = g.inverse_index()
     for i, e in enumerate(g.elements):
         assert g.element_index(e) == i
-        assert g.elements[inv[i]] == e.inverse()
     assert parse_cycles("(1,3)(2,4)", 4) in g
     assert parse_cycles("(1,2)", 4) not in g
     with pytest.raises(InputError):
