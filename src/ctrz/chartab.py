@@ -13,8 +13,15 @@ one is the least divisor of it whose field Q(zeta_m) holds every value,
 7 for the order-1344 groups (whose exponent is 84 or 168) and 1 for a
 rational table.  Validation, class functions (hence inner products,
 decomposition and tensor powers) and matching all compute on a copy of
-the rows lifted to the working conductor, built once on first use, so a
-table's values must not change after it is built.
+the rows lifted to the working conductor, kept with their conjugates and
+the lines of those, built once on first use, so a table's values must
+not change after it is built.
+
+Orthogonality sums and inner products share one int kernel: a line is
+values at one conductor w as sparse int vectors over one common
+denominator, and a weighted sum of products of two lines is one int
+polynomial reduced mod Phi_w once.  Decomposing against every row sums
+one line of the function against each kept row line.
 
 match_columns searches for row and column permutations making two
 tables equal.  Columns are constrained by class fingerprints at the
@@ -37,8 +44,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CtrzError, InputError
-from .exact import (Cyclotomic, QuadraticView, _from_ints, _reduce_poly,
-                    to_quadratic)
+from .exact import (Cyclotomic, QuadraticView, _field, _from_ints,
+                    _reduce_poly, to_quadratic)
 from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
 
@@ -90,9 +97,11 @@ class CharacterTable:
         col = self.identity_column()
         return [row[col].as_integer() for row in self.values]
 
-    def _working(self) -> tuple[int, list[tuple[Cyclotomic, ...]]]:
+    def _working(self):
+        """(w, rows, conjugate rows, their lines): the working conductor,
+        the rows at it and their complex conjugates, also as lines."""
         if self._work is None:
-            # equal cells share one descent
+            # equal cells share one descent and one conjugation
             keys = [[(v.conductor, v.num, v.den) for v in row] for row in self.values]
             least = {}
             for krow, row in zip(keys, self.values):
@@ -101,7 +110,10 @@ class CharacterTable:
                         least[key] = v.reduced()
             w = lcm(*(v.conductor for v in least.values()))
             lifted = {key: v.lift(w) for key, v in least.items()}
-            self._work = (w, [tuple(lifted[key] for key in krow) for krow in keys])
+            conj = {key: v.conj() for key, v in lifted.items()}
+            rows, conj_rows = ([tuple(cells[key] for key in krow) for krow in keys]
+                               for cells in (lifted, conj))
+            self._work = (w, rows, conj_rows, [_line(row) for row in conj_rows])
         return self._work
 
     @property
@@ -128,8 +140,8 @@ class CharacterTable:
         out = CharacterTable(self.name, self.group_order, self.conductor,
                              self.classes, names, rows,
                              verified=self.verified)
-        w, work = self._working()
-        out._work = (w, [work[i] for i in row_map])
+        w, *parts = self._working()
+        out._work = (w, *([part[i] for i in row_map] for part in parts))
         return out
 
 
@@ -146,15 +158,14 @@ class Violation:
 def validate(table: CharacterTable) -> list[Violation]:
     """Every orthogonality and bookkeeping violation in the table.
 
-    Checks: class sizes sum to the group order; a unique identity class
-    exists; degrees are positive integers with squares summing to the
-    group order; both orthogonality relations, reported per row pair and
-    per column pair.  An empty list means the table is consistent.
+    Checks: class sizes sum to the group order; each element order
+    divides it (Lagrange); a unique identity class exists; degrees are
+    positive integers with squares summing to the group order; both
+    orthogonality relations, reported per row pair and per column pair.
+    An empty list means the table is consistent.
 
-    Each orthogonality sum runs in ints at the working conductor w: a
-    row or column, and its conjugate, is int vectors over its least
-    common denominator, and the products are summed as one polynomial
-    and reduced mod Phi_w once.
+    Each orthogonality sum is one int sum of the kernel at the working
+    conductor, a row or column against the line of a conjugate one.
     """
     out = []
     order = table.group_order
@@ -167,6 +178,9 @@ def validate(table: CharacterTable) -> list[Violation]:
         out.append(Violation("class-sizes", "table",
                              f"sizes sum to {_shown(sum(sizes))}, "
                              f"group order is {_shown(order)}"))
+    out += [Violation("class-order", c.label, f"element order {_shown(c.order)} "
+                      f"does not divide group order {_shown(order)}")
+            for c in table.classes if c.order < 1 or order % c.order]
     try:
         idc = table.identity_column()
     except InputError as exc:
@@ -185,45 +199,23 @@ def validate(table: CharacterTable) -> list[Violation]:
                              f"squares sum to {_shown(sum(d * d for d in degrees))}, "
                              f"group order is {_shown(order)}"))
     r = table.size
-    w, rows = table.working_conductor, table.working_rows
-    conj_rows = [[v.conj() for v in row] for row in rows]
-    span = 2 * len(rows[0][0].num) - 1  # terms of a product of two values
+    w, rows, conj_rows, conj_lines = table._working()
 
-    def line(cells):
-        """(den, vectors): the cells as sparse int vectors, lists of
-        (k, coefficient of zeta_w**k), over their least common
-        denominator."""
-        den = lcm(*(v.den for v in cells))
-        return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
-                     for v in cells]
+    def check(kind, x, y, a, b, weights, want):
+        """Report kind [x,y] unless sum weights[c] * a[c] * b[c] is want."""
+        num, den = _weighted_sum(w, a, b, weights)
+        if num[0] != want * den or any(num[1:]):
+            # a coefficient vector reads at the declared conductor, as stored
+            got = _shown(_from_ints(w, num, den).lift(lcm(w, table.conductor)))
+            out.append(Violation(kind, f"{x},{y}",
+                                 f"sum is {got}, expected {_shown(want)}"))
 
-    def mismatch(a, b, weights, want):
-        """The sum of weights[c] * a[c] * b[c] as shown, or None when it
-        equals want."""
-        acc = [0] * span
-        for s, x, y in zip(weights, a[1], b[1]):
-            for k, xk in x:
-                xk *= s
-                for m, ym in y:
-                    acc[k + m] += xk * ym
-        den = a[0] * b[0]
-        num = _reduce_poly(w, acc)
-        if num[0] == want * den and not any(num[1:]):
-            return None
-        # a coefficient vector reads at the declared conductor, as stored
-        return _shown(_from_ints(w, num, den).lift(lcm(w, table.conductor)))
-
-    by_row = [(line(row), line(c)) for row, c in zip(rows, conj_rows)]
     for i in range(r):
+        row = _line(rows[i])
         for j in range(i, r):
-            want = order if i == j else 0
-            got = mismatch(by_row[i][0], by_row[j][1], sizes, want)
-            if got is not None:
-                out.append(Violation(
-                    "row-orthogonality",
-                    f"{table.characters[i]},{table.characters[j]}",
-                    f"sum is {got}, expected {_shown(want)}"))
-    by_col = [(line(col), line(c)) for col, c in zip(zip(*rows), zip(*conj_rows))]
+            check("row-orthogonality", table.characters[i], table.characters[j],
+                  row, conj_lines[j], sizes, order if i == j else 0)
+    by_col = [(_line(col), _line(c)) for col, c in zip(zip(*rows), zip(*conj_rows))]
     ones = [1] * r
     for a in range(r):
         for b in range(a, r):
@@ -231,14 +223,31 @@ def validate(table: CharacterTable) -> list[Violation]:
                 out.append(Violation("class-sizes", table.classes[a].label,
                                      "size does not divide group order"))
                 continue
-            want = order // sizes[a] if a == b else 0
-            got = mismatch(by_col[a][0], by_col[b][1], ones, want)
-            if got is not None:
-                out.append(Violation(
-                    "column-orthogonality",
-                    f"{table.classes[a].label},{table.classes[b].label}",
-                    f"sum is {got}, expected {_shown(want)}"))
+            check("column-orthogonality", table.classes[a].label,
+                  table.classes[b].label, by_col[a][0], by_col[b][1], ones,
+                  order // sizes[a] if a == b else 0)
     return out
+
+
+def _line(cells) -> tuple[int, list]:
+    """(den, vectors): values at one conductor as sparse int vectors,
+    lists of (k, coefficient of zeta**k), over their least common
+    denominator."""
+    den = lcm(*(v.den for v in cells))
+    return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
+                 for v in cells]
+
+
+def _weighted_sum(w: int, a, b, weights) -> tuple[list[int], int]:
+    """(num, den): the sum of weights[c] * a[c] * b[c] over two lines at
+    conductor w, summed as one int polynomial and reduced mod Phi_w once."""
+    acc = [0] * (2 * _field(w)[0] - 1)
+    for s, x, y in zip(weights, a[1], b[1]):
+        for k, xk in x:
+            xk *= s
+            for m, ym in y:
+                acc[k + m] += xk * ym
+    return _reduce_poly(w, acc), a[0] * b[0]
 
 
 def _shown(x) -> str:
@@ -288,9 +297,8 @@ class ClassFunction:
                 else:
                     groups.append((v, {c}))
             self._levels = [
-                (f, tuple(inner_product(
-                    ClassFunction(t, [int(c in members) for c in range(t.size)]),
-                    t.row(i)) for i in range(t.size)))
+                (f, _products(ClassFunction(
+                    t, [int(c in members) for c in range(t.size)])))
                 for f, members in groups]
         return self._levels
 
@@ -315,11 +323,24 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:
     """(1/|G|) * sum over classes of |C| f(C) conj(h(C))."""
     if f.table is not h.table:
         raise InputError("class functions live on different tables")
+    e = lcm(*(v.conductor for v in f.values + h.values))
+    return _products(f, e, [_line([v.lift(e).conj() for v in h.values])])[0]
+
+
+def _products(f: ClassFunction, e=None, lines=None) -> tuple[Cyclotomic, ...]:
+    """<f, h> at conductor e for each h given as the line of its conjugate
+    at e; by default <f, chi_i> for every row chi_i of f's table, against
+    the table's kept lines unless f's values need a larger conductor."""
     t = f.table
-    acc = Cyclotomic.from_rational(0, 1)
-    for size, a, b in zip((c.size for c in t.classes), f.values, h.values):
-        acc = acc + a * b.conj() * size
-    return acc / t.group_order
+    if lines is None:
+        w, _, conj_rows, lines = t._working()
+        e = lcm(w, *(v.conductor for v in f.values))
+        if e != w:
+            lines = [_line([v.lift(e) for v in row]) for row in conj_rows]
+    a = _line([v.lift(e) for v in f.values])
+    sizes = [c.size for c in t.classes]
+    return tuple(_from_ints(e, num, den * t.group_order)
+                 for num, den in (_weighted_sum(e, a, b, sizes) for b in lines))
 
 
 def require_verified(f: ClassFunction, table: CharacterTable) -> None:
@@ -350,8 +371,8 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
     character of this group.
     """
     require_verified(f, table)
-    return tuple(as_multiplicity(inner_product(f, table.row(i)), table.characters[i])
-                 for i in range(table.size))
+    return tuple(as_multiplicity(v, label)
+                 for v, label in zip(_products(f), table.characters))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -385,9 +386,12 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+# one parser for every main call in a process: parsing leaves it unchanged
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

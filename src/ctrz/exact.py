@@ -5,9 +5,10 @@ Elements are coefficient vectors of length phi(e) over the power basis
 polynomial, stored as FLINT's fmpq_poly stores a rational polynomial:
 one tuple of int numerators over one positive int denominator, with
 their gcd divided out once per operation.  Sums, products (an int
-convolution reduced by cached int rows of x^k mod Phi_e), lifts and
-conjugates stay in ints; the Fraction coefficients are built only when
-read.  No floating point anywhere; float inputs are rejected.
+convolution reduced by cached int rows of x^k mod Phi_e, or a scaling
+when a factor is rational or at conductor 1), lifts and conjugates stay
+in ints; the Fraction coefficients are built only when read.  No
+floating point anywhere; float inputs are rejected.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
@@ -266,6 +267,10 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Cyclotomic) and 1 in (self.conductor, other.conductor):
+            # a value at conductor 1 scales the other operand, as a rational does
+            a, b = (self, other) if other.conductor == 1 else (other, self)
+            return _from_ints(a.conductor, [b.num[0] * x for x in a.num], a.den * b.den)
         if not isinstance(other, Cyclotomic) and isinstance(other, (int, Fraction)):
             p, q = _ratio(other)
             return _from_ints(self.conductor, [p * x for x in self.num], self.den * q)

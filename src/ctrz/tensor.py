@@ -11,11 +11,11 @@ independent routes to d(k) are implemented and cross-checked:
               product with chi_i regrouped on the values f of chi:
               m_i(k) = sum over f of f^k * <1_(chi=f), chi_i>, the
               inner products kept on chi after its first use, so each
-              further k costs one power and r products per value,
+              further k costs one power and r scalings per value,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix: A_ij is the multiplicity of the j-th
-              irreducible in chi_i * chi, the inner product
-              <chi_i * chi, chi_j> by column orthogonality,
+              irreducible in chi_i * chi, <chi_i * chi, chi_j>, each row
+              r int sums against the table's kept row lines,
   closed form published per-irreducible formulas for the two embedded
               degree-8 and degree-14 groups, rows in the published
               order.

@@ -599,6 +599,32 @@ def test_rational_with_too_many_digits_is_a_capacity_limit(tmp_path, capsys):
     assert "malformed" not in err
 
 
+@pytest.mark.parametrize("order", [3, 10**18])
+def test_element_order_not_dividing_the_group_order_is_a_violation(
+        tmp_path, order):
+    """By Lagrange's theorem an element order divides the group order;
+    a C5 table with one class order changed fails check and names it."""
+    path, table = _computed_table_file(tmp_path, "c5", 5, ["(1,2,3,4,5)"])
+    label = table["classes"][2]["label"]
+    table["classes"][2]["order"] = order
+    Path(path).write_text(json.dumps(table))
+    assert run("chartable", "check", path) == (1, (
+        f"violation: class-order [{label}]: element order {order} does not "
+        "divide group order 5\n"))
+
+
+def test_allow_unverified_does_not_outlive_its_call(capsys):
+    """main reuses one parser; a flag given to one call is not seen by
+    the next."""
+    assert run("chartable", "match", "paper-table", "g1344-deg8",
+               "--allow-unverified")[0] == 1
+    capsys.readouterr()
+    assert run("chartable", "match", "paper-table", "g1344-deg8") == (2, "")
+    assert capsys.readouterr().err == (
+        "error: computed operand paper-table is an unverified table; pass "
+        "--allow-unverified to match against it anyway\n")
+
+
 @pytest.mark.parametrize("command", [["chartable", "check"],
                                      ["order", "--group"]])
 def test_json_int_longer_than_python_reads_exits_2(tmp_path, capsys, command):

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from ctrz.errors import InputError
 from ctrz.exact import Cyclotomic, cyclotomic_polynomial
@@ -103,3 +103,38 @@ def test_floats_are_still_refused(case):
         a + 0.5
     with pytest.raises(InputError):
         0.5 + a
+
+
+@st.composite
+def scalings(draw):
+    """A value at a conductor e and a rational: zero, negative and
+    fractional ones included."""
+    e = draw(st.integers(min_value=1, max_value=120))
+    deg = len(cyclotomic_polynomial(e)) - 1
+    coeffs = draw(st.one_of(
+        st.just([Fraction(0)] * deg),
+        st.lists(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+                 min_size=deg, max_size=deg)))
+    q = draw(st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))))
+    return e, coeffs, q
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(scalings())
+def test_a_factor_at_conductor_1_scales_the_other(case):
+    """A conductor-1 operand multiplies as a scalar, in either order, to
+    the product a rational scalar gives."""
+    e, coeffs, q = case
+    a = Cyclotomic(e, coeffs)
+    s = Cyclotomic.from_rational(q, 1)
+    want = tuple(x * q for x in coeffs)
+    for got in (a * s, s * a):
+        assert got.conductor == e
+        assert got.coeffs == want
+        assert normalized(got)
+        assert (got.num, got.den) == ((a * q).num, (a * q).den)
+    both = s * Cyclotomic.from_rational(Fraction(coeffs[0]), 1)
+    assert both.conductor == 1 and normalized(both)
+    assert both.coeffs == (q * coeffs[0],)
