@@ -32,10 +32,9 @@ from .chartab import (DecompositionError, class_metadata_findings,
 from .errors import InconsistencyError, InputError
 from .pipeline import GroupAnalysis, analysis_from_file, builtin_analysis
 from .perm import orbit_count_tuples
-from .tensor import (AGREEMENT_BOUND, SemisimpleStructure,
-                     agreed_multiplicities, closed_form_multiplicities,
-                     dims_row, multiplicities_direct,
-                     multiplicities_recurrence)
+from .tensor import (SemisimpleStructure, agreed_multiplicities,
+                     closed_form_multiplicities, dims_row,
+                     multiplicities_direct, multiplicities_recurrence)
 
 
 def _group_args(sub):
@@ -328,8 +327,7 @@ def cmd_decompose(args) -> int:
     d = _vector(args, a, args.k)
     _printable(max(d))
     labels = list(a.table.characters)
-    default = "cross-checked" if args.k <= AGREEMENT_BOUND else "recurrence"
-    results = {"k": args.k, "method": args.method or default,
+    results = {"k": args.k, "method": args.method or "cross-checked",
                "characters": labels, "multiplicities": list(d)}
     report = _report(args, a.name, results)
     width = max(len(x) for x in labels)
@@ -355,15 +353,9 @@ def cmd_dims(args) -> int:
     if args.k_from < 1 or args.k_to < args.k_from:
         raise InputError("--from and --to must satisfy 1 <= from <= to")
     a = _analysis(args)
-    _refuse_orbits(a.group, args.k_to)
-    rows = []
-    for k in range(args.k_from, args.k_to + 1):
-        d = _vector(args, a, k)
-        if k <= AGREEMENT_BOUND:
-            rows.append(dims_row(a.class_set, d, k, family=a.family))
-        else:
-            dim = SemisimpleStructure(d).dimension
-            rows.append({"k": k, "sum_of_squares": dim, "dimension": dim})
+    _refuse_orbits(a.group, 2 * args.k_to)  # the dimension counts 2k-tuples
+    rows = [dims_row(a.class_set, _vector(args, a, k), k, family=a.family)
+            for k in range(args.k_from, args.k_to + 1)]
     _printable(max(r["dimension"] for r in rows))
     report = _report(args, a.name, {"dims": rows})
     tlines = [f"k={r['k']}  dim {r['dimension']}" for r in rows]

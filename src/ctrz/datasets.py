@@ -1,5 +1,6 @@
-"""Embedded datasets: the two order-1344 permutation groups and the
-transcription of the externally published character table they share.
+"""Embedded datasets: the two order-1344 permutation groups, the
+transcription of the externally published character table they share,
+and the published formulas for their tensor power multiplicities.
 
 The group entries store corrected generator strings; the comments field
 records each as-printed original alongside the reason the correction is
@@ -21,6 +22,7 @@ printed_size metadata so discrepancies can be reported, not hidden.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .chartab import CharacterTable, ClassInfo, decode_value, json_int
 from .errors import InputError
@@ -154,6 +156,38 @@ TABLE_PRINTED_DIAG = {
 }
 
 TABLE_CONDUCTOR = 84
+
+# m_i(k) = sum over the bases f (fixed-point counts) of c_(i,f) * f^k, k >= 1:
+# one row of c_(i,f) per irreducible, published order, trivial character first.
+_CLOSED_FORM_TEXT = {
+    "g1344-deg8": ((8, 4, 2, 1), """
+        1/1344   1/32   7/24   2/7
+        1/448   -1/32   1/8   -1/7
+        1/448   -1/32   1/8   -1/7
+        1/224    1/16   0     -2/7
+        1/192   -1/32   1/24   0
+        1/168    0     -1/6    2/7
+        1/192   -1/32   1/24   0
+        1/192    3/32   7/24   0
+        1/96     1/16  -1/6    0
+        1/64    -3/32   1/8    0
+        1/64     1/32  -1/8    0"""),
+    "g1344-deg14": ((14, 6, 2), """
+        1/1344   7/192   37/96
+        1/448   -1/64     1/32
+        1/448   -1/64     1/32
+        1/224    3/32     3/16
+        1/192    1/192   -5/96
+        1/168    1/24    -1/6
+        1/192   17/192   19/96
+        1/192   -7/192    7/96
+        1/96     5/96   -11/48
+        1/64     1/64    -5/32
+        1/64    -7/64     7/32"""),
+}
+CLOSED_FORMS = {family: (bases, tuple(tuple(map(Fraction, line.split()))
+                                      for line in text.strip().split("\n")))
+                for family, (bases, text) in _CLOSED_FORM_TEXT.items()}
 
 _SIDE_KEYS = {"g1344-deg8": "g", "g1344-deg14": "h"}
 

@@ -20,17 +20,12 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from . import datasets
-from .chartab import (CharacterTable, ClassFunction, MatchResult, decompose,
+from .chartab import (CharacterTable, ClassFunction, MatchResult,
                       match_columns, permutation_character)
 from .dixon import compute_character_table
-from .errors import InconsistencyError, InputError
+from .errors import InputError
 from .perm import ClassSet, FiniteGroup, parse_cycles
-from .tensor import CLOSED_FORM_FAMILIES, transition_matrix
-
-_EXPECTED_FIRST_DECOMPOSITION = {
-    "g1344-deg8": (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "g1344-deg14": (1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0),
-}
+from .tensor import check_closed_forms, transition_matrix
 
 
 class GroupAnalysis:
@@ -96,18 +91,13 @@ class GroupAnalysis:
 
     @cached_property
     def family(self) -> str | None:
-        """Closed-form family name, only for the embedded groups and
-        only after the published row alignment has been confirmed by
-        decomposing the permutation character."""
-        if not (self.is_builtin and self.name in CLOSED_FORM_FAMILIES
+        """Closed-form family name, only for the embedded groups and only
+        once the published coefficients equal the permutation character's,
+        which confirms the published row alignment."""
+        if not (self.is_builtin and self.name in datasets.CLOSED_FORMS
                 and self.published_order_adopted):
             return None
-        d1 = decompose(self.permchar, self.table)
-        want = _EXPECTED_FIRST_DECOMPOSITION[self.name]
-        if d1 != want:
-            raise InconsistencyError(
-                f"permutation character of {self.name} decomposes as "
-                f"{d1}, published alignment expects {want}")
+        check_closed_forms(self.permchar, self.name)
         return self.name
 
     @cached_property

@@ -5,42 +5,46 @@ For a degree-n permutation group with permutation character chi, the
 k-th tensor power of the natural representation decomposes with
 multiplicity vector d(k), and the commutant is a direct sum of one full
 matrix block of size d_i(k) per irreducible with d_i(k) > 0.  Three
-independent routes to d(k) are implemented and cross-checked:
+independent routes to d(k) are implemented:
 
-  direct      decompose the pointwise k-th power of chi, the inner
-              product with chi_i regrouped on the values f of chi:
-              m_i(k) = sum over f of f^k * <1_(chi=f), chi_i>, the
-              inner products kept on chi after its first use, so each
-              further k costs one power and r scalings per value,
+  direct      <chi^k, chi_i> regrouped on the values f of chi:
+              m_i(k) = sum over f of f^k * a_(i,f), the inner products
+              a_(i,f) = <1_(chi=f), chi_i> kept on chi after first use,
   recurrence  the trivial character's row of A^k, where A is the
-              transition matrix: A_ij is the multiplicity of the j-th
-              irreducible in chi_i * chi, <chi_i * chi, chi_j>, each row
+              transition matrix, A_ij = <chi_i * chi, chi_j>, each row
               r int sums against the table's kept row lines,
   closed form published per-irreducible formulas for the two embedded
-              degree-8 and degree-14 groups, rows in the published
-              order.
+              groups, one coefficient per base f per irreducible.
 
-The algebra dimension is likewise computed three ways: sum of squared
-multiplicities, the averaged fixed-point power sum
-(1/|G|) sum |C| fix(C)^(2k) which is Burnside's count of orbits on
-2k-tuples, and a published closed form per embedded group.  Any
-disagreement between routes raises InconsistencyError; it never happens
-unless the code or the inputs are broken, and the exit-code contract
-reserves a distinct status for it.
+One proof per chi, matrix and family cross-checks every k.  With s
+distinct values f, the direct route satisfies the linear recurrence
+with characteristic polynomial P = prod (x - f).  Agreement at
+k = 1..s+1 gives e_1 A P(A) = 0, so e_1 A^k satisfies it too and the
+routes agree for every k >= 1 (Stanley, Enumerative Combinatorics
+vol. 1, section 4.1).  The published formulas are sums c * f^k, so
+equal coefficients prove them for every k >= 1.
+
+The algebra dimension is computed three ways: the sum of squared
+multiplicities, Burnside's count of orbits on 2k-tuples
+(1/|G|) sum |C| fix(C)^(2k), and the published trivial row at 2k, the
+dimension being <chi^(2k), 1>.  Any disagreement between routes raises
+InconsistencyError; it never happens unless the code or the inputs are
+broken, and the exit-code contract reserves a distinct status for it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import weakref
+from collections import Counter
+from itertools import zip_longest
 
+from . import datasets
 from .chartab import (CharacterTable, ClassFunction, DecompositionError,
                       as_multiplicity, decompose, require_verified)
 from .errors import InconsistencyError, InputError
 from .perm import ClassSet, orbit_count_tuples
 
-AGREEMENT_BOUND = 12
-
-CLOSED_FORM_FAMILIES = ("g1344-deg8", "g1344-deg14")
+AGREEMENT_BOUND = 12  # unused here; perfbench/workloads.py reads it
 
 
 def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[int]]:
@@ -93,79 +97,78 @@ def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,
     return tuple(d)
 
 
-def _as_count(value: Fraction, what: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise InconsistencyError(f"{what} evaluated to {value}, "
-                                 "not a nonnegative integer")
-    return int(value)
+def _published(family: str):
+    if family not in datasets.CLOSED_FORMS:
+        raise InputError(f"no closed forms for {family!r}; known families: "
+                         f"{', '.join(datasets.CLOSED_FORMS)}")
+    return datasets.CLOSED_FORMS[family]
+
+
+def _evaluate(family: str, k: int, rows: slice) -> tuple[int, ...]:
+    """The published rows of family at k: sum over the bases f of c * f^k."""
+    if k < 1:
+        raise InputError("tensor power k must be at least 1")
+    bases, coefficients = _published(family)
+    powers = [f ** k for f in bases]
+    values = [sum(c * p for c, p in zip(row, powers))
+              for row in coefficients[rows]]
+    for n, v in enumerate(values):
+        if v.denominator != 1 or v < 0:
+            raise InconsistencyError(
+                f"closed form for multiplicity {n + 1} evaluated to {v}, "
+                "not a nonnegative integer")
+    return tuple(map(int, values))
 
 
 def closed_form_multiplicities(family: str, k: int) -> tuple[int, ...]:
-    """Published per-irreducible multiplicity formulas, rows in the
-    published order.  Eleven letters a,b,c,d,e,f,g,h,i,j,l map in order
-    to the eleven irreducibles; b = c for both families and e = g for
-    the degree-8 family, by identical formulas.
-    """
-    if k < 1:
-        raise InputError("tensor power k must be at least 1")
-    if family == "g1344-deg8":
-        p8, p4, p2 = Fraction(8) ** k, Fraction(4) ** k, Fraction(2) ** k
-        a = p8 / 1344 + p4 / 32 + Fraction(7, 24) * p2 + Fraction(2, 7)
-        b = p8 / 448 - p4 / 32 + p2 / 8 - Fraction(1, 7)
-        c = b
-        d = p8 / 224 + p4 / 16 - Fraction(2, 7)
-        e = p8 / 192 - p4 / 32 + p2 / 24
-        f = p8 / 168 - p2 / 6 + Fraction(2, 7)
-        g = e
-        h = p8 / 192 + Fraction(3, 32) * p4 + Fraction(7, 24) * p2
-        i = p8 / 96 + p4 / 16 - p2 / 6
-        j = p8 / 64 - Fraction(3, 32) * p4 + p2 / 8
-        el = p8 / 64 + p4 / 32 - p2 / 8
-    elif family == "g1344-deg14":
-        t, s7, s3 = Fraction(2) ** k, Fraction(7) ** k, Fraction(3) ** k
-        a = t * (s7 / 1344 + Fraction(7, 192) * s3 + Fraction(37, 96))
-        b = t * (s7 / 448 - s3 / 64 + Fraction(1, 32))
-        c = b
-        d = t * (s7 / 224 + Fraction(3, 32) * s3 + Fraction(3, 16))
-        e = t * (s7 / 192 + s3 / 192 - Fraction(5, 96))
-        f = t * (s7 / 168 + s3 / 24 - Fraction(1, 6))
-        g = t * (s7 / 192 + Fraction(17, 192) * s3 + Fraction(19, 96))
-        h = t * (s7 / 192 - Fraction(7, 192) * s3 + Fraction(7, 96))
-        i = t * (s7 / 96 + Fraction(5, 96) * s3 - Fraction(11, 48))
-        j = t * (s7 / 64 + s3 / 64 - Fraction(5, 32))
-        el = t * (s7 / 64 - Fraction(7, 64) * s3 + Fraction(7, 32))
-    else:
-        raise InputError(f"no closed forms for {family!r}; "
-                         f"known families: {', '.join(CLOSED_FORM_FAMILIES)}")
-    letters = (a, b, c, d, e, f, g, h, i, j, el)
-    return tuple(_as_count(v, f"closed form for multiplicity {n + 1}")
-                 for n, v in enumerate(letters))
+    """The published multiplicity formulas, rows in the published order."""
+    return _evaluate(family, k, slice(None))
+
+
+def check_closed_forms(chi: ClassFunction, family: str) -> None:
+    """Compare the published coefficients of family with the a_(i,f) of
+    chi, rows in the published order, base 0 aside; a difference raises
+    InconsistencyError naming the irreducible, the base and both."""
+    bases, coefficients = _published(family)
+    published = dict(zip(bases, zip(*coefficients)))
+    derived = {f.as_rational(): [x.as_rational() for x in a]
+               for f, a in chi.levels() if not f.is_zero()}
+    for f in sorted(published.keys() | derived.keys(), reverse=True):
+        for label, c, a in zip_longest(chi.table.characters, published.get(f, ()),
+                                       derived.get(f, ()), fillvalue=0):
+            if a != c:
+                raise InconsistencyError(
+                    f"closed form for {label} disagrees at base {f}: "
+                    f"published {c}, derived {a}")
+
+
+_proven = weakref.WeakKeyDictionary()  # chi: (family, matrix rows) last proven
 
 
 def agreed_multiplicities(chi: ClassFunction, table: CharacterTable, k: int,
                           family: str | None = None,
                           matrix: list[list[int]] | None = None
                           ) -> tuple[int, ...]:
-    """The multiplicity vector, cross-checked between methods for small
-    k.  Up to AGREEMENT_BOUND every available route is computed and
-    compared; beyond it only the recurrence runs.  Requires the table rows to be
-    in the published order when a closed-form family is given.
-    """
-    if k > AGREEMENT_BOUND:
-        return multiplicities_recurrence(chi, table, k, matrix=matrix)
-    direct = multiplicities_direct(chi, table, k)
-    rec = multiplicities_recurrence(chi, table, k, matrix=matrix)
-    if direct != rec:
-        raise InconsistencyError(
-            f"direct and recurrence multiplicities disagree at k={k}: "
-            f"{direct} vs {rec}")
-    if family is not None:
-        closed = closed_form_multiplicities(family, k)
-        if closed != direct:
-            raise InconsistencyError(
-                f"closed-form multiplicities disagree at k={k}: "
-                f"{closed} vs {direct}")
-    return direct
+    """The direct route's multiplicity vector, cross-checked for every k
+    against the recurrence on matrix (built from chi by default) and the
+    published formulas of family (the table rows then in the published
+    order).  The proof runs once per chi, matrix content and family."""
+    if k < 1:
+        raise InputError("tensor power k must be at least 1")
+    proof = (family, None if matrix is None else tuple(map(tuple, matrix)))
+    if _proven.get(chi) != proof:
+        a = transition_matrix(chi, table) if matrix is None else matrix
+        for j in range(1, len(chi.levels()) + 2):
+            direct = multiplicities_direct(chi, table, j)
+            rec = multiplicities_recurrence(chi, table, j, matrix=a)
+            if direct != rec:
+                raise InconsistencyError(
+                    f"direct and recurrence multiplicities disagree at k={j}: "
+                    f"{direct} vs {rec}")
+        if family is not None:
+            check_closed_forms(chi, family)
+        _proven[chi] = proof
+    return multiplicities_direct(chi, table, k)
 
 
 class SemisimpleStructure:
@@ -173,29 +176,21 @@ class SemisimpleStructure:
     distinct positive multiplicity m, largest blocks first."""
 
     def __init__(self, multiplicities):
-        counts = {}
-        for m in multiplicities:
-            if m < 0:
-                raise InputError("multiplicities must be nonnegative")
-            if m:
-                counts[m] = counts.get(m, 0) + 1
-        self.blocks = sorted(counts.items(), reverse=True)
+        if any(m < 0 for m in multiplicities):
+            raise InputError("multiplicities must be nonnegative")
+        self.blocks = sorted(Counter(m for m in multiplicities if m).items(),
+                             reverse=True)
         self.dimension = sum(n * m * m for m, n in self.blocks)
 
+    def _terms(self, block: str) -> list[str]:
+        return [("" if n == 1 else str(n)) + f"{block}{m}"
+                for m, n in self.blocks]
+
     def display(self) -> str:
-        if not self.blocks:
-            return "0"
-        parts = []
-        for m, n in self.blocks:
-            prefix = "" if n == 1 else str(n)
-            parts.append(f"{prefix}M_{m}")
-        return " ⊕ ".join(parts)
+        return " ⊕ ".join(self._terms("M_")) or "0"
 
     def compact(self) -> str:
-        if not self.blocks:
-            return "0"
-        return "+".join(("" if n == 1 else str(n)) + f"M{m}"
-                        for m, n in self.blocks)
+        return "+".join(self._terms("M")) or "0"
 
     def to_dict(self) -> dict:
         return {"blocks": [{"size": m, "count": n} for m, n in self.blocks],
@@ -204,20 +199,9 @@ class SemisimpleStructure:
 
 
 def dimension_closed_form(family: str, k: int) -> int:
-    """Published dimension formulas for the two embedded groups."""
-    if k < 1:
-        raise InputError("tensor power k must be at least 1")
-    if family == "g1344-deg8":
-        v = (Fraction(2) ** (6 * k) / 1344 + Fraction(2) ** (4 * k) / 32
-             + Fraction(7, 24) * Fraction(2) ** (2 * k) + Fraction(2, 7))
-    elif family == "g1344-deg14":
-        v = Fraction(2) ** (2 * k) * (
-            Fraction(7) ** (2 * k) / 1344
-            + Fraction(7, 192) * Fraction(3) ** (2 * k) + Fraction(37, 96))
-    else:
-        raise InputError(f"no closed dimension form for {family!r}; "
-                         f"known families: {', '.join(CLOSED_FORM_FAMILIES)}")
-    return _as_count(v, "closed dimension form")
+    """The published dimension formula of family: the dimension is
+    <chi^(2k), 1>, the trivial row, published first, at 2k."""
+    return _evaluate(family, 2 * k, slice(1))[0]
 
 
 def dims_row(class_set: ClassSet, d: tuple[int, ...], k: int,

@@ -196,7 +196,7 @@ def test_decompose_json_reports_method():
     code, out = run("decompose", "--builtin", "g1344-deg8", "--k", "13",
                     "--format", "json")
     assert code == 0
-    assert json.loads(out)["results"]["method"] == "recurrence"
+    assert json.loads(out)["results"]["method"] == "cross-checked"
 
 
 def test_decompose_closed_form_needs_builtin(tmp_path):
@@ -225,6 +225,50 @@ def test_dims_csv_exact_row():
     code, out = run("dims", "--builtin", "g1344-deg8", "--from", "1",
                     "--to", "6", "--format", "csv")
     assert (code, out) == (0, "2,16,342,14606,831982,51656046\n")
+
+
+def test_dims_rows_past_twelve_carry_every_route(tmp_path):
+    code, out = run("dims", "--builtin", "g1344-deg8", "--from", "12",
+                    "--to", "14", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]["dims"]
+    assert [r["k"] for r in rows] == [12, 13, 14]
+    for r in rows:
+        assert r["dimension"] == r["sum_of_squares"] == \
+            r["fixed_point_formula"] == r["closed_form"]
+    spec = tmp_path / "c5.json"
+    spec.write_text(json.dumps({"name": "c5", "degree": 5,
+                                "generators": ["(1,2,3,4,5)"]}))
+    code, out = run("dims", "--group", str(spec), "--from", "13", "--to",
+                    "13", "--format", "json")
+    assert code == 0
+    row, = json.loads(out)["results"]["dims"]
+    assert row == {"k": 13, "dimension": 5 ** 25, "sum_of_squares": 5 ** 25,
+                   "fixed_point_formula": 5 ** 25}
+
+
+def test_decompose_at_large_k_is_cross_checked_and_fast():
+    start = time.perf_counter()
+    code, out = run("decompose", "--builtin", "g1344-deg14", "--k", "3000",
+                    "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["results"]["method"] == "cross-checked"
+    assert elapsed < 1.0, f"k=3000 took {elapsed:.2f}s"
+
+
+def test_dims_refuses_a_dimension_too_long_to_print_before_computing(capsys):
+    """The dimension counts orbits on 2k-tuples, so --to 3000 is refused
+    from bit lengths, though the orbits on 3000-tuples would print."""
+    start = time.perf_counter()
+    code, out = run("dims", "--builtin", "g1344-deg8", "--from", "1",
+                    "--to", "3000")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: the result has more than 4300 decimal digits, the limit for "
+        "printing an integer\n")
+    assert elapsed < 0.5, f"refusal took {elapsed:.2f}s"
 
 
 def test_dims_range_validation():

@@ -7,8 +7,11 @@ The tests also cross-check dimensions against fixed-point counting,
 which is the same sum that counts orbits on 2k-tuples.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from ctrz import datasets, tensor
 from ctrz.errors import InconsistencyError, InputError
 from ctrz.exact import Cyclotomic
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles, orbit_count_tuples
@@ -280,3 +283,127 @@ def test_direct_route_requires_a_verified_table():
     tab.verified = False
     with pytest.raises(InputError, match="unverified"):
         multiplicities_direct(chi, tab, 2)
+
+
+def _published_by_hand(family, k):
+    """The published multiplicity formulas as printed, letters a..l in
+    the published row order: the oracle for the coefficient data."""
+    if family == "g1344-deg8":
+        p8, p4, p2 = Fraction(8) ** k, Fraction(4) ** k, Fraction(2) ** k
+        a = p8 / 1344 + p4 / 32 + Fraction(7, 24) * p2 + Fraction(2, 7)
+        b = p8 / 448 - p4 / 32 + p2 / 8 - Fraction(1, 7)
+        d = p8 / 224 + p4 / 16 - Fraction(2, 7)
+        e = p8 / 192 - p4 / 32 + p2 / 24
+        f = p8 / 168 - p2 / 6 + Fraction(2, 7)
+        h = p8 / 192 + Fraction(3, 32) * p4 + Fraction(7, 24) * p2
+        i = p8 / 96 + p4 / 16 - p2 / 6
+        j = p8 / 64 - Fraction(3, 32) * p4 + p2 / 8
+        el = p8 / 64 + p4 / 32 - p2 / 8
+        return (a, b, b, d, e, f, e, h, i, j, el)
+    t, s7, s3 = Fraction(2) ** k, Fraction(7) ** k, Fraction(3) ** k
+    return tuple(t * x for x in (
+        s7 / 1344 + Fraction(7, 192) * s3 + Fraction(37, 96),
+        s7 / 448 - s3 / 64 + Fraction(1, 32),
+        s7 / 448 - s3 / 64 + Fraction(1, 32),
+        s7 / 224 + Fraction(3, 32) * s3 + Fraction(3, 16),
+        s7 / 192 + s3 / 192 - Fraction(5, 96),
+        s7 / 168 + s3 / 24 - Fraction(1, 6),
+        s7 / 192 + Fraction(17, 192) * s3 + Fraction(19, 96),
+        s7 / 192 - Fraction(7, 192) * s3 + Fraction(7, 96),
+        s7 / 96 + Fraction(5, 96) * s3 - Fraction(11, 48),
+        s7 / 64 + s3 / 64 - Fraction(5, 32),
+        s7 / 64 - Fraction(7, 64) * s3 + Fraction(7, 32)))
+
+
+def _dimension_by_hand(family, k):
+    if family == "g1344-deg8":
+        return (Fraction(2) ** (6 * k) / 1344 + Fraction(2) ** (4 * k) / 32
+                + Fraction(7, 24) * Fraction(2) ** (2 * k) + Fraction(2, 7))
+    return Fraction(2) ** (2 * k) * (
+        Fraction(7) ** (2 * k) / 1344
+        + Fraction(7, 192) * Fraction(3) ** (2 * k) + Fraction(37, 96))
+
+
+@pytest.mark.parametrize("family", ["g1344-deg8", "g1344-deg14"])
+def test_closed_form_data_equals_the_printed_formulas(family):
+    for k in range(1, 61):
+        assert closed_form_multiplicities(family, k) == \
+            _published_by_hand(family, k)
+        assert dimension_closed_form(family, k) == _dimension_by_hand(family, k)
+
+
+def _fresh(a):
+    """The permutation character of a as a new object: no kept levels
+    and no proof on record."""
+    return ClassFunction(a.table, a.permchar.values)
+
+
+def test_a_corrupted_published_coefficient_is_caught(g8, monkeypatch):
+    bases, rows = datasets.CLOSED_FORMS["g1344-deg8"]
+    corrupted = [list(row) for row in rows]
+    corrupted[7][1] += Fraction(1, 32)
+    monkeypatch.setitem(datasets.CLOSED_FORMS, "g1344-deg8",
+                        (bases, tuple(map(tuple, corrupted))))
+    with pytest.raises(InconsistencyError, match=(
+            r"closed form for chi8 disagrees at base 4: "
+            r"published 1/8, derived 3/32")):
+        agreed_multiplicities(_fresh(g8), g8.table, 30, family=g8.family,
+                              matrix=g8.transition)
+
+
+def test_every_corrupted_entry_of_the_transition_matrix_is_caught(g8, g14):
+    for a in (g8, g14):
+        for i, row in enumerate(a.transition):
+            for j in range(len(row)):
+                bad = [list(r) for r in a.transition]
+                bad[i][j] += 1
+                with pytest.raises(InconsistencyError,
+                                   match="direct and recurrence"):
+                    agreed_multiplicities(a.permchar, a.table, 30,
+                                          family=a.family, matrix=bad)
+
+
+def test_a_corrupted_level_coefficient_is_caught(g8, g14):
+    for a in (g8, g14):
+        chi = _fresh(a)
+        f, coefficients = chi.levels()[0]  # the degree, never 0
+        chi.levels()[0] = (f, coefficients[:1] + (coefficients[1] + 1,)
+                           + coefficients[2:])
+        with pytest.raises(InconsistencyError):
+            agreed_multiplicities(chi, a.table, 30, matrix=a.transition)
+
+
+def test_the_proof_runs_once_per_character_matrix_and_family(g8, monkeypatch):
+    calls = []
+    real = tensor.multiplicities_recurrence
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "multiplicities_recurrence", counted)
+    chi = _fresh(g8)
+    s = len(chi.levels())
+    for k in (1, 40, 3000):
+        copy = [list(row) for row in g8.transition]  # equal content
+        agreed_multiplicities(chi, g8.table, k, family=g8.family, matrix=copy)
+    assert calls == list(range(1, s + 2))
+    agreed_multiplicities(chi, g8.table, 5, matrix=g8.transition)
+    assert len(calls) == 2 * (s + 1)  # another family proves again
+
+
+@pytest.mark.parametrize("generators, degree", [
+    (["(1,2)", "(1,2,3)"], 3),
+    (["(1,2,3)", "(2,3,4)"], 4),
+    (["(1,2,3,4)", "(1,3)"], 4),
+    (["(1,2,3,4)", "(1,2)"], 4),
+    (["(1,2,3,4,5)"], 5),
+    (["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 7),
+], ids=["s3", "a4", "d4", "s4", "c5", "psl(2,7)"])
+def test_agreed_multiplicities_equal_the_recurrence_on_small_groups(
+        generators, degree):
+    chi, tab = _small_group_character(generators, degree)
+    mat = transition_matrix(chi, tab)
+    for k in range(1, 41):
+        assert agreed_multiplicities(chi, tab, k, matrix=mat) == \
+            multiplicities_recurrence(chi, tab, k, matrix=mat)
