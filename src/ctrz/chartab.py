@@ -270,6 +270,7 @@ class ClassFunction:
         if len(self.values) != table.size:
             raise InputError("one value per class required")
         self._levels = None
+        self._level_lines = None
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if other.table is not self.table:
@@ -301,6 +302,18 @@ class ClassFunction:
                     t, [int(c in members) for c in range(t.size)])))
                 for f, members in groups]
         return self._levels
+
+    def level_lines(self) -> tuple[int, list]:
+        """(e, lines): e the least multiple of the working conductor that
+        holds every value of this function, and for every row chi_i the
+        line at e of its a_(i,f), f in the order of levels(), so that
+        <self^k, chi_i> is one int sum of the line of the f^k against
+        lines[i].  Computed on first use and kept."""
+        if self._level_lines is None:
+            e = lcm(self.table.working_conductor, *(v.conductor for v in self.values))
+            columns = zip(*(a for _, a in self.levels()))
+            self._level_lines = (e, [_line([x.lift(e) for x in a]) for a in columns])
+        return self._level_lines
 
 
 def permutation_character(group: FiniteGroup, class_set: ClassSet,
@@ -758,6 +771,20 @@ def decode_value(obj, conductor: int) -> Cyclotomic:
     raise InputError(f"unrecognized exact value encoding: {obj!r}")
 
 
+def decode_rows(rows, conductor: int) -> list[list[Cyclotomic]]:
+    """decode_value over rows of cell encodings, in row-major order, each
+    distinct encoding (by its canonical JSON) decoded once."""
+    decoded = {}
+
+    def cell(obj):
+        key = json.dumps(obj, sort_keys=True)
+        if key not in decoded:
+            decoded[key] = decode_value(obj, conductor)
+        return decoded[key]
+
+    return [[cell(obj) for obj in row] for row in rows]
+
+
 def table_to_dict(table: CharacterTable) -> dict:
     classes = []
     for c in table.classes:
@@ -798,8 +825,8 @@ def table_from_dict(data: dict) -> CharacterTable:
             if c.order < 1:
                 raise ValueError(f"class {c.label} needs a positive element order")
         characters = [str(ch["label"]) for ch in data["characters"]]
-        values = [[decode_value(v, conductor) for v in ch["values"]]
-                  for ch in data["characters"]]
+        values = decode_rows((ch["values"] for ch in data["characters"]),
+                             conductor)
         return CharacterTable(
             name=str(data.get("name", "external")),
             group_order=json_int(data["group_order"], "group_order"),

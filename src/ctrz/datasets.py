@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
-from .chartab import CharacterTable, ClassInfo, decode_value, json_int
+from .chartab import CharacterTable, ClassInfo, decode_rows, json_int
 from .errors import InputError
 from .perm import check_degree, parse_cycles
 
@@ -236,8 +237,10 @@ def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
+@lru_cache(maxsize=None)
 def transcription_table(side: str) -> CharacterTable:
-    """The published table as a CharacterTable, unverified.
+    """The published table as a CharacterTable, unverified, built once
+    per side and process: callers share it and must not change it.
 
     side selects whose class metadata (labels, representatives, printed
     sizes) decorates the columns; the value matrix is shared.  Class
@@ -261,8 +264,7 @@ def transcription_table(side: str) -> CharacterTable:
             representative=rep,
             printed_size=col[f"{key}_printed_size"]))
     characters = [label for label, _ in TABLE_ROWS]
-    values = [[decode_value(v, TABLE_CONDUCTOR) for v in row]
-              for _, row in TABLE_ROWS]
+    values = decode_rows((row for _, row in TABLE_ROWS), TABLE_CONDUCTOR)
     return CharacterTable(
         name=TABLE_DATASET_NAME, group_order=order,
         conductor=TABLE_CONDUCTOR, classes=classes, characters=characters,

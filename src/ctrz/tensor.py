@@ -9,7 +9,9 @@ independent routes to d(k) are implemented:
 
   direct      <chi^k, chi_i> regrouped on the values f of chi:
               m_i(k) = sum over f of f^k * a_(i,f), the inner products
-              a_(i,f) = <1_(chi=f), chi_i> kept on chi after first use,
+              a_(i,f) = <1_(chi=f), chi_i> kept on chi after first use
+              as one line per row, each m_i(k) one int sum of the
+              inner-product kernel against the line of the f^k,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix, A_ij = <chi_i * chi, chi_j>, each row
               r int sums against the table's kept row lines,
@@ -40,8 +42,10 @@ from itertools import zip_longest
 
 from . import datasets
 from .chartab import (CharacterTable, ClassFunction, DecompositionError,
-                      as_multiplicity, decompose, require_verified)
+                      _line, _weighted_sum, as_multiplicity, decompose,
+                      require_verified)
 from .errors import InconsistencyError, InputError
+from .exact import _from_ints
 from .perm import ClassSet, orbit_count_tuples
 
 AGREEMENT_BOUND = 12  # unused here; perfbench/workloads.py reads it
@@ -68,14 +72,17 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
                           k: int) -> tuple[int, ...]:
     """Decompose the pointwise k-th power of chi, its inner product with
     each row regrouped on chi's values: m_i(k) = sum over the values f of
-    chi of f^k * a_(i,f), with the a_(i,f) of chi.levels()."""
+    chi of f^k * a_(i,f), one int sum of the line of the f^k against the
+    row's line of a_(i,f) from chi.level_lines()."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
-    powers = [(f ** k, a) for f, a in chi.levels()]
-    return tuple(as_multiplicity(sum(fk * a[i] for fk, a in powers),
-                                 table.characters[i])
-                 for i in range(table.size))
+    e, lines = chi.level_lines()
+    powers = _line([(f ** k).lift(e) for f, _ in chi.levels()])
+    ones = [1] * len(powers[1])
+    return tuple(as_multiplicity(_from_ints(e, *_weighted_sum(e, powers, a, ones)),
+                                 label)
+                 for a, label in zip(lines, table.characters))
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctrz import chartab
 from ctrz.errors import InputError
 from ctrz.exact import Cyclotomic, sqrt_embedding
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
@@ -336,6 +337,28 @@ def test_table_dict_keeps_printed_sizes():
     back = table_from_dict(data)
     assert any(c.printed_size is not None and c.printed_size != c.size
                for c in back.classes)
+
+
+def test_each_distinct_cell_encoding_is_decoded_once(g14, monkeypatch):
+    """Reading a table decodes each distinct encoding once, all its cells
+    sharing the value, which equals a decode of each cell on its own."""
+    data = table_to_dict(g14.canonical_table)
+    cells = [v for ch in data["characters"] for v in ch["values"]]
+    seen = []
+    real = chartab.decode_value
+
+    def counted(obj, conductor):
+        seen.append(json.dumps(obj, sort_keys=True))
+        return real(obj, conductor)
+
+    monkeypatch.setattr(chartab, "decode_value", counted)
+    back = table_from_dict(data)
+    assert sorted(seen) == sorted({json.dumps(v, sort_keys=True) for v in cells})
+    assert len(seen) < len(cells)
+    assert [[(v.conductor, v.num, v.den) for v in row] for row in back.values] == \
+        [[(w.conductor, w.num, w.den) for w in (real(v, data["conductor"])
+                                               for v in ch["values"])]
+         for ch in data["characters"]]
 
 
 def test_load_table_from_file(tmp_path, g8):

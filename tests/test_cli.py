@@ -627,6 +627,23 @@ def test_huge_quadratic_d_outside_the_conductor_is_refused_at_once(
         f"error: sqrt({D}) does not lie in conductor 7\n")
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_the_first_of_two_malformed_cells_is_reported(tmp_path, capsys, swap):
+    """Cells are read in row-major order, each distinct encoding once;
+    of two different malformed cells the first is reported, exit 2."""
+    path, table = _computed_table_file(tmp_path, "c7", 7, ["(1,2,3,4,5,6,7)"])
+    bad = [{"D": "x", "a": "0", "b": "1"}, "1/x"]
+    if swap:
+        bad.reverse()
+    table["characters"][1]["values"][2] = bad[0]
+    table["characters"][2]["values"][1] = bad[1]
+    Path(path).write_text(json.dumps(table))
+    first = ("not an exact rational string: '1/x'" if swap else
+             "bad quadratic value encoding: {'D': 'x', 'a': '0', 'b': '1'}")
+    assert run("chartable", "check", path) == (2, "")
+    assert capsys.readouterr().err == f"error: {first}\n"
+
+
 def test_rational_with_too_many_digits_is_a_capacity_limit(tmp_path, capsys):
     """A cell 1/777...7 of 4000 digits is refused when read, with a
     message naming the limit, not one calling the input malformed, and

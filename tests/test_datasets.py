@@ -6,10 +6,13 @@ inconsistencies; these tests pin down its shape, not its correctness,
 which is the job of validate and match_columns.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 
+from ctrz import cli
 from ctrz.errors import InputError
 from ctrz.perm import FiniteGroup, parse_cycles
 from ctrz.datasets import (BUILTIN_GROUP_NAMES, TABLE_DATASET_NAME,
@@ -52,6 +55,32 @@ def test_transcription_table_sides_share_values():
     assert tg.conductor == th.conductor == 84
     assert not tg.verified and not th.verified
     assert tg.name == th.name == TABLE_DATASET_NAME
+
+
+def test_transcription_table_is_built_once_per_side():
+    for side in BUILTIN_GROUP_NAMES:
+        assert transcription_table(side) is transcription_table(side)
+    assert transcription_table("g1344-deg8") is not transcription_table("g1344-deg14")
+
+
+def _stored(table):
+    return (table.name, table.group_order, table.conductor, table.verified,
+            table.classes, table.characters,
+            [[(v.conductor, v.num, v.den) for v in row] for row in table.values])
+
+
+def test_the_commands_leave_the_shared_transcription_unchanged():
+    """check and both matches against paper-table share the cached table;
+    afterwards it still equals a fresh build in every cell, class field
+    and label."""
+    for argv in (["chartable", "check", "paper-table"],
+                 ["chartable", "match", "g1344-deg8", "paper-table"],
+                 ["chartable", "match", "g1344-deg14", "paper-table"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 1
+    for side in BUILTIN_GROUP_NAMES:
+        assert _stored(transcription_table(side)) == \
+            _stored(transcription_table.__wrapped__(side))
 
 
 def test_transcription_side_aliases():
