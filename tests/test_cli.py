@@ -167,6 +167,79 @@ def test_chartable_match_allow_unverified_override():
     assert json.loads(out)["results"]["findings"]
 
 
+@pytest.mark.parametrize("builtin, column", [("g1344-deg8", "C3"),
+                                             ("g1344-deg14", "C4")])
+def test_transcription_takes_the_builtin_side_in_either_slot(builtin, column):
+    """In the computed slot as in the external one, paper-table is read
+    on the side of the builtin it meets: full constraints, and the two
+    printed cells that fail orthogonality."""
+    for operands in ([builtin, "paper-table"],
+                     ["paper-table", builtin, "--allow-unverified"]):
+        code, out = run("chartable", "match", *operands, "--format", "json")
+        results = json.loads(out)["results"]
+        assert code == 1
+        assert results["matching"]["constraint_level"] == "full"
+        cells = [(f["row"], f["column"].rstrip("'"))
+                 for f in results["findings"] if f["kind"] == "cell"]
+        assert cells == [("chi2", column), ("chi3", column)]
+
+
+def _s3_file(tmp_path) -> str:
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"name": "s3", "degree": 3,
+                                "generators": ["(1,2,3)", "(1,2)"]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("builtin", ["g1344-deg8", "paper-table"])
+def test_compute_refuses_builtin_and_group_together(tmp_path, capsys,
+                                                   builtin):
+    assert run("chartable", "compute", "--builtin", builtin,
+               "--group", _s3_file(tmp_path)) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: choose either --builtin or --group, not both\n")
+
+
+_ENVELOPE_CASES = [
+    (["order", "--builtin", "g1344-deg8"], 0),
+    (["classes", "--group", "S3"], 0),
+    (["permchar", "--builtin", "g1344-deg14"], 0),
+    (["chartable", "compute", "--builtin", "paper-table"], 0),
+    (["chartable", "compute", "--group", "S3"], 0),
+    (["chartable", "check", "paper-table"], 1),
+    (["chartable", "check", "g1344-deg8"], 0),
+    (["chartable", "match", "g1344-deg8", "paper-table"], 1),
+    (["chartable", "match", "g1344-deg14", "g1344-deg8"], 0),
+    (["decompose", "--group", "S3", "--k", "3"], 0),
+    (["structure", "--builtin", "g1344-deg8", "--k", "2"], 0),
+    (["dims", "--builtin", "g1344-deg14", "--from", "1", "--to", "3"], 0),
+    (["orbits", "--group", "S3", "--t", "3", "--method", "direct"], 0),
+]
+
+
+def test_envelope_cases_cover_every_subcommand():
+    commands = {" ".join(argv[:2] if argv[0] == "chartable" else argv[:1])
+                for argv, _ in _ENVELOPE_CASES}
+    assert commands == set(_options(build_parser())) - {"chartable"}
+
+
+@pytest.mark.parametrize("argv, expected", _ENVELOPE_CASES,
+                         ids=[" ".join(a) for a, _ in _ENVELOPE_CASES])
+def test_every_subcommand_reports_one_json_envelope(tmp_path, argv,
+                                                    expected):
+    """Four keys; command is the words typed; status is findings exactly
+    when the exit code is 1."""
+    argv = [_s3_file(tmp_path) if x == "S3" else x for x in argv]
+    code, out = run(*argv, "--format", "json")
+    report = json.loads(out)
+    assert code == expected
+    assert sorted(report) == ["command", "dataset", "results", "status"]
+    words = argv[:2] if argv[0] == "chartable" else argv[:1]
+    assert report["command"] == " ".join(words)
+    assert (report["status"] == "findings") == (code == 1)
+    assert report["status"] in ("ok", "findings")
+
+
 def test_decompose_known_vector():
     code, out = run("decompose", "--builtin", "g1344-deg8", "--k", "2",
                     "--format", "csv")
@@ -843,33 +916,59 @@ def test_csv_cells_holding_commas_are_quoted(tmp_path):
 
 
 def _options(parser, prefix=()):
-    """Option strings of every (sub)command, keyed by its name path."""
+    """The arguments of every (sub)command, keyed by its name path, in
+    parser order: each one's option strings (a positional's name) with its
+    dest, choices, default, required and type."""
     out = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 out.update(_options(sub, prefix + (name,)))
     if prefix:
-        out[" ".join(prefix)] = sorted(
-            s for a in parser._actions for s in a.option_strings)
+        out[" ".join(prefix)] = [
+            ("/".join(a.option_strings) or a.dest,
+             (a.dest, a.choices, a.default, a.required, a.type))
+            for a in parser._actions
+            if not isinstance(a, argparse._SubParsersAction)]
     return out
 
 
 def test_every_subcommand_takes_exactly_its_pinned_options():
-    """Adding or dropping a flag is a conscious edit of this table;
-    --allow-unverified is on match, the one command that reads it."""
-    group = ["--builtin", "--group"]
-    common = ["--format", "--help", "-h"]
+    """Adding or dropping a flag, or changing what one accepts, is a
+    conscious edit of this table; --allow-unverified is on match, the one
+    command that reads it."""
+    helps = [("-h/--help", ("help", None, argparse.SUPPRESS, False, None))]
+    builtins = ["g1344-deg8", "g1344-deg14"]
+    group = [("--builtin", ("builtin", builtins, None, False, None)),
+             ("--group", ("group", None, None, False, None))]
+    fmt = [("--format", ("fmt", ["table", "json", "csv"], "table", False,
+                         None))]
+    k = [("--k", ("k", None, None, True, int))]
+    table = (None, None, True, None)
     assert _options(build_parser()) == {
-        "order": sorted(group + common),
-        "classes": sorted(group + common),
-        "permchar": sorted(group + common),
-        "chartable": ["--help", "-h"],
-        "chartable compute": sorted(group + common),
-        "chartable check": sorted(common),
-        "chartable match": sorted(["--allow-unverified"] + common),
-        "decompose": sorted(group + ["--k", "--method"] + common),
-        "structure": sorted(group + ["--k"] + common),
-        "dims": sorted(group + ["--from", "--to"] + common),
-        "orbits": sorted(group + ["--t", "--method"] + common),
+        "order": helps + group + fmt,
+        "classes": helps + group + fmt,
+        "permchar": helps + group + fmt,
+        "chartable": helps,
+        "chartable compute": helps + [
+            ("--builtin", ("builtin", builtins + ["paper-table"], None,
+                           False, None)),
+            ("--group", ("group", None, None, False, None))] + fmt,
+        "chartable check": helps + [("source", ("source",) + table)] + fmt,
+        "chartable match": helps + [
+            ("computed", ("computed",) + table),
+            ("external", ("external",) + table),
+            ("--allow-unverified", ("allow_unverified", None, False, False,
+                                    None))] + fmt,
+        "decompose": helps + group + k + [
+            ("--method", ("method", ["direct", "recurrence", "closed-form"],
+                          None, False, None))] + fmt,
+        "structure": helps + group + k + fmt,
+        "dims": helps + group + [
+            ("--from", ("k_from", None, None, True, int)),
+            ("--to", ("k_to", None, None, True, int))] + fmt,
+        "orbits": helps + group + [
+            ("--t", ("t", None, None, True, int)),
+            ("--method", ("method", ["burnside", "direct"], "burnside",
+                          False, None))] + fmt,
     }
