@@ -303,16 +303,21 @@ class ClassFunction:
                 for f, members in groups]
         return self._levels
 
-    def level_lines(self) -> tuple[int, list]:
-        """(e, lines): e the least multiple of the working conductor that
-        holds every value of this function, and for every row chi_i the
-        line at e of its a_(i,f), f in the order of levels(), so that
-        <self^k, chi_i> is one int sum of the line of the f^k against
-        lines[i].  Computed on first use and kept."""
+    def level_lines(self) -> tuple[int, list, list]:
+        """(e, bases, lines): e the least conductor that holds every value
+        f of levels() and every a_(i,f), bases those f at their least
+        conductors, and for every row chi_i the line at e of its a_(i,f),
+        so that <self^k, chi_i> is one int sum of the line of the f^k
+        against lines[i].  For a rational function, every permutation
+        character among them, e is 1: its level sets and the class sizes
+        are closed under the Galois action on classes, so each a_(i,f)
+        is rational too.  Computed on first use and kept."""
         if self._level_lines is None:
-            e = lcm(self.table.working_conductor, *(v.conductor for v in self.values))
-            columns = zip(*(a for _, a in self.levels()))
-            self._level_lines = (e, [_line([x.lift(e) for x in a]) for a in columns])
+            levels = [(f.reduced(), [x.reduced() for x in a]) for f, a in self.levels()]
+            e = lcm(*(v.conductor for f, a in levels for v in (f, *a)))
+            columns = zip(*(a for _, a in levels))
+            self._level_lines = (e, [f for f, _ in levels],
+                                 [_line([x.lift(e) for x in a]) for a in columns])
         return self._level_lines
 
 
@@ -370,10 +375,9 @@ def as_multiplicity(value: Cyclotomic, label: str) -> int:
     integer; anything else raises DecompositionError."""
     if not value.is_rational():
         raise DecompositionError(f"multiplicity of {label} is irrational")
-    q = value.as_rational()
-    if q.denominator != 1 or q < 0:
-        raise DecompositionError(f"multiplicity of {label} is {q}")
-    return q.numerator
+    if value.den != 1 or value.num[0] < 0:
+        raise DecompositionError(f"multiplicity of {label} is {value.as_rational()}")
+    return value.num[0]
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
@@ -773,11 +777,12 @@ def decode_value(obj, conductor: int) -> Cyclotomic:
 
 def decode_rows(rows, conductor: int) -> list[list[Cyclotomic]]:
     """decode_value over rows of cell encodings, in row-major order, each
-    distinct encoding (by its canonical JSON) decoded once."""
+    distinct encoding decoded once: a string cell keyed on itself, any
+    other on a 1-tuple of its canonical JSON, which no string equals."""
     decoded = {}
 
     def cell(obj):
-        key = json.dumps(obj, sort_keys=True)
+        key = obj if isinstance(obj, str) else (json.dumps(obj, sort_keys=True),)
         if key not in decoded:
             decoded[key] = decode_value(obj, conductor)
         return decoded[key]

@@ -6,9 +6,10 @@ polynomial, stored as FLINT's fmpq_poly stores a rational polynomial:
 one tuple of int numerators over one positive int denominator, with
 their gcd divided out once per operation.  Sums, products (an int
 convolution reduced by cached int rows of x^k mod Phi_e, or a scaling
-when a factor is rational or at conductor 1), lifts and conjugates stay
-in ints; the Fraction coefficients are built only when read.  No
-floating point anywhere; float inputs are rejected.
+when a factor is rational or at conductor 1), powers (p^n over q^n in
+one step for a rational p/q), lifts and conjugates stay in ints; the
+Fraction coefficients are built only when read.  No floating point
+anywhere; float inputs are rejected.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
@@ -292,6 +293,9 @@ class Cyclotomic:
             raise InputError("exponent must be an integer")
         if n < 0:
             raise InputError("exponent must be nonnegative")
+        if self.is_rational():  # p^n / q^n, canonical as p / q is
+            return _from_ints(self.conductor, (self.num[0] ** n,) + self.num[1:],
+                              self.den ** n)
         result = Cyclotomic.from_rational(1, self.conductor)
         base = self
         while n:

@@ -10,8 +10,10 @@ independent routes to d(k) are implemented:
   direct      <chi^k, chi_i> regrouped on the values f of chi:
               m_i(k) = sum over f of f^k * a_(i,f), the inner products
               a_(i,f) = <1_(chi=f), chi_i> kept on chi after first use
-              as one line per row, each m_i(k) one int sum of the
-              inner-product kernel against the line of the f^k,
+              as one line per row at the least conductor holding
+              every f and a_(i,f) (1 for a rational chi), each m_i(k)
+              one int sum of the inner-product kernel against the
+              line of the f^k,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix, A_ij = <chi_i * chi, chi_j>, each row
               r int sums against the table's kept row lines,
@@ -73,12 +75,13 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
     """Decompose the pointwise k-th power of chi, its inner product with
     each row regrouped on chi's values: m_i(k) = sum over the values f of
     chi of f^k * a_(i,f), one int sum of the line of the f^k against the
-    row's line of a_(i,f) from chi.level_lines()."""
+    row's line of a_(i,f) from chi.level_lines(): s int products with no
+    reduction mod Phi for a rational chi, whose lines are at conductor 1."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
-    e, lines = chi.level_lines()
-    powers = _line([(f ** k).lift(e) for f, _ in chi.levels()])
+    e, bases, lines = chi.level_lines()
+    powers = _line([(f ** k).lift(e) for f in bases])
     ones = [1] * len(powers[1])
     return tuple(as_multiplicity(_from_ints(e, *_weighted_sum(e, powers, a, ones)),
                                  label)

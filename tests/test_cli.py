@@ -717,6 +717,26 @@ def test_the_first_of_two_malformed_cells_is_reported(tmp_path, capsys, swap):
     assert capsys.readouterr().err == f"error: {first}\n"
 
 
+def test_a_string_cell_never_shares_a_decode_with_another_cell(tmp_path, capsys):
+    """The cell decode memo keys a string cell on the string: the int 1
+    after the string "1", and a string holding the JSON text of a
+    quadratic cell after that cell, are each decoded, and refused."""
+    path, table = _computed_table_file(tmp_path, "psl27", 7,
+                                       ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"])
+    rows = [ch["values"] for ch in table["characters"]]
+    rows[0][-1] = 1
+    Path(path).write_text(json.dumps(table))
+    assert run("chartable", "check", path) == (2, "")
+    assert capsys.readouterr().err == "error: unrecognized exact value encoding: 1\n"
+    rows[0][-1] = "1"
+    quadratic = next(v for row in rows for v in row if isinstance(v, dict))
+    text = json.dumps(quadratic, sort_keys=True)
+    rows[-1][-1] = text
+    Path(path).write_text(json.dumps(table))
+    assert run("chartable", "check", path) == (2, "")
+    assert capsys.readouterr().err == f"error: not an exact rational string: {text!r}\n"
+
+
 def test_rational_with_too_many_digits_is_a_capacity_limit(tmp_path, capsys):
     """A cell 1/777...7 of 4000 digits is refused when read, with a
     message naming the limit, not one calling the input malformed, and

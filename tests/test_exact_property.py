@@ -138,3 +138,22 @@ def test_a_factor_at_conductor_1_scales_the_other(case):
     both = s * Cyclotomic.from_rational(Fraction(coeffs[0]), 1)
     assert both.conductor == 1 and normalized(both)
     assert both.coeffs == (q * coeffs[0],)
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None, database=None)
+@given(scalings())
+def test_powers_are_repeated_products(case):
+    """v ** n, for n = 0..12, is n repeated products at v's conductor
+    with (num, den) canonical: for a value at e, for the rational q
+    stored at e (one step, p^n over q^n) and for q at conductor 1."""
+    e, coeffs, q = case
+    for v in (Cyclotomic(e, coeffs), Cyclotomic.from_rational(q, e),
+              Cyclotomic.from_rational(q, 1)):
+        product = Cyclotomic.from_rational(1, v.conductor)
+        for n in range(13):
+            got = v ** n
+            assert got.conductor == v.conductor
+            assert (got.num, got.den) == (product.num, product.den)
+            assert normalized(got)
+            product = product * v

@@ -267,6 +267,8 @@ def test_direct_route_on_an_irrational_character():
 
 
 def test_direct_route_rejects_a_non_character_as_decompose_does():
+    """Both routes raise the same text; at k = 1 a fractional, a negative
+    and an irrational multiplicity are pinned."""
     chi, tab = _psl27()
     for values in ([1] + [0] * (tab.size - 1), [-v for v in chi.values]):
         f = ClassFunction(tab, values)
@@ -276,6 +278,25 @@ def test_direct_route_rejects_a_non_character_as_decompose_does():
             with pytest.raises(DecompositionError) as reference:
                 decompose(f.power(k), tab)
             assert str(direct.value) == str(reference.value)
+    for values, shown in (([Fraction(1, 2)] * tab.size, "1/2"),
+                          ([-v for v in chi.values], "-1"),
+                          ([Cyclotomic.zeta(3)] * tab.size, "irrational")):
+        f = ClassFunction(tab, values)
+        for route in (decompose, lambda f, tab: multiplicities_direct(f, tab, 1)):
+            with pytest.raises(DecompositionError) as exc:
+                route(f, tab)
+            assert str(exc.value) == f"multiplicity of {tab.characters[0]} is {shown}"
+
+
+def test_permutation_characters_run_the_direct_route_at_conductor_1(g8, g14):
+    """A rational chi has rational a_(i,f), so its level lines sit at
+    conductor 1 even where the table's working conductor is 7."""
+    cases = [(a.permchar, a.table) for a in (g8, g14)] + [
+        _psl27(), _small_group_character(["(1,2,3,4,5,6,7)", "(1,2)"], 7)]
+    for chi, tab in cases:
+        e, bases, _ = chi.level_lines()
+        assert e == 1 and all(f.conductor == 1 for f in bases)
+    assert [tab.working_conductor for _, tab in cases] == [7, 7, 7, 1]
 
 
 def test_direct_route_requires_a_verified_table():
