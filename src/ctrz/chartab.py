@@ -7,8 +7,9 @@ untrusted (verified=False) until validate finds nothing; downstream
 arithmetic refuses unverified tables.
 
 A table has two conductors.  The declared one, table.conductor, is what
-its values are stored, shown and serialized at: the group exponent for
-a computed table, whatever the file says for a loaded one.  The working
+its values are stored, shown and serialized at: for a computed table the
+group exponent, or its field conductor where the exponent exceeds the
+cyclotomic cap, whatever the file says for a loaded one.  The working
 one is the least divisor of it whose field Q(zeta_m) holds every value,
 7 for the order-1344 groups (whose exponent is 84 or 168) and 1 for a
 rational table.  Validation, class functions (hence inner products,
@@ -165,7 +166,11 @@ def validate(table: CharacterTable) -> list[Violation]:
     An empty list means the table is consistent.
 
     Each orthogonality sum is one int sum of the kernel at the working
-    conductor, a row or column against the line of a conjugate one.
+    conductor, a row or column against the line of a conjugate one.  A
+    square table whose row relations all hold satisfies its column
+    relations too (X D X* = |G| I gives X* X = |G| D^-1, D the class
+    sizes), so their sums are skipped; a class size that does not divide
+    the group order is still reported in their place.
     """
     out = []
     order = table.group_order
@@ -198,7 +203,7 @@ def validate(table: CharacterTable) -> list[Violation]:
         out.append(Violation("degree-squares", "table",
                              f"squares sum to {_shown(sum(d * d for d in degrees))}, "
                              f"group order is {_shown(order)}"))
-    r = table.size
+    n, r = len(table.values), table.size
     w, rows, conj_rows, conj_lines = table._working()
 
     def check(kind, x, y, a, b, weights, want):
@@ -210,22 +215,28 @@ def validate(table: CharacterTable) -> list[Violation]:
             out.append(Violation(kind, f"{x},{y}",
                                  f"sum is {got}, expected {_shown(want)}"))
 
-    for i in range(r):
+    before = len(out)
+    for i in range(n):
         row = _line(rows[i])
-        for j in range(i, r):
+        for j in range(i, n):
             check("row-orthogonality", table.characters[i], table.characters[j],
                   row, conj_lines[j], sizes, order if i == j else 0)
-    by_col = [(_line(col), _line(c)) for col, c in zip(zip(*rows), zip(*conj_rows))]
-    ones = [1] * r
+    # a square X with X D X* = |G| I, D the class sizes, is invertible, so
+    # X* X = |G| D^-1: the column relations hold once the row ones do
+    derived = n == r and len(out) == before
+    if not derived:
+        by_col = [(_line([row[a] for row in rows]), _line([row[a] for row in conj_rows]))
+                  for a in range(r)]
+        ones = [1] * n
     for a in range(r):
         for b in range(a, r):
             if a == b and order % sizes[a]:
                 out.append(Violation("class-sizes", table.classes[a].label,
                                      "size does not divide group order"))
-                continue
-            check("column-orthogonality", table.classes[a].label,
-                  table.classes[b].label, by_col[a][0], by_col[b][1], ones,
-                  order // sizes[a] if a == b else 0)
+            elif not derived:
+                check("column-orthogonality", table.classes[a].label,
+                      table.classes[b].label, by_col[a][0], by_col[b][1], ones,
+                      order // sizes[a] if a == b else 0)
     return out
 
 
@@ -747,7 +758,7 @@ def encode_value(v: Cyclotomic) -> str | dict:
     """Exact JSON form: rational string, quadratic triple, or coefficient
     vector, whichever is smallest that represents v exactly."""
     if v.is_rational():
-        return str(v.as_rational())
+        return str(v.num[0]) if v.den == 1 else str(v.as_rational())
     qv = _quadratic(v)
     if qv is not None:
         return {"D": qv.D, "a": str(qv.a), "b": str(qv.b)}

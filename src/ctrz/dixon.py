@@ -17,8 +17,9 @@ then F_p holds the needed roots of unity, degrees satisfy d <= sqrt(|G|)
 < p/2 so the congruence d^2 = |G| / sum(omega_i * omega_i* / |C_i|)
 determines d uniquely, and eigenvalue multiplicities of each rep matrix
 lie in [0, d] and lift uniquely from their residues.  The exact value at
-a class of element order o is recovered digit by digit: with eta a fixed
-primitive e-th root of unity mod p and eta_o = eta**(e/o),
+a class of element order o is recovered digit by digit: with eta_o a
+primitive o-th root of unity mod p, every one a power of one fixed
+primitive root,
 
     chi(g) = sum over m of c_m * zeta_o**m,
     c_m = (1/o) * sum over t of chi(g**t) * eta_o**(-m*t)  (mod p),
@@ -26,15 +27,28 @@ primitive e-th root of unity mod p and eta_o = eta**(e/o),
 using the power maps to read chi(g**t) off the same eigenvector.  All
 lifted digits must land in [0, d] and sum to d; anything else signals
 inconsistent input and raises.
+
+Each column is lifted at its own least conductor, the least divisor f
+of o such that g**a is conjugate to g for every unit a = 1 (mod f): the
+automorphisms zeta_o -> zeta_o**a that fix g's class fix every value
+in its column, and they permute the digits, c_m = c_(a*m mod o), so a
+digit is computed once per orbit of them.  A rational column (f = 1)
+takes the value mod p lifted into the symmetric range and builds no
+polynomial; any other builds its value from the digits at o and
+descends to its least conductor.  The table declares, and stores its
+values at, the group exponent where the cyclotomic cap admits it, and
+above the cap the field conductor, the lcm of the column conductors,
+refused only when that exceeds the cap too, before any class constant.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .chartab import CharacterTable, ClassInfo, validate
 from .errors import InconsistencyError, InputError
-from .exact import (Cyclotomic, _from_ints, _reduce_poly,
+from .exact import (CYCLOTOMIC_CAP, Cyclotomic, _from_ints, _reduce_poly,
                     cyclotomic_polynomial)
 from .modp import (charpoly_mod_p, choose_prime, nullspace_mod_p,
                    poly_roots_mod_p, primitive_root_mod_p, rref)
@@ -116,21 +130,20 @@ def _restriction(matrix: list[list[int]], basis: list[list[int]],
     pivot its first nonzero entry.  Verifies invariance and raises
     otherwise."""
     d = len(basis)
-    r = len(matrix)
     pivots = [next(c for c, x in enumerate(v) if x) for v in basis]
     images = []
     for v in basis:
-        img = [sum(matrix[row][c] * v[c] for c in range(r) if v[c]) % p
-               for row in range(r)]
-        images.append(img)
+        support = [(c, x) for c, x in enumerate(v) if x]
+        images.append([sum(row[c] * x for c, x in support) % p for row in matrix])
     rest = [[images[j][pivots[m]] for j in range(d)] for m in range(d)]
     # invariance check: the image must reconstruct from coordinates
+    columns = list(zip(*basis))
     for j in range(d):
-        for row in range(r):
-            acc = sum(rest[m][j] * basis[m][row] for m in range(d)) % p
-            if acc != images[j][row]:
-                raise InconsistencyError(
-                    "class-sum matrix does not preserve a common eigenspace")
+        coords = [rest[m][j] for m in range(d)]
+        if images[j] != [sum(a * b for a, b in zip(coords, col)) % p
+                         for col in columns]:
+            raise InconsistencyError(
+                "class-sum matrix does not preserve a common eigenspace")
     return rest
 
 
@@ -140,52 +153,82 @@ def common_eigenbasis(algebra: ClassAlgebra,
     class-sum matrices, eigenvalues found by root-scanning characteristic
     polynomials mod p.  Deterministic throughout.
 
-    Each subspace is kept as its RREF rows.  Returns (p, vectors), one
-    vector per character t: the RREF row of its eigenspace, which leads
-    with 1 at the identity class, so its entry at class i is
-    omega_i = |C_i| chi_t(g_i)/chi_t(1) mod p and M_i v = v[i] * v for
-    every i.
+    Each subspace is kept as its RREF rows and as u, its component of
+    the unit vector at the identity class, class 0.  That vector is the
+    sum over the characters t of chi_t(1)**2 / |G| times the vectors v_t
+    below, every coefficient nonzero mod p, so u has a nonzero component
+    on each eigenspace inside the subspace.  With A the restriction of
+    M_i and w_1..w_k the distinct roots of its characteristic
+    polynomial, h(A) u is h(w) != 0 times the component for the root w,
+    h the product of x - w_l over the other roots, summed from the
+    Krylov vectors A**l u, l < k.  A simple root's eigenspace is the line
+    through it; a multiple root's is the nullspace of A - w, and h(A) u
+    serves as that subspace's u.
+
+    Returns (p, vectors), one vector per character t: the RREF row of
+    its eigenspace, which leads with 1 at the identity class, so its
+    entry at class i is omega_i = |C_i| chi_t(g_i)/chi_t(1) mod p and
+    M_i v = v[i] * v for every i.
     """
     r = algebra.size
-    subspaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+    identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    subspaces = [(identity, identity[0])]
     for i in range(1, r):
-        if all(len(b) == 1 for b in subspaces):
+        if all(len(b) == 1 for b, _ in subspaces):
             break
         m_i = algebra.matrix(i)
         refined = []
-        for basis in subspaces:
+        for basis, u in subspaces:
             if len(basis) == 1:
-                refined.append(basis)
+                refined.append((basis, u))
                 continue
             rest = _restriction(m_i, basis, p)
-            roots = poly_roots_mod_p(charpoly_mod_p(rest, p), p)
+            poly = charpoly_mod_p(rest, p)
+            roots = poly_roots_mod_p(poly, p)
+            derivative = [k * c % p for k, c in enumerate(poly)][1:]
+            # coordinates of u are its entries at the pivots of the basis
+            krylov = [[u[next(c for c, x in enumerate(v) if x)] for v in basis]]
+            for _ in roots[1:]:
+                krylov.append([sum(a * x for a, x in zip(row, krylov[-1])) % p
+                               for row in rest])
+            product = [1]  # the product of x - w over the roots, ascending
+            for w in roots:
+                product = [(b - w * a) % p for a, b in zip(product + [0], [0] + product)]
             found = 0
             for w in roots:
+                h, acc = [0] * len(roots), 0
+                for k in range(len(roots), 0, -1):  # product / (x - w)
+                    acc = (product[k] + w * acc) % p
+                    h[k - 1] = acc
+                coords = [sum(c * vec[m] for c, vec in zip(h, krylov)) % p
+                          for m in range(len(basis))]
+                part = _combination(coords, basis, p)
+                if sum(c * pow(w, k, p) for k, c in enumerate(derivative)) % p:
+                    # a simple root: its eigenspace is a line
+                    lead = next((x for x in part if x), 0)
+                    if not lead:
+                        raise InconsistencyError(
+                            "identity class has no component on an eigenspace")
+                    inv = pow(lead, p - 2, p)
+                    refined.append(([[x * inv % p for x in part]], part))
+                    found += 1
+                    continue
                 shifted = [[x - w if a == b else x for b, x in enumerate(row)]
                            for a, row in enumerate(rest)]
-                coords = nullspace_mod_p(shifted, p)
-                if not coords:
-                    continue
-                ambient = []
-                for cvec in coords:
-                    v = [0] * r
-                    for m, c in enumerate(cvec):
-                        if c:
-                            for col in range(r):
-                                v[col] = (v[col] + c * basis[m][col]) % p
-                    ambient.append(v)
+                ambient = [_combination(cvec, basis, p)
+                           for cvec in nullspace_mod_p(shifted, p)]
                 reduced, pivots = rref(ambient, p)
-                refined.append(reduced[:len(pivots)])
+                refined.append((reduced[:len(pivots)], part))
                 found += len(pivots)
             if found != len(basis):
                 raise InconsistencyError(
                     "eigenspace splitting stalled: matrix not diagonalizable mod p")
         subspaces = refined
-    if len(subspaces) != r or any(len(b) != 1 for b in subspaces):
+    if len(subspaces) != r or any(len(b) != 1 for b, _ in subspaces):
         raise InconsistencyError(
             f"expected {r} one-dimensional common eigenspaces, "
-            f"got {[len(b) for b in subspaces]}")
-    vectors = [tuple(basis[0]) for basis in subspaces]
+            f"got {[len(b) for b, _ in subspaces]}")
+    vectors = [tuple(basis[0]) for basis, _ in subspaces]
     if any(v[0] != 1 for v in vectors):
         raise InconsistencyError("eigenvector vanishes at the identity class")
     if len(set(vectors)) != r:
@@ -193,54 +236,115 @@ def common_eigenbasis(algebra: ClassAlgebra,
     return p, vectors
 
 
+def _combination(coords: list[int], basis: list[list[int]], p: int) -> list[int]:
+    """The vector with the given coordinates over the basis rows, mod p."""
+    v = [0] * len(basis[0])
+    for c, row in zip(coords, basis):
+        if c:
+            v = [(x + c * y) % p for x, y in zip(v, row)]
+    return v
+
+
+def _column(class_set: ClassSet, j: int) -> tuple[int, list[int]]:
+    """(f, fixed) for class j, of element order o: fixed holds the units
+    a mod o with g**a conjugate to g, the Galois automorphisms zeta ->
+    zeta**a that fix every value in the column, and f, the column's
+    least conductor, is the least f | o such that fixed holds every unit
+    a = 1 (mod f)."""
+    powers = class_set.powers(j)
+    o = len(powers)
+    units = [a for a in range(o) if gcd(a, o) == 1]
+    fixed = [a for a in units if powers[a] == j]
+    f = next(f for f in range(1, o + 1) if o % f == 0 and all(
+        powers[a] == j for a in units if (a - 1) % f == 0))
+    return f, fixed
+
+
+def declared_conductor(class_set: ClassSet) -> int:
+    """The conductor a computed table declares and stores its values at:
+    the group exponent where the cyclotomic cap admits it, else the field
+    conductor, the lcm of the column conductors, refused above the cap.
+    A column's conductor divides that of every class it is a power of,
+    so the field conductor reads only classes that are no power of a
+    class of larger element order."""
+    e = class_set.exponent
+    if e > CYCLOTOMIC_CAP:
+        e, covered = 1, set()
+        for j in sorted(range(len(class_set)),
+                        key=lambda j: -class_set.classes[j].order):
+            if j not in covered:
+                e = lcm(e, _column(class_set, j)[0])
+                covered.update(class_set.powers(j))
+    cyclotomic_polynomial(e)  # the cap, before any class constant
+    return e
+
+
 def lift_character_values(eigen: tuple[int, list[tuple[int, ...]]],
                           class_set: ClassSet,
                           conductor: int) -> list[tuple[int, list[Cyclotomic]]]:
     """Exact character values from the (p, vectors) pair that
-    common_eigenbasis returns.
+    common_eigenbasis returns, stored at the given conductor, which
+    every column conductor divides.
 
     Returns one (degree, values) pair per character, in eigenvector
-    order.  All roots of unity are expressed through one fixed primitive
-    e-th root eta mod p, so values at different classes cohere.
+    order, equal values sharing one object.  All roots of unity are
+    powers of one fixed primitive root mod p, so values at different
+    classes cohere.  A digit is computed once per orbit of the column's
+    fixed units on the digit positions, which it is constant on.  A
+    rational column takes the value mod p lifted into the symmetric
+    range; any other builds it from its digits at the element order and
+    descends to its least conductor before the lift.
     """
     p, vectors = eigen
-    if (p - 1) % conductor:
+    if (p - 1) % class_set.exponent:
         raise InputError("prime does not admit the required roots of unity")
-    eta = pow(primitive_root_mod_p(p), (p - 1) // conductor, p)
+    root = primitive_root_mod_p(p)
     inv_sizes = [pow(s, p - 2, p) for s in class_set.sizes()]
-    # per class j of element order o: the classes of g**t for t < o,
-    # eta_o**s for s < o, and 1/o mod p
+    inv_map = class_set.power_map(-1)
+    # per class j of element order o: the classes of g**t for t < o, and
+    # per orbit of the digit positions, from its least member s, the
+    # orbit and the kernel eta_o**(-s*t) / o mod p for t < o, with
+    # eta_o = root**((p-1)/o); and whether the column is rational
     columns = []
     for j, c in enumerate(class_set.classes):
         o = c.order
-        eta_o = pow(eta, conductor // o, p)
-        columns.append(([class_set.power_map(t)[j] for t in range(o)],
-                        [pow(eta_o, s, p) for s in range(o)],
-                        pow(o % p, p - 2, p)))
+        f, fixed = _column(class_set, j)
+        eta_o, inv_o = pow(root, (p - 1) // o, p), pow(o % p, p - 2, p)
+        scaled = [pow(eta_o, s, p) * inv_o % p for s in range(o)]
+        orbits, seen = [], set()
+        for s in range(o):
+            if s not in seen:
+                orbit = {a * s % o for a in fixed}
+                seen |= orbit
+                orbits.append((orbit, [scaled[-s * t % o] for t in range(o)]))
+        columns.append((class_set.powers(j), orbits, f == 1))
     out, built = [], {}
     for omega in vectors:
-        d = _degree_for(omega, class_set, p)
+        d = _degree_for(omega, inv_map, inv_sizes, class_set.group.order, p)
         modvals = [d * w * q % p for w, q in zip(omega, inv_sizes)]
         values = []
-        for powers, roots, inv_o in columns:
-            o = len(roots)
+        for (powers, orbits, rational), x in zip(columns, modvals):
+            o = len(powers)
             chi = [modvals[k] for k in powers]
-            digits = []
-            for m in range(o):
-                acc = sum(x * roots[-m * t % o] for t, x in enumerate(chi))
-                c = acc % p * inv_o % p
+            digits = [0] * o
+            for orbit, kernel in orbits:
+                c = sum(map(mul, chi, kernel)) % p
                 if c > d:
                     raise InconsistencyError(
                         f"digit {c} exceeds degree {d}; inputs inconsistent")
-                digits.append(c)
+                for k in orbit:
+                    digits[k] = c
             if sum(digits) != d:
                 raise InconsistencyError("digits do not sum to the degree")
-            key = (o, tuple(digits))
-            if key not in built:  # equal digits, one reduction
-                poly = [0] * conductor
-                for m, c in enumerate(digits):
-                    poly[(conductor // o) * m] = c
-                built[key] = _from_ints(conductor, _reduce_poly(conductor, poly))
+            # the value itself in a rational column, else its digits
+            if rational:
+                key = x if 2 * x < p else x - p
+            else:
+                key = (o, tuple(digits))
+            if key not in built:  # equal values, one build
+                built[key] = (Cyclotomic.from_rational(key, conductor) if rational
+                              else _from_ints(o, _reduce_poly(o, digits))
+                              .reduced().lift(conductor))
             values.append(built[key])
         if values[0] != d:
             raise InconsistencyError("identity value does not equal the degree")
@@ -248,13 +352,11 @@ def lift_character_values(eigen: tuple[int, list[tuple[int, ...]]],
     return out
 
 
-def _degree_for(omega: tuple[int, ...], class_set: ClassSet, p: int) -> int:
-    order = class_set.group.order
-    sizes = class_set.sizes()
-    inv_map = class_set.power_map(-1)
+def _degree_for(omega: tuple[int, ...], inv_map: list[int],
+                inv_sizes: list[int], order: int, p: int) -> int:
     s = 0
     for i, w in enumerate(omega):
-        s = (s + w * omega[inv_map[i]] * pow(sizes[i], p - 2, p)) % p
+        s = (s + w * omega[inv_map[i]] * inv_sizes[i]) % p
     if s == 0:
         raise InconsistencyError("degree congruence degenerated")
     target = (order % p) * pow(s, p - 2, p) % p
@@ -270,28 +372,27 @@ def compute_character_table(group: FiniteGroup,
     """Full exact character table in canonical row and column order.
 
     Rows are sorted by degree, then lexicographically on negated
-    coefficient vectors, which puts the trivial character first and
-    keeps the order deterministic.  The result carries verified=True
-    only because it is validated right here; any violation raises
-    instead of returning.
+    coefficient vectors at the declared conductor, which puts the
+    trivial character first and keeps the order deterministic.  The
+    result carries verified=True only because it is validated right
+    here; any violation raises instead of returning.
     """
     cs = class_set if class_set is not None else ClassSet(group)
-    conductor = cs.exponent
     # the prime cap, then the conductor cap, refuse before the costly
     # class constants
-    p = choose_prime(conductor, group.order)
-    cyclotomic_polynomial(conductor)
+    p = choose_prime(cs.exponent, group.order)
+    conductor = declared_conductor(cs)
     algebra = class_constants(cs)
     eigen = common_eigenbasis(algebra, p)
     lifted = lift_character_values(eigen, cs, conductor)
-
-    def sort_key(item):
-        degree, values = item
-        # every lifted value has den 1, so num orders as the coefficients
-        neg = tuple(tuple(-c for c in v.num) for v in values)
-        return (degree, neg)
-
-    lifted.sort(key=sort_key)
+    # every lifted value has den 1, so num orders as the coefficients;
+    # equal values are one object, negated once
+    neg = {}
+    for _, values in lifted:
+        for v in values:
+            if id(v) not in neg:
+                neg[id(v)] = tuple(-c for c in v.num)
+    lifted.sort(key=lambda item: (item[0], tuple(neg[id(v)] for v in item[1])))
     classes = [
         ClassInfo(label=c.label, size=c.size, order=c.order,
                   representative=str(c.representative),
@@ -313,9 +414,7 @@ def compute_character_table(group: FiniteGroup,
 
 def _power_profile(cs: ClassSet, class_index: int) -> tuple[tuple[int, int], ...]:
     """Sizes and orders of the power classes, a column-matching invariant."""
-    o = cs.classes[class_index].order
-    prof = []
-    for t in range(2, o + 1):
-        k = cs.power_map(t)[class_index]
-        prof.append((cs.classes[k].size, cs.classes[k].order))
-    return tuple(prof)
+    powers = cs.powers(class_index)
+    o = len(powers)
+    return tuple((cs.classes[k].size, cs.classes[k].order)
+                 for k in (powers[t % o] for t in range(2, o + 1)))

@@ -253,7 +253,8 @@ class ClassSet:
     Canonical order: class size ascending, element order ascending, then
     the lexicographically smallest member image tuple.  The identity
     class is always first.  class_of maps element index to class index;
-    power_map(t)[c] is the class of t-th powers of class c.
+    power_map(t)[c] is the class of t-th powers of class c, read off
+    powers(c), the classes of all its powers below its element order.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -272,7 +273,7 @@ class ClassSet:
             for ei in members:
                 self.class_of[ei] = ci
         self.exponent = lcm(1, *(c.order for c in self.classes))
-        self._power_maps: dict[int, list[int]] = {}
+        self._powers: dict[int, list[int]] = {}
 
     def _orbits(self) -> list[list[int]]:
         g = self.group
@@ -306,22 +307,25 @@ class ClassSet:
 
     def power_map(self, t: int) -> list[int]:
         """Class index of t-th powers, per class.  Defined for every
-        integer t; t = -1 gives the inverse classes.  x**t is read off
-        the cycles of x: a point at position i of a cycle of length L
-        goes to the point at position (i + t) mod L."""
-        t = t % self.exponent if self.exponent else 0
-        cached = self._power_maps.get(t)
-        if cached is not None:
-            return cached
-        out = []
-        for c in self.classes:
-            images = list(range(self.group.degree))
-            for cyc in c.representative.cycles():
-                for i, point in enumerate(cyc):
-                    images[point - 1] = cyc[(i + t) % len(cyc)] - 1
-            out.append(self.class_of[self.group.index[bytes(images)]])
-        self._power_maps[t] = out
-        return out
+        integer t; t = -1 gives the inverse classes."""
+        return [self.powers(i)[t % c.order] for i, c in enumerate(self.classes)]
+
+    def powers(self, class_index: int) -> list[int]:
+        """The class of g**t for t < o, g the representative of the class
+        and o its element order: one column of every power map, each
+        power one word product after the last.  Computed on first use
+        and kept."""
+        cached = self._powers.get(class_index)
+        if cached is None:
+            g = self.group
+            table = g.translation_table(self.classes[class_index].representative)
+            word = g.words[0]
+            cached = []
+            for _ in range(self.classes[class_index].order):
+                cached.append(self.class_of[g.index[word]])
+                word = word.translate(table)
+            self._powers[class_index] = cached
+        return cached
 
     def centralizer_order(self, class_index: int) -> int:
         size = self.classes[class_index].size

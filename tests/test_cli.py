@@ -647,23 +647,29 @@ def test_match_representative_beyond_the_degree_limit_is_bounded(tmp_path):
     assert peak < 1 << 20
 
 
-M11_GENERATORS = ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]
+C7_C11_C13 = ["(1,2,3,4,5,6,7)", "(8,9,10,11,12,13,14,15,16,17,18)",
+              "(19,20,21,22,23,24,25,26,27,28,29,30,31)"]
 
 
 def test_conductor_cap_refuses_before_class_constants(tmp_path, capsys,
                                                       monkeypatch):
-    """M11 has exponent 1320: the cap refuses it with the same message
-    before the class constants, which are never computed."""
+    """C7 x C11 x C13 on 31 points has exponent and field conductor 1001:
+    the cap refuses it as a capacity limit, naming that conductor, before
+    the class constants, which are never computed, and at once, though
+    the group has 1001 classes."""
     def refuse(class_set):
         raise AssertionError("class constants computed before the caps")
 
     monkeypatch.setattr(dixon, "class_constants", refuse)
-    group = tmp_path / "m11.json"
-    group.write_text(json.dumps({"name": "m11", "degree": 11,
-                                 "generators": M11_GENERATORS}))
+    group = tmp_path / "c1001.json"
+    group.write_text(json.dumps({"name": "c1001", "degree": 31,
+                                 "generators": C7_C11_C13}))
+    start = time.perf_counter()
     code, out = run("chartable", "compute", "--group", str(group))
+    elapsed = time.perf_counter() - start
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == "error: conductor 1320 exceeds cap 1000\n"
+    assert capsys.readouterr().err == "error: conductor 1001 exceeds cap 1000\n"
+    assert elapsed < 2.0, f"refusal took {elapsed:.2f}s"
 
 
 def test_quadratic_cell_above_the_cap_is_refused_at_once(tmp_path, capsys):

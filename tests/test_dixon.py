@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from ctrz import dixon
 from ctrz.errors import InconsistencyError
 from ctrz.exact import Cyclotomic, to_quadratic
 from ctrz.modp import choose_prime
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
 from ctrz.dixon import (ClassAlgebra, class_constants, common_eigenbasis,
-                        compute_character_table)
+                        compute_character_table, declared_conductor)
 from ctrz.chartab import validate, decompose, permutation_character
 
 
@@ -281,3 +282,51 @@ def test_s9_constants_and_eigensplit_are_fast():
     elapsed = time.perf_counter() - start
     assert len(set(vectors)) == 30
     assert elapsed < 1.5, f"constants and eigensplit took {elapsed:.2f}s"
+
+
+def _counting_reductions(monkeypatch):
+    conductors = []
+    original = dixon._reduce_poly
+
+    def reduce_poly(e, poly):
+        conductors.append(e)
+        return original(e, poly)
+
+    monkeypatch.setattr(dixon, "_reduce_poly", reduce_poly)
+    return conductors
+
+
+def test_rational_columns_build_no_reduction(monkeypatch):
+    """Every value of S5 is an integer: the lift reduces no polynomial,
+    although the table is stored at the exponent 60."""
+    conductors = _counting_reductions(monkeypatch)
+    ct = compute_character_table(group(["(1,2)", "(1,2,3,4,5)"], 5))
+    assert ct.conductor == 60 and ct.verified
+    assert conductors == []
+
+
+def test_irrational_columns_reduce_at_the_element_order(monkeypatch):
+    """F21's irrational columns are its classes of elements of order 7
+    and 3: the lift reduces at 7 and 3, once per distinct value of each
+    order's columns, never at the exponent 21."""
+    conductors = _counting_reductions(monkeypatch)
+    ct = compute_character_table(group(["(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"], 7))
+    assert ct.conductor == 21 and ct.verified
+    assert set(conductors) == {3, 7}
+    values = {(c.order, v.num) for row in ct.values
+              for c, v in zip(ct.classes, row) if c.order > 1}
+    assert len(conductors) == len(values)
+
+
+def test_declared_conductor_is_the_exponent_within_the_cap():
+    """A group whose exponent is within the cap declares the exponent;
+    above it, the field conductor, which reads the column conductors of
+    the classes that are no power of another."""
+    assert declared_conductor(ClassSet(group(["(1,2,3)(4,5)"], 5))) == 6
+    agl = group(["(1,2,3,4,5,6,7)", "(2,4,3,7,5,6)",
+                 "(8,9,10,11,12,13,14,15,16,17,18)",
+                 "(9,10,12,16,13,18,17,15,11,14)"], 18)
+    cs = ClassSet(agl)
+    # AGL(1,7) x AGL(1,11): exponent 2310, values in Q(zeta_3, zeta_5)
+    assert (agl.order, cs.exponent) == (4620, 2310)
+    assert declared_conductor(cs) == 15

@@ -1,11 +1,13 @@
 """validate against the Cyclotomic loop it replaced.
 
 The oracle below is validate as it was before the orthogonality sums
-moved to int polynomials: every term a Cyclotomic product, every sum a
-chain of Cyclotomic additions.  One cell of a builtin or small-group
-table is perturbed, by an integer, a fraction or a value of a field of
-conductor > 1, and both must return the same Violation list, the same
-describe() text included.
+moved to int polynomials and before the column relations of a square
+table were read off its row relations: every row and every column
+relation summed, every term a Cyclotomic product, every sum a chain of
+Cyclotomic additions.  Cells of a builtin or small-group table are
+perturbed, by an integer, a fraction or a value of a field of conductor
+> 1, and rows are negated, dropped or repeated; both must return the
+same Violation list, the same describe() text included.
 """
 
 from fractions import Fraction
@@ -53,15 +55,15 @@ def oracle_validate(table):
         out.append(Violation("degree-squares", "table",
                              f"squares sum to {sum(d * d for d in degrees)}, "
                              f"group order is {order}"))
-    r = table.size
+    n, r = len(table.values), table.size
     rows = table.working_rows
     conj_rows = [[v.conj() for v in row] for row in rows]
 
     def shown(acc):
         return display_value(acc.lift(lcm(acc.conductor, table.conductor)))
 
-    for i in range(r):
-        for j in range(i, r):
+    for i in range(n):
+        for j in range(i, n):
             acc = Cyclotomic.from_rational(0, 1)
             for c in range(r):
                 acc = acc + rows[i][c] * conj_rows[j][c] * sizes[c]
@@ -74,7 +76,7 @@ def oracle_validate(table):
     for a in range(r):
         for b in range(a, r):
             acc = Cyclotomic.from_rational(0, 1)
-            for i in range(r):
+            for i in range(n):
                 acc = acc + rows[i][a] * conj_rows[i][b]
             want = order // sizes[a] if a == b else 0
             if a == b and order % sizes[a]:
@@ -166,3 +168,55 @@ def test_unperturbed_tables_agree(tables):
         want = oracle_validate(table)
         assert validate(table) == want
         assert bool(want) == (name == "transcription")
+
+
+@st.composite
+def reshapings(draw):
+    """(table name, cell perturbations, row change, row pick): one or two
+    cells perturbed as perturbations() draws them, or none, and the rows
+    kept, one negated (every row relation still holds), the last dropped
+    or the first repeated (a non-square table)."""
+    name = draw(st.sampled_from(sorted(SMALL_GROUPS) + ["g1344-deg8"]))
+    cells = draw(st.lists(perturbations().map(lambda case: case[1:]),
+                          min_size=0, max_size=2))
+    change = draw(st.sampled_from(["keep", "negate", "drop", "repeat"]))
+    return name, cells, change, draw(st.integers(0, 10**6))
+
+
+def reshaped(table, cells, change, pick):
+    for case in cells:
+        table = perturbed(table, *case)
+    rows = [list(row) for row in table.values]
+    labels = list(table.characters)
+    if change == "negate":
+        i = pick % len(rows)
+        rows[i] = [-v for v in rows[i]]
+    elif change == "drop":
+        rows, labels = rows[:-1], labels[:-1]
+    elif change == "repeat":
+        rows, labels = rows + rows[:1], labels + ["extra"]
+    return CharacterTable(table.name, table.group_order, table.conductor,
+                          table.classes, labels, rows)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(reshapings())
+def test_column_relations_read_off_rows_report_every_sum(tables, case):
+    """Every relation summed by the oracle, against validate, which skips
+    the column sums of a square table whose row relations hold."""
+    name, cells, change, pick = case
+    table = reshaped(tables[name], cells, change, pick)
+    want = oracle_validate(table)
+    got = validate(table)
+    assert got == want
+    assert [v.describe() for v in got] == [v.describe() for v in want]
+
+
+def test_non_square_table_reports_its_column_relations(tables):
+    """S3 without its last row: the two rows left are orthonormal, so
+    only the column relations and the degree squares can fail."""
+    table = reshaped(tables["s3"], [], "drop", 0)
+    got = validate(table)
+    assert got == oracle_validate(table)
+    assert {v.kind for v in got} == {"degree-squares", "column-orthogonality"}
