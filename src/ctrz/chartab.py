@@ -26,14 +26,16 @@ one line of the function against each kept row line.
 
 match_columns searches for row and column permutations making two
 tables equal.  Columns are constrained by class fingerprints at the
-tightest feasible level (size, element order, cycle type of the
-representative, power profile; then size and order; then size alone)
-and rows by degree.  A depth-first search under a mismatch budget
-raised 0, 1, 2, ... finds a matching with the fewest disagreeing cells;
-of equally good ones it returns the first in class order, each column
-and then each row going to the least free computed index that fits.
-Cells that disagree under it land in a TableErrata.  Algebraically
-conjugate classes can match either way, so the ambiguity is noted.
+tightest feasible level (size, element order and cycle type of the
+representative; then size and order; then size alone) and rows by
+degree.  A depth-first search under a mismatch budget raised 0, 1, 2,
+... finds a matching with the fewest disagreeing cells; of equally good
+ones it returns the first in class order, each column and then each row
+going to the least free computed index that fits.  Disagreeing cells,
+group orders and printed class metadata land in a TableErrata.  Only
+what a table carries through JSON is read, so a table matches the same
+in process as loaded from a file.  Algebraically conjugate classes can
+match either way, so the ambiguity is noted.
 """
 
 from __future__ import annotations
@@ -55,13 +57,12 @@ class DecompositionError(CtrzError):
     multiplicities; it is not a character of the table's group."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassInfo:
     label: str
     size: int
     order: int
     representative: str | None = None
-    power_profile: tuple | None = None
     printed_size: int | None = None
 
 
@@ -506,65 +507,49 @@ def match_columns(computed: CharacterTable,
         raise InputError("tables have different sizes; no matching exists")
     r = computed.size
     comp_cells, ext_cells = _canonical_cells(computed, external)
-
-    comp_reps = _parsed_representatives(computed)
-    ext_reps = _parsed_representatives(external)
-    same_degree = (comp_reps is not None and ext_reps is not None
-                   and comp_reps[0] == ext_reps[0])
-    have_profiles = (all(c.power_profile is not None for c in computed.classes)
-                     and all(c.power_profile is not None for c in external.classes))
-
-    def fingerprint(table, reps, j, level):
-        c = table.classes[j]
-        if level == "full":
-            fp = [c.size, c.order]
-            if same_degree:
-                fp.append(reps[1][j])
-            if have_profiles:
-                fp.append(c.power_profile)
-            return tuple(fp)
-        if level == "size-order":
-            return (c.size, c.order)
-        return (c.size,)
-
+    # one fingerprint per class: size, order, and the cycle type of the
+    # representative (None where it does not parse) when both tables name
+    # the same degree; each level keys on a prefix of it, compared as
+    # multisets, since None does not sort
+    reps = _parsed_representatives(computed), _parsed_representatives(external)
+    typed = None not in reps and reps[0][0] == reps[1][0]
+    comp_fps, ext_fps = ([(c.size, c.order) + ((rep[1][j],) if typed else ())
+                          for j, c in enumerate(t.classes)]
+                         for t, rep in zip((computed, external), reps))
     try:
         comp_deg = computed.degrees()
         ext_deg = external.degrees()
     except InputError:
         comp_deg = ext_deg = None
 
-    for level in ("full", "size-order", "size"):
-        if comp_deg is None or sorted(comp_deg) != sorted(ext_deg):
-            break
-        comp_fps = [fingerprint(computed, comp_reps, j, level) for j in range(r)]
-        ext_fps = [fingerprint(external, ext_reps, j, level) for j in range(r)]
-        if sorted(comp_fps) != sorted(ext_fps):
-            continue
-        row_map, col_map, mism = _search(comp_cells, ext_cells, comp_fps,
-                                         ext_fps, comp_deg, ext_deg)
-        return _finish(computed, external, row_map, col_map, mism, level,
-                       comp_cells, ext_cells)
+    if comp_deg is not None and sorted(comp_deg) == sorted(ext_deg):
+        for level, n in (("full", 3), ("size-order", 2), ("size", 1)):
+            comp_keys = [fp[:n] for fp in comp_fps]
+            ext_keys = [fp[:n] for fp in ext_fps]
+            if Counter(comp_keys) == Counter(ext_keys):
+                row_map, col_map, mism = _search(comp_cells, ext_cells, comp_keys,
+                                                 ext_keys, comp_deg, ext_deg)
+                return _finish(computed, external, row_map, col_map, mism, level,
+                               ext_fps, comp_cells, ext_cells)
     # positional fallback: errata will cover whatever disagrees
-    col_map = tuple(_positional(list(range(r)),
-                                [computed.classes[j].size for j in range(r)],
-                                [external.classes[j].size for j in range(r)]))
-    if comp_deg is not None and ext_deg is not None:
-        row_map = tuple(_positional(list(range(r)), comp_deg, ext_deg))
-    else:
-        row_map = tuple(range(r))
+    col_map = _positional([c.size for c in computed.classes],
+                          [c.size for c in external.classes])
+    row_map = (_positional(comp_deg, ext_deg) if comp_deg is not None
+               else tuple(range(r)))
     mism = [(a, b) for a in range(r) for b in range(r)
             if ext_cells[a][b] != comp_cells[row_map[a]][col_map[b]]]
     return _finish(computed, external, row_map, col_map, mism, "positional",
-                   comp_cells, ext_cells)
+                   ext_fps, comp_cells, ext_cells)
 
 
-def _positional(idx, comp_keys, ext_keys):
-    comp_sorted = sorted(idx, key=lambda i: (comp_keys[i], i))
-    ext_sorted = sorted(idx, key=lambda i: (ext_keys[i], i))
-    out = [0] * len(idx)
-    for e, c in zip(ext_sorted, comp_sorted):
+def _positional(comp_keys, ext_keys) -> tuple[int, ...]:
+    """Each external index to the computed one of the same rank, ranked
+    by key and then by index."""
+    out = [0] * len(comp_keys)
+    for e, c in zip(sorted(range(len(ext_keys)), key=ext_keys.__getitem__),
+                    sorted(range(len(comp_keys)), key=comp_keys.__getitem__)):
         out[e] = c
-    return out
+    return tuple(out)
 
 
 def _search(comp_cells, ext_cells, comp_fps, ext_fps, comp_deg, ext_deg):
@@ -634,8 +619,14 @@ def _search(comp_cells, ext_cells, comp_fps, ext_fps, comp_deg, ext_deg):
 
 
 def _finish(computed, external, row_map, col_map, mismatches, level,
-            comp_cells, ext_cells):
+            ext_fps, comp_cells, ext_cells):
     errata = TableErrata()
+    if computed.group_order != external.group_order:
+        errata.findings.append(Finding(
+            kind="group-order", row=None, column=None,
+            external=_shown(external.group_order),
+            computed=_shown(computed.group_order),
+            relation="group orders must be equal"))
     for a, b in mismatches:
         errata.findings.append(Finding(
             kind="cell",
@@ -644,20 +635,27 @@ def _finish(computed, external, row_map, col_map, mismatches, level,
             external=display_value(external.values[a][b]),
             computed=display_value(computed.values[row_map[a]][col_map[b]]),
             relation="cell equality under best matching"))
-    matched = [computed.classes[col_map[b]] for b in range(external.size)]
-    errata.findings.extend(class_metadata_findings(external, matched))
-    notes = _ambiguity_notes(computed, external, row_map, col_map,
-                             len(mismatches), comp_cells, ext_cells, level)
+    # printed metadata is the external table's, or the computed table's
+    # when the external one prints none, each against its matched classes
+    if any(c.printed_size is not None for c in external.classes):
+        printed, other, cols = external, computed, col_map
+    else:
+        printed, other, cols = (computed, external,
+                                sorted(range(external.size), key=col_map.__getitem__))
+    errata.findings.extend(class_metadata_findings(
+        printed, [other.classes[j] for j in cols]))
+    notes = _ambiguity_notes(external, row_map, col_map, len(mismatches),
+                             [fp[:2] for fp in ext_fps], comp_cells, ext_cells)
     return MatchResult(tuple(row_map), tuple(col_map), errata, level, notes)
 
 
-def _ambiguity_notes(computed, external, row_map, col_map, base_count,
-                     comp_cells, ext_cells, level):
-    """Column pair swaps (with an optional same-degree row pair swap)
-    that leave the mismatch count unchanged are conventional choices."""
+def _ambiguity_notes(external, row_map, col_map, base_count, fps,
+                     comp_cells, ext_cells):
+    """Column pair swaps within one (size, order) group fps, with an
+    optional same-degree row pair swap, that leave the mismatch count
+    unchanged are conventional choices."""
     r = external.size
     notes = []
-    fps = [(c.size, c.order) for c in external.classes]
     deg = {}
     try:
         for i, d in enumerate(external.degrees()):
@@ -697,9 +695,9 @@ def class_metadata_findings(table: CharacterTable,
     """Findings about printed class metadata: printed sizes that
     contradict the sizes in use, and printed size/order pairs where the
     element order fails to divide the implied centralizer order.  When a
-    matched class list is given (from a table matching), its data fills
-    the computed side of each finding; otherwise the table's own derived
-    data does."""
+    matched class list is given, the classes a table matching pairs with
+    table's own in either slot, its data fills the computed side of each
+    finding; otherwise the table's own derived data does."""
     out = []
     for b, cls in enumerate(table.classes):
         if cls.printed_size is None:

@@ -95,7 +95,7 @@ def cmd_permchar(args):
 
 def cmd_chartable_compute(args):
     if args.builtin == datasets.TABLE_DATASET_NAME and not args.group:
-        table, name, _ = _load_table_source(args.builtin)
+        table, name = _load_table_source(args.builtin)
     else:
         a = _analysis(args)
         table, name = a.table, a.name
@@ -110,23 +110,23 @@ def cmd_chartable_compute(args):
 
 
 def _load_table_source(token: str, side: str = "g1344-deg8"):
-    """A table plus its backing analysis (for computed builtins); the
-    transcription is read on the given side."""
+    """(table, name): a builtin's reporting table, the transcription
+    read on the given side, or a table file."""
     if token in datasets.BUILTIN_GROUP_NAMES:
-        a = builtin_analysis(token)
-        return a.table, token, a
+        return builtin_analysis(token).table, token
     if token == datasets.TABLE_DATASET_NAME:
-        return datasets.transcription_table(side), token, None
-    return load_table(token), token, None
+        return datasets.transcription_table(side), token
+    return load_table(token), token
 
 
-def _finding(f, where: str) -> str:
+def _finding(f) -> str:
+    where = ", ".join(x for x in (f.row, f.column) if x) or "table"
     return (f"finding: {f.kind} [{where}]: {f.external} vs {f.computed} "
             f"({f.relation})")
 
 
 def cmd_chartable_check(args):
-    table, name, _ = _load_table_source(args.source)
+    table, name = _load_table_source(args.source)
     violations = validate(table)
     metadata = class_metadata_findings(table)
     results = {
@@ -135,41 +135,35 @@ def cmd_chartable_check(args):
                         "detail": v.detail} for v in violations],
         "metadata_findings": [f.to_dict() for f in metadata],
     }
-    where = [f.column or f.row or "table" for f in metadata]
     text = ([f"violation: {v.describe()}" for v in violations]
-            + [_finding(f, w) for f, w in zip(metadata, where)]
-            or ["table is consistent"])
+            + [_finding(f) for f in metadata] or ["table is consistent"])
     rows = ([["kind", "subject"]] + [[v.kind, v.subject] for v in violations]
-            + [[f.kind, w] for f, w in zip(metadata, where)])
+            + [[f.kind, f.column] for f in metadata])
     return name, results, text, rows, bool(violations or metadata)
 
 
 def cmd_chartable_match(args):
     # the transcription takes the side of the builtin in either slot
-    side = next((t for t in (args.computed, args.external)
-                 if t in datasets.BUILTIN_GROUP_NAMES), "g1344-deg8")
-    computed, comp_name, analysis = _load_table_source(args.computed, side)
-    external, ext_name, _ = _load_table_source(args.external, side)
+    names = [args.computed, args.external]
+    builtin = next((t for t in names if t in datasets.BUILTIN_GROUP_NAMES), None)
+    computed, external = (_load_table_source(t, builtin or "g1344-deg8")[0]
+                          for t in names)
     if not computed.verified and not args.allow_unverified:
         raise InputError(
-            f"computed operand {comp_name} is an unverified table; pass "
+            f"computed operand {names[0]} is an unverified table; pass "
             "--allow-unverified to match against it anyway")
     result = match_columns(computed, external)
-    notes = list(result.notes)
-    if analysis is not None and ext_name == datasets.TABLE_DATASET_NAME:
-        notes += analysis.diag_variant_notes()
-    payload = result.to_dict()
-    payload["matching"]["notes"] = notes
+    if builtin and datasets.TABLE_DATASET_NAME in names:
+        result.notes += builtin_analysis(builtin).diag_variant_notes()
     findings = result.errata.findings
     text = [f"constraint level: {result.level}",
             f"row map: {list(result.row_map)}",
             f"column map: {list(result.col_map)}"]
-    text += [_finding(f, ", ".join(x for x in (f.row, f.column) if x))
-             for f in findings]
-    text += [f"note: {n}" for n in notes]
+    text += [_finding(f) for f in findings]
+    text += [f"note: {n}" for n in result.notes]
     rows = [["kind", "row", "column"]]
     rows += [[f.kind, f.row, f.column] for f in findings]
-    return [comp_name, ext_name], payload, text, rows, bool(findings)
+    return names, result.to_dict(), text, rows, bool(findings)
 
 
 def _refuse_orbits(group, t: int) -> None:

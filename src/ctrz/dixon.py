@@ -395,9 +395,8 @@ def compute_character_table(group: FiniteGroup,
     lifted.sort(key=lambda item: (item[0], tuple(neg[id(v)] for v in item[1])))
     classes = [
         ClassInfo(label=c.label, size=c.size, order=c.order,
-                  representative=str(c.representative),
-                  power_profile=_power_profile(cs, idx))
-        for idx, c in enumerate(cs.classes)]
+                  representative=str(c.representative))
+        for c in cs.classes]
     rows = [tuple(values) for _, values in lifted]
     labels = [f"chi{i + 1}" for i in range(len(rows))]
     table = CharacterTable(name=name or "computed", group_order=group.order,
@@ -411,10 +410,3 @@ def compute_character_table(group: FiniteGroup,
     table.verified = True
     return table
 
-
-def _power_profile(cs: ClassSet, class_index: int) -> tuple[tuple[int, int], ...]:
-    """Sizes and orders of the power classes, a column-matching invariant."""
-    powers = cs.powers(class_index)
-    o = len(powers)
-    return tuple((cs.classes[k].size, cs.classes[k].order)
-                 for k in (powers[t % o] for t in range(2, o + 1)))

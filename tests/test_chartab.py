@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctrz import chartab
+from ctrz import chartab, dixon
 from ctrz.errors import InputError
 from ctrz.exact import Cyclotomic, sqrt_embedding
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
@@ -479,3 +479,35 @@ def test_violation_text_never_raises_on_numbers_too_long_to_print():
     assert [v.describe() for v in validate(big)][0] == (
         "class-sizes [table]: sizes sum to a number too long to print, "
         "group order is 6")
+
+
+def test_group_order_finding_never_raises_on_numbers_too_long_to_print():
+    tab = _computed(3, ["(1,2)", "(1,2,3)"])
+    big = CharacterTable("s3", 10**4300, tab.conductor, tab.classes,
+                         tab.characters, tab.values)
+    m = match_columns(tab, big)
+    assert m.level == "full"
+    assert [(f.kind, f.external, f.computed) for f in m.errata.findings] == [
+        ("group-order", "a number too long to print", "6")]
+
+
+def test_class_info_holds_only_what_table_json_carries():
+    """Matching reads class data only, so every field of ClassInfo must
+    survive a JSON round trip, and nothing else can be set on one."""
+    tab = transcription_table("g1344-deg8")
+    assert table_from_dict(table_to_dict(tab)).classes == tab.classes
+    with pytest.raises((AttributeError, TypeError)):
+        ClassInfo("C1", 1, 1).power_profile = ()
+    assert not hasattr(dixon, "_power_profile")
+
+
+def test_unparseable_representative_in_a_tied_class_does_not_crash():
+    """C3's two classes of order 3 tie on size and order, so their cycle
+    types decide; one that does not parse drops the match a level
+    instead of failing to sort against a parsed one."""
+    tab = _computed(3, ["(1,2,3)"])
+    data = table_to_dict(tab)
+    data["classes"][-1]["representative"] = "(1,2"
+    m = match_columns(tab, table_from_dict(data))
+    assert m.level == "size-order"
+    assert m.errata.findings == []

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,8 @@ import pytest
 from ctrz import cli, dixon
 from ctrz.chartab import DecompositionError, display_value, table_from_dict
 from ctrz.cli import build_parser, main
+from ctrz.datasets import transcription_table
+from ctrz.pipeline import builtin_analysis
 
 
 def run(*argv):
@@ -171,8 +174,11 @@ def test_chartable_match_allow_unverified_override():
                                              ("g1344-deg14", "C4")])
 def test_transcription_takes_the_builtin_side_in_either_slot(builtin, column):
     """In the computed slot as in the external one, paper-table is read
-    on the side of the builtin it meets: full constraints, and the two
-    printed cells that fail orthogonality."""
+    on the side of the builtin it meets, and the report is the same:
+    full constraints, the two printed cells that fail orthogonality, the
+    same printed class metadata findings, the same printed diagonal notes
+    and one conventional-choice note on the same pair of columns."""
+    reports = []
     for operands in ([builtin, "paper-table"],
                      ["paper-table", builtin, "--allow-unverified"]):
         code, out = run("chartable", "match", *operands, "--format", "json")
@@ -182,6 +188,41 @@ def test_transcription_takes_the_builtin_side_in_either_slot(builtin, column):
         cells = [(f["row"], f["column"].rstrip("'"))
                  for f in results["findings"] if f["kind"] == "cell"]
         assert cells == [("chi2", column), ("chi3", column)]
+        reports.append(results)
+    forward, reverse = reports
+    kinds = [Counter(f["kind"] for f in r["findings"]) for r in reports]
+    assert kinds == [{"cell": 2, "class-size": 3, "class-order": 2}] * 2
+    assert ([f for f in forward["findings"] if f["kind"] != "cell"]
+            == [f for f in reverse["findings"] if f["kind"] != "cell"])
+    # the two maps are inverse, and each note names the same columns
+    maps = forward["matching"]["columns"], reverse["matching"]["columns"]
+    assert [maps[1][j] for j in maps[0]] == list(range(11))
+    comp_labels, ext_labels = ([c.label for c in t.classes]
+                               for t in (builtin_analysis(builtin).table,
+                                         transcription_table(builtin)))
+    notes = forward["matching"]["notes"], reverse["matching"]["notes"]
+    assert len(notes[0]) == len(notes[1]) == 3
+    pair = notes[0][0].split()[1]  # "columns C10/C11 match either way ..."
+    images = [comp_labels[maps[0][ext_labels.index(x)]] for x in pair.split("/")]
+    assert notes[1][0] == notes[0][0].replace(pair, "/".join(images))
+    assert notes[0][1:] == notes[1][1:]
+    assert all(n.startswith("printed diagonal variant") for n in notes[0][1:])
+
+
+def test_match_reports_differing_group_orders(tmp_path):
+    """A table file that differs from the builtin only in its group order
+    matches at full constraints and reports that order."""
+    _, out = run("chartable", "compute", "--builtin", "g1344-deg8",
+                 "--format", "json")
+    table = json.loads(out)["results"]["table"]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(dict(table, group_order=10**30)))
+    code, out = run("chartable", "match", "g1344-deg8", str(path))
+    assert code == 1
+    assert out.splitlines()[0] == "constraint level: full"
+    assert [x for x in out.splitlines() if x.startswith("finding")] == [
+        f"finding: group-order [table]: {10**30} vs 1344 "
+        "(group orders must be equal)"]
 
 
 def _s3_file(tmp_path) -> str:

@@ -126,3 +126,21 @@ def test_match_is_the_first_fewest_mismatch_bijection(case):
         oracle(table, external)
     if not changed:
         assert cells == []
+
+
+def test_match_reads_only_what_json_carries():
+    """For every pair of tables with equal class counts, a match in
+    process equals the match of the same tables after a JSON round trip:
+    the same level, maps, findings and notes."""
+    names = sorted(GROUPS)
+    for a, b in itertools.product(names, names):
+        first, second = computed(a), computed(b)
+        if first.size != second.size:
+            continue
+        direct = match_columns(first, second)
+        loaded = match_columns(*(table_from_dict(table_to_dict(t))
+                                 for t in (first, second)))
+        assert (direct.level, direct.row_map, direct.col_map,
+                direct.errata.findings, direct.notes) == \
+            (loaded.level, loaded.row_map, loaded.col_map,
+             loaded.errata.findings, loaded.notes), (a, b)
