@@ -14,9 +14,11 @@ one is the least divisor of it whose field Q(zeta_m) holds every value,
 7 for the order-1344 groups (whose exponent is 84 or 168) and 1 for a
 rational table.  Validation, class functions (hence inner products,
 decomposition and tensor powers) and matching all compute on a copy of
-the rows lifted to the working conductor, kept with their conjugates and
-the lines of those, built once on first use, so a table's values must
-not change after it is built.
+the rows lifted to the working conductor, kept with their conjugates
+and the lines of those, built once on first use, so a table's values
+must not change after it is built.  Matching reads only each cell's
+index among the table's distinct values, kept apart from the
+conjugates, so a match builds none.
 
 Orthogonality sums and inner products share one int kernel: a line is
 values at one conductor w as sparse int vectors over one common
@@ -24,17 +26,25 @@ denominator, and a weighted sum of products of two lines is one int
 polynomial reduced mod Phi_w once.  Decomposing against every row sums
 one line of the function against each kept row line.
 
-match_columns searches for row and column permutations making two
-tables equal.  Columns are constrained by class fingerprints at the
-tightest feasible level (size, element order and cycle type of the
+match_columns searches for row and column permutations making two tables
+equal.  Columns are constrained by class fingerprints at the tightest
+feasible level (size, element order and cycle type of the
 representative; then size and order; then size alone) and rows by
-degree.  A depth-first search under a mismatch budget raised 0, 1, 2,
-... finds a matching with the fewest disagreeing cells; of equally good
-ones it returns the first in class order, each column and then each row
-going to the least free computed index that fits.  Disagreeing cells,
-group orders and printed class metadata land in a TableErrata.  Only
-what a table carries through JSON is read, so a table matches the same
-in process as loaded from a file.  Algebraically conjugate classes can
+degree.  A table computes its fingerprints once, on first use, and keeps
+them, as its classes must not change either.  A depth-first search under
+a mismatch budget raised 0, 1, 2, ... finds a matching with the fewest
+disagreeing cells; of equally good ones it returns the first in class
+order, each column and then each row going to the least free computed
+index that fits.  Its bound counts the free external rows whose degree
+and cells on the mapped columns no free computed row shares: each row's
+key is interned, one column at a time, as an int from one dict that
+stores the external rows' keys alone, used rows and columns are flags,
+and each node counts the keys with one dict.  Disagreeing cells, group
+orders and printed class metadata land in a TableErrata, each finding
+with the external operand's side in its external field and the computed
+operand's in its computed one, whichever prints the data.  Only what a
+table carries through JSON is read, so a table matches the same in
+process as loaded from a file.  Algebraically conjugate classes can
 match either way, so the ambiguity is noted.
 """
 
@@ -45,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import ne
 
 from .errors import CtrzError, InputError
 from .exact import (Cyclotomic, QuadraticView, _field, _from_ints,
@@ -77,7 +88,7 @@ class CharacterTable:
         self.characters = list(characters)
         self.values = [tuple(row) for row in values]
         self.verified = verified
-        self._work = None
+        self._cells = self._work = self._fingerprints = None
         r = len(self.classes)
         if len(self.values) != len(self.characters):
             raise InputError("one label per character row required")
@@ -99,30 +110,63 @@ class CharacterTable:
         col = self.identity_column()
         return [row[col].as_integer() for row in self.values]
 
+    def _distinct(self):
+        """(w, cells, values): the working conductor, each row's cells as
+        indices into values, and values the distinct cells at w, in order
+        of first appearance."""
+        if self._cells is None:
+            index = {}
+            cells = [[index.setdefault((v.conductor, v.num, v.den), len(index))
+                      for v in row] for row in self.values]
+            least = [_from_ints(*key).reduced() for key in index]
+            w = lcm(*(v.conductor for v in least))
+            self._cells = (w, cells, [v.lift(w) for v in least])
+        return self._cells
+
     def _working(self):
         """(w, rows, conjugate rows, their lines): the working conductor,
         the rows at it and their complex conjugates, also as lines."""
         if self._work is None:
             # equal cells share one descent and one conjugation
-            keys = [[(v.conductor, v.num, v.den) for v in row] for row in self.values]
-            least = {}
-            for krow, row in zip(keys, self.values):
-                for key, v in zip(krow, row):
-                    if key not in least:
-                        least[key] = v.reduced()
-            w = lcm(*(v.conductor for v in least.values()))
-            lifted = {key: v.lift(w) for key, v in least.items()}
-            conj = {key: v.conj() for key, v in lifted.items()}
-            rows, conj_rows = ([tuple(cells[key] for key in krow) for krow in keys]
-                               for cells in (lifted, conj))
+            w, cells, values = self._distinct()
+            conj = [v.conj() for v in values]
+            rows, conj_rows = ([tuple(at[n] for n in row) for row in cells]
+                               for at in (values, conj))
             self._work = (w, rows, conj_rows, [_line(row) for row in conj_rows])
         return self._work
+
+    def fingerprints(self) -> tuple[int | None, list[tuple]]:
+        """(degree, fingerprints): the largest point any class
+        representative names, None when some class has no representative,
+        and per class its (size, element order, cycle type of the
+        representative), the type None where its text does not parse or
+        names a point above MAX_DEGREE, which no group here acts on.
+        Computed on first use and kept, so the classes must not change
+        after the table is built."""
+        if self._fingerprints is None:
+            degree, types = 0, []
+            for c in self.classes:
+                rep = c.representative or ""
+                try:
+                    points = [int(x) for x in rep.replace("(", " ").replace(")", " ")
+                              .replace(",", " ").split()]
+                    top = max(points, default=1)
+                    degree = max(degree, top)
+                    types.append(parse_cycles(rep, top).cycle_type()
+                                 if top <= MAX_DEGREE else None)
+                except (InputError, ValueError):
+                    types.append(None)
+            if any(c.representative is None for c in self.classes):
+                degree = None
+            self._fingerprints = (degree, [(c.size, c.order, t)
+                                           for c, t in zip(self.classes, types)])
+        return self._fingerprints
 
     @property
     def working_conductor(self) -> int:
         """The least conductor dividing the declared one whose field
         holds every value."""
-        return self._working()[0]
+        return self._distinct()[0]
 
     @property
     def working_rows(self) -> list[tuple[Cyclotomic, ...]]:
@@ -318,18 +362,29 @@ class ClassFunction:
     def level_lines(self) -> tuple[int, list, list]:
         """(e, bases, lines): e the least conductor that holds every value
         f of levels() and every a_(i,f), bases those f at their least
-        conductors, and for every row chi_i the line at e of its a_(i,f),
-        so that <self^k, chi_i> is one int sum of the line of the f^k
-        against lines[i].  For a rational function, every permutation
-        character among them, e is 1: its level sets and the class sizes
-        are closed under the Galois action on classes, so each a_(i,f)
-        is rational too.  Computed on first use and kept."""
+        conductors, and for every row chi_i a line (den, matrix): the int
+        matrix that maps the coefficient vectors of the f^k, each at its
+        f's conductor, stacked in the order of bases, to den times the
+        coefficient vector at e of <self^k, chi_i> = sum over f of
+        f^k * a_(i,f).  For a rational function, every permutation
+        character among them, e is 1 and the matrix is one row of s ints,
+        the a_(i,f) over den: its level sets and the class sizes are
+        closed under the Galois action on classes, so each a_(i,f) is
+        rational too.  Computed on first use and kept."""
         if self._level_lines is None:
             levels = [(f.reduced(), [x.reduced() for x in a]) for f, a in self.levels()]
             e = lcm(*(v.conductor for f, a in levels for v in (f, *a)))
-            columns = zip(*(a for _, a in levels))
-            self._level_lines = (e, [f for f, _ in levels],
-                                 [_line([x.lift(e) for x in a]) for a in columns])
+            bases = [f for f, _ in levels]
+            lines = []
+            for a in zip(*(a for _, a in levels)):
+                den = lcm(*(x.den for x in a))
+                # the column of zeta_c^j, c the conductor of f, is
+                # zeta_e^(j*e/c) * a_(i,f) * den reduced mod Phi_e
+                columns = [_reduce_poly(e, [0] * (j * (e // f.conductor))
+                                        + [c * (den // x.den) for c in x.lift(e).num])
+                           for f, x in zip(bases, a) for j in range(len(f.num))]
+                lines.append((den, list(zip(*columns))))
+            self._level_lines = (e, bases, lines)
         return self._level_lines
 
 
@@ -455,39 +510,18 @@ class MatchResult:
         return d
 
 
-def _parsed_representatives(table: CharacterTable):
-    """(degree, cycle types): the largest point any class representative
-    names, and the cycle type of each representative, None where its
-    text does not parse or names a point above MAX_DEGREE (parsing
-    allocates one image per point).  None when some class has no
-    representative."""
-    if any(c.representative is None for c in table.classes):
-        return None
-    degree, types = 0, []
-    for c in table.classes:
-        rep = c.representative
-        try:
-            points = [int(x) for x in
-                      rep.replace("(", " ").replace(")", " ").replace(",", " ").split()]
-            top = max(points, default=1)
-            degree = max(degree, top)
-            types.append(parse_cycles(rep, top).cycle_type() if top <= MAX_DEGREE
-                         else None)
-        except (InputError, ValueError):
-            types.append(None)
-    return degree, types
-
-
 def _canonical_cells(a: CharacterTable, b: CharacterTable):
     """Both tables' cells at a common conductor, each as a small int that
-    two cells share exactly when their values are equal."""
+    two cells share exactly when their values are equal; each table's
+    distinct values are lifted once."""
     e = lcm(a.working_conductor, b.working_conductor)
     ids = {}
 
     def cells(table):
-        return [[ids.setdefault((w.num, w.den), len(ids))
-                 for w in (v.lift(e) for v in row)]
-                for row in table.working_rows]
+        _, cells, values = table._distinct()
+        named = [ids.setdefault((u.num, u.den), len(ids))
+                 for u in (v.lift(e) for v in values)]
+        return [[named[n] for n in row] for row in cells]
 
     return cells(a), cells(b)
 
@@ -511,11 +545,10 @@ def match_columns(computed: CharacterTable,
     # representative (None where it does not parse) when both tables name
     # the same degree; each level keys on a prefix of it, compared as
     # multisets, since None does not sort
-    reps = _parsed_representatives(computed), _parsed_representatives(external)
-    typed = None not in reps and reps[0][0] == reps[1][0]
-    comp_fps, ext_fps = ([(c.size, c.order) + ((rep[1][j],) if typed else ())
-                          for j, c in enumerate(t.classes)]
-                         for t, rep in zip((computed, external), reps))
+    (comp_top, comp_fps), (ext_top, ext_fps) = (computed.fingerprints(),
+                                                external.fingerprints())
+    width = 3 if comp_top is not None and comp_top == ext_top else 2
+    comp_fps, ext_fps = ([fp[:width] for fp in fps] for fps in (comp_fps, ext_fps))
     try:
         comp_deg = computed.degrees()
         ext_deg = external.degrees()
@@ -561,57 +594,76 @@ def _search(comp_cells, ext_cells, comp_fps, ext_fps, comp_deg, ext_deg):
     ascending, each to a free computed index of its own group, tried in
     ascending order.  It runs under a mismatch budget of 0, 1, 2, ... and
     cuts a branch once the mismatches of the rows already mapped, plus one
-    for each free external row whose cells on the mapped columns match no
-    free computed row of its degree, exceed the budget.  The first
-    complete map found has the fewest mismatches and, among those, comes
-    first in that order.  The caller has checked that both groupings
-    admit a bijection.
+    for each free external row whose key matches no free computed row's,
+    exceed the budget.  A row's key is its degree and then its cells on
+    the columns mapped so far, interned one column at a time as an int
+    from one dict both tables share; a computed row whose key no external
+    row holds gets None.  The first complete map found has
+    the fewest mismatches and, among those, comes first in that order.
+    The caller has checked that both groupings admit a bijection.
     """
     r = len(comp_fps)
     cols = sorted(range(r), key=lambda b: (ext_fps.index(ext_fps[b]), b))
     rows = sorted(range(r), key=lambda a: (ext_deg[a], a))
+    col_fits = [[j for j in range(r) if comp_fps[j] == ext_fps[b]] for b in range(r)]
+    row_fits = [[i for i in range(r) if comp_deg[i] == ext_deg[a]] for a in range(r)]
+    comp_columns = [[row[j] for row in comp_cells] for j in range(r)]
     col_map, row_map = [None] * r, [None] * r
-    # ext_keys[k][a]: the degree of external row a and its cells on the
-    # first k columns of cols
-    ext_keys = [[(d,) for d in ext_deg]]
+    col_used, row_used = [False] * r, [False] * r
+    ids = {}
+
+    def intern(keys, cells):
+        return [ids.setdefault(pair, len(ids)) for pair in zip(keys, cells)]
+
+    def lookup(keys, cells):
+        # a computed key that no external row holds is None, and so are
+        # the keys it extends, as no stored pair starts with None: ids
+        # keeps the external keys alone, r(r + 1) at most, however long
+        # the search runs
+        return list(map(ids.get, zip(keys, cells)))
+
+    # wanted[k]: how many free external rows hold each key at depth k,
+    # when the first min(k, r) columns of cols are mapped
+    ext_keys = intern(ext_deg, [None] * r)  # the degree alone
+    wanted = [dict(Counter(ext_keys))]
     for b in cols:
-        ext_keys.append([key + (row[b],)
-                         for key, row in zip(ext_keys[-1], ext_cells)])
+        ext_keys = intern(ext_keys, [row[b] for row in ext_cells])
+        wanted.append(dict(Counter(ext_keys)))
+    wanted += [dict(Counter(ext_keys[a] for a in rows[k:])) for k in range(1, r + 1)]
 
     def extend(k, spent, comp_keys):
-        # comp_keys[i]: the degree of computed row i and its cells on the
-        # columns mapped so far
-        ext = Counter(key for a, key in enumerate(ext_keys[min(k, r)])
-                      if row_map[a] is None)
-        comp = Counter(key for i, key in enumerate(comp_keys)
-                       if i not in row_map)
-        if spent + sum((ext - comp).values()) > budget:
+        # comp_keys[i]: the key of computed row i
+        left = wanted[k].copy()
+        excess = min(r, 2 * r - k)  # the free external rows
+        for key, used in zip(comp_keys, row_used):
+            if not used and left.get(key):
+                left[key] -= 1
+                excess -= 1
+        if spent + excess > budget:
             return False
         if k == 2 * r:
             return True
         if k < r:
             b = cols[k]
-            for j in range(r):
-                if j not in col_map and comp_fps[j] == ext_fps[b]:
-                    col_map[b] = j
-                    if extend(k + 1, spent, [key + (row[j],) for key, row
-                                             in zip(comp_keys, comp_cells)]):
+            for j in col_fits[b]:
+                if not col_used[j]:
+                    col_map[b], col_used[j] = j, True
+                    if extend(k + 1, spent, lookup(comp_keys, comp_columns[j])):
                         return True
-                    col_map[b] = None
+                    col_used[j] = False
             return False
         a = rows[k - r]
-        for i in range(r):
-            if i not in row_map and comp_deg[i] == ext_deg[a]:
-                row_map[a] = i
-                cost = sum(ext_cells[a][b] != comp_cells[i][col_map[b]]
-                           for b in range(r))
+        for i in row_fits[a]:
+            if not row_used[i]:
+                row_map[a], row_used[i] = i, True
+                cost = sum(map(ne, ext_cells[a], map(comp_cells[i].__getitem__, col_map)))
                 if extend(k + 1, spent + cost, comp_keys):
                     return True
-                row_map[a] = None
+                row_used[i] = False
         return False
 
     budget = 0
-    while not extend(0, 0, [(d,) for d in comp_deg]):
+    while not extend(0, 0, lookup(comp_deg, [None] * r)):
         budget += 1
     mism = [(a, b) for a in range(r) for b in range(r)
             if ext_cells[a][b] != comp_cells[row_map[a]][col_map[b]]]
@@ -636,14 +688,18 @@ def _finish(computed, external, row_map, col_map, mismatches, level,
             computed=display_value(computed.values[row_map[a]][col_map[b]]),
             relation="cell equality under best matching"))
     # printed metadata is the external table's, or the computed table's
-    # when the external one prints none, each against its matched classes
+    # when the external one prints none, each against its matched classes;
+    # either way each finding holds each operand's side in its own field
     if any(c.printed_size is not None for c in external.classes):
         printed, other, cols = external, computed, col_map
     else:
         printed, other, cols = (computed, external,
                                 sorted(range(external.size), key=col_map.__getitem__))
-    errata.findings.extend(class_metadata_findings(
-        printed, [other.classes[j] for j in cols]))
+    found = class_metadata_findings(printed, [other.classes[j] for j in cols])
+    if printed is computed:
+        for f in found:
+            f.external, f.computed = f.computed, f.external
+    errata.findings += found
     notes = _ambiguity_notes(external, row_map, col_map, len(mismatches),
                              [fp[:2] for fp in ext_fps], comp_cells, ext_cells)
     return MatchResult(tuple(row_map), tuple(col_map), errata, level, notes)

@@ -10,10 +10,10 @@ independent routes to d(k) are implemented:
   direct      <chi^k, chi_i> regrouped on the values f of chi:
               m_i(k) = sum over f of f^k * a_(i,f), the inner products
               a_(i,f) = <1_(chi=f), chi_i> kept on chi after first use
-              as one line per row at the least conductor holding
-              every f and a_(i,f) (1 for a rational chi), each m_i(k)
-              one int sum of the inner-product kernel against the
-              line of the f^k,
+              as one int matrix per row at the least conductor holding
+              every f and a_(i,f), each m_i(k) that matrix applied to
+              the stacked coefficients of the f^k: for a rational chi
+              one dot product of s ints at conductor 1,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix, A_ij = <chi_i * chi, chi_j>, each row
               r int sums against the table's kept row lines,
@@ -41,11 +41,12 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from itertools import zip_longest
+from math import lcm
+from operator import mul
 
 from . import datasets
 from .chartab import (CharacterTable, ClassFunction, DecompositionError,
-                      _line, _weighted_sum, as_multiplicity, decompose,
-                      require_verified)
+                      as_multiplicity, decompose, require_verified)
 from .errors import InconsistencyError, InputError
 from .exact import _from_ints
 from .perm import ClassSet, orbit_count_tuples
@@ -74,18 +75,26 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
                           k: int) -> tuple[int, ...]:
     """Decompose the pointwise k-th power of chi, its inner product with
     each row regrouped on chi's values: m_i(k) = sum over the values f of
-    chi of f^k * a_(i,f), one int sum of the line of the f^k against the
-    row's line of a_(i,f) from chi.level_lines(): s int products with no
-    reduction mod Phi for a rational chi, whose lines are at conductor 1."""
+    chi of f^k * a_(i,f), the row's int matrix from chi.level_lines()
+    applied to the stacked coefficients of the f^k: one dot product of s
+    ints for a rational chi, whose lines are at conductor 1.  Each result
+    is checked as ints to be a nonnegative integer; only one that is not
+    becomes a Cyclotomic, for the error decompose would raise."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
     e, bases, lines = chi.level_lines()
-    powers = _line([(f ** k).lift(e) for f in bases])
-    ones = [1] * len(powers[1])
-    return tuple(as_multiplicity(_from_ints(e, *_weighted_sum(e, powers, a, ones)),
-                                 label)
-                 for a, label in zip(lines, table.characters))
+    powers = [f ** k for f in bases]
+    den = lcm(*(p.den for p in powers))
+    stacked = [c * (den // p.den) for p in powers for c in p.num]
+    out = []
+    for (d, matrix), label in zip(lines, table.characters):
+        num = [sum(map(mul, row, stacked)) for row in matrix]
+        m, rest = divmod(num[0], d * den)
+        if rest or m < 0 or any(num[1:]):
+            as_multiplicity(_from_ints(e, num, d * den), label)  # raises
+        out.append(m)
+    return tuple(out)
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,

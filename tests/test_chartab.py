@@ -7,6 +7,8 @@ must be flagged exactly, and nothing else.
 
 import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from ctrz.exact import Cyclotomic, sqrt_embedding
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
 from ctrz.dixon import compute_character_table
 from ctrz.datasets import transcription_table
+from ctrz.pipeline import builtin_analysis
 from ctrz.chartab import (CharacterTable, ClassInfo, ClassFunction,
                           DecompositionError, validate,
                           permutation_character, inner_product, decompose,
@@ -209,6 +212,122 @@ def test_match_against_transcription_h(g14):
 def test_match_notes_flag_conventional_column_choice(g8):
     m = match_columns(g8.canonical_table, transcription_table("g1344-deg8"))
     assert any("C10" in note and "C11" in note for note in m.notes)
+
+
+# (level, row_map, col_map, mismatched (row, column) labels) of
+# match_columns on each pair: a builtin's canonical table against the
+# transcription or the other builtin, or a small group's table against a
+# seeded row and column shuffle of it, with one cell changed at seed 3
+MATCH_PINS = {
+    ('g1344-deg8', 'paper-table'): ('full', (0, 2, 1, 3, 4, 7, 6, 5, 8, 10, 9),
+                                    (0, 1, 4, 3, 2, 9, 10, 5, 6, 7, 8),
+                                    [('chi2', 'C3'), ('chi3', 'C3')]),
+    ('g1344-deg14', 'paper-table'): ('full', (0, 2, 1, 3, 4, 7, 5, 6, 8, 9, 10),
+                                     (0, 1, 4, 2, 3, 9, 10, 6, 5, 7, 8),
+                                     [('chi2', "C4'"), ('chi3', "C4'")]),
+    ('g1344-deg8', 'g1344-deg14'): ('size', (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+                                    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+                                    []),
+    ('psl(2,7)', 1): ('full', (0, 1, 2, 4, 5, 3),
+                      (2, 3, 5, 0, 4, 1),
+                      []),
+    ('psl(2,7)', 2): ('full', (1, 0, 3, 4, 2, 5),
+                      (2, 3, 1, 4, 5, 0),
+                      []),
+    ('psl(2,7)', 3): ('full', (1, 3, 2, 0, 4, 5),
+                      (0, 2, 3, 5, 4, 1),
+                      [('chi4', 'C2')]),
+    ('s4', 1): ('full', (0, 2, 1, 4, 3),
+                (2, 3, 4, 0, 1),
+                []),
+    ('s4', 2): ('full', (3, 0, 4, 2, 1),
+                (2, 1, 3, 4, 0),
+                []),
+    ('s4', 3): ('full', (1, 3, 2, 0, 4),
+                (0, 2, 3, 4, 1),
+                [('chi4', 'C2')]),
+    ('d8', 1): ('full', (0, 2, 1, 4, 3),
+                (2, 3, 4, 0, 1),
+                []),
+    ('d8', 2): ('full', (3, 0, 4, 2, 1),
+                (2, 1, 3, 4, 0),
+                []),
+    ('d8', 3): ('full', (1, 3, 2, 0, 4),
+                (0, 2, 3, 4, 1),
+                [('chi4', 'C2')]),
+    ('c2xc4', 1): ('full', (2, 6, 4, 0, 1, 3, 5, 7),
+                   (3, 6, 1, 5, 7, 0, 4, 2),
+                   []),
+    ('c2xc4', 2): ('full', (4, 3, 2, 0, 7, 1, 6, 5),
+                   (4, 3, 5, 1, 2, 7, 6, 0),
+                   []),
+    ('c2xc4', 3): ('full', (6, 4, 7, 2, 3, 0, 5, 1),
+                   (0, 4, 6, 2, 1, 7, 5, 3),
+                   [('chi6', 'C4')]),
+    ('c4xc4', 1): ('full', (1, 3, 7, 5, 4, 2, 8, 10, 9, 13, 6, 14, 11, 12, 15, 0),
+                   (1, 8, 0, 10, 5, 12, 3, 11, 9, 14, 13, 2, 4, 7, 15, 6),
+                   []),
+    ('c4xc4', 2): ('full', (13, 6, 11, 2, 14, 3, 1, 12, 8, 5, 0, 10, 15, 9, 4, 7),
+                   (4, 14, 9, 7, 5, 0, 11, 3, 15, 6, 8, 1, 12, 10, 13, 2),
+                   []),
+    ('c4xc4', 3): ('full', (11, 5, 9, 1, 6, 0, 4, 15, 8, 13, 12, 3, 2, 10, 7, 14),
+                   (4, 11, 10, 7, 6, 3, 12, 0, 1, 9, 8, 5, 2, 14, 15, 13),
+                   [('chi5', 'C8')]),
+}
+SHUFFLED_GROUPS = {"psl(2,7)": (7, ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"]),
+                   "s4": (4, ["(1,2,3,4)", "(1,2)"]),
+                   "d8": (4, ["(1,2,3,4)", "(1,3)"]),
+                   "c2xc4": (6, ["(1,2)", "(3,4,5,6)"]),
+                   "c4xc4": (8, ["(1,2,3,4)", "(5,6,7,8)"])}
+
+
+def _shuffled(table, seed):
+    data = table_to_dict(table)
+    rng = random.Random(seed)
+    cols, rows = list(range(table.size)), list(range(table.size))
+    rng.shuffle(cols)
+    rng.shuffle(rows)
+    chars = data["characters"]
+    data = dict(data, classes=[data["classes"][j] for j in cols],
+                characters=[{"label": chars[i]["label"],
+                             "values": [chars[i]["values"][j] for j in cols]}
+                            for i in rows])
+    if seed == 3:
+        data["characters"][1]["values"][-1] = "7"
+    return table_from_dict(data)
+
+
+@pytest.mark.parametrize("pair", list(MATCH_PINS), ids="{0[0]}-{0[1]}".format)
+def test_match_search_keeps_its_choice(pair):
+    """The search returns the same first fewest-mismatch matching, maps
+    and level included, as it has since these values were recorded, and
+    its dict of interned keys, read as the search returns, holds the
+    external rows' keys alone: r per mapped column and one for the
+    degree, however many nodes the mismatch budget makes it visit."""
+    first, second = pair
+    if first in SHUFFLED_GROUPS:
+        computed = _computed(*SHUFFLED_GROUPS[first])
+        other = _shuffled(computed, second)
+    else:
+        computed = builtin_analysis(first).canonical_table
+        other = (transcription_table(first) if second == "paper-table"
+                 else builtin_analysis(second).canonical_table)
+    interned = []
+
+    def spy(frame, event, arg):
+        if event == "return" and frame.f_code is chartab._search.__code__:
+            interned.append(len(frame.f_locals["ids"]))
+
+    profiler = sys.getprofile()
+    sys.setprofile(spy)
+    try:
+        m = match_columns(computed, other)
+    finally:
+        sys.setprofile(profiler)
+    cells = [(f.row, f.column) for f in m.errata.findings if f.kind == "cell"]
+    assert (m.level, m.row_map, m.col_map, cells) == MATCH_PINS[pair]
+    r = computed.size
+    assert len(interned) == 1 and interned[0] <= r * (r + 1)
 
 
 def test_match_requires_same_class_count(g8):

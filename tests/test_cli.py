@@ -176,8 +176,9 @@ def test_transcription_takes_the_builtin_side_in_either_slot(builtin, column):
     """In the computed slot as in the external one, paper-table is read
     on the side of the builtin it meets, and the report is the same:
     full constraints, the two printed cells that fail orthogonality, the
-    same printed class metadata findings, the same printed diagonal notes
-    and one conventional-choice note on the same pair of columns."""
+    same printed class metadata findings with each operand's side in its
+    own field, the same printed diagonal notes and one conventional-choice
+    note on the same pair of columns."""
     reports = []
     for operands in ([builtin, "paper-table"],
                      ["paper-table", builtin, "--allow-unverified"]):
@@ -192,8 +193,15 @@ def test_transcription_takes_the_builtin_side_in_either_slot(builtin, column):
     forward, reverse = reports
     kinds = [Counter(f["kind"] for f in r["findings"]) for r in reports]
     assert kinds == [{"cell": 2, "class-size": 3, "class-order": 2}] * 2
-    assert ([f for f in forward["findings"] if f["kind"] != "cell"]
-            == [f for f in reverse["findings"] if f["kind"] != "cell"])
+    # the same class findings, each operand's side in its own field
+    classes = [[f for f in r["findings"] if f["kind"] != "cell"] for r in reports]
+    assert classes[1] == [dict(f, external=f["computed"], computed=f["external"])
+                          for f in classes[0]]
+    # the transcription prints 168 for the class of 84 elements
+    sizes = [[(f["external"], f["computed"]) for f in found
+              if f["kind"] == "class-size" and f["column"].rstrip("'") == "C6"]
+             for found in classes]
+    assert sizes == [[("168", "84")], [("84", "168")]]
     # the two maps are inverse, and each note names the same columns
     maps = forward["matching"]["columns"], reverse["matching"]["columns"]
     assert [maps[1][j] for j in maps[0]] == list(range(11))

@@ -267,16 +267,25 @@ def test_direct_route_on_an_irrational_character():
 
 
 def test_direct_route_rejects_a_non_character_as_decompose_does():
-    """Both routes raise the same text; at k = 1 a fractional, a negative
-    and an irrational multiplicity are pinned."""
+    """Both routes raise the same text: on PSL(2,7) at k = 1, 3, and on
+    chi4/2 - 2*chi3 of S4, rational with its lines at conductor 1 and
+    one fractional and one negative multiplicity, at k = 1, 2, 5.  At
+    k = 1 a fractional, a negative and an irrational multiplicity are
+    pinned."""
     chi, tab = _psl27()
-    for values in ([1] + [0] * (tab.size - 1), [-v for v in chi.values]):
-        f = ClassFunction(tab, values)
-        for k in (1, 3):
+    _, s4 = _small_group_character(["(1,2,3,4)", "(1,2)"], 4)
+    rows = s4.working_rows
+    mixed = ClassFunction(s4, [a * Fraction(1, 2) - b * 2
+                               for a, b in zip(rows[3], rows[2])])
+    assert mixed.level_lines()[0] == 1
+    cases = [(ClassFunction(tab, values), (1, 3))
+             for values in ([1] + [0] * (tab.size - 1), [-v for v in chi.values])]
+    for f, ks in cases + [(mixed, (1, 2, 5))]:
+        for k in ks:
             with pytest.raises(DecompositionError) as direct:
-                multiplicities_direct(f, tab, k)
+                multiplicities_direct(f, f.table, k)
             with pytest.raises(DecompositionError) as reference:
-                decompose(f.power(k), tab)
+                decompose(f.power(k), f.table)
             assert str(direct.value) == str(reference.value)
     for values, shown in (([Fraction(1, 2)] * tab.size, "1/2"),
                           ([-v for v in chi.values], "-1"),
