@@ -6,11 +6,13 @@ M_i with (M_i)[j][k] = a[i][j][k] commute, and their simultaneous
 eigenvectors mod a well-chosen prime p are, after normalizing the entry
 at the identity class to 1, exactly the vectors of class-sum eigenvalues
 omega_i = |C_i| chi(g_i) / chi(1) reduced mod p, one per irreducible
-character chi.  The split takes the M_i in class order, smallest class
-first, and stops once every eigenspace is one-dimensional, so only the
-matrices it uses are built, M_i at |C_i| * r products (J. D. Dixon,
-Numer. Math. 10 (1967) 446-450; G. J. A. Schneider, J. Symbolic
-Comput. 9 (1990) 601-606).
+character chi.  The split keeps one vector per common eigenspace,
+starting from the unit vector at the identity class, and splits each
+by the minimal polynomial of the next M_i on it, in class order,
+smallest class first, until it keeps r vectors, so only the matrices
+it uses are built, M_i at |C_i| * r products (J. D. Dixon, Numer.
+Math. 10 (1967) 446-450; G. J. A. Schneider, J. Symbolic Comput. 9
+(1990) 601-606).
 
 The prime is the smallest p = 1 (mod exponent) with p > 2*sqrt(|G|):
 then F_p holds the needed roots of unity, degrees satisfy d <= sqrt(|G|)
@@ -50,8 +52,7 @@ from .chartab import CharacterTable, ClassInfo, validate
 from .errors import InconsistencyError, InputError
 from .exact import (CYCLOTOMIC_CAP, Cyclotomic, _from_ints, _reduce_poly,
                     cyclotomic_polynomial)
-from .modp import (charpoly_mod_p, choose_prime, nullspace_mod_p,
-                   poly_roots_mod_p, primitive_root_mod_p, rref)
+from .modp import choose_prime, poly_roots_mod_p, primitive_root_mod_p
 from .perm import ClassSet, FiniteGroup
 
 
@@ -60,8 +61,7 @@ class ClassAlgebra:
 
     matrix(i) is M_i, (M_i)[j][k] = a[i][j][k], built on first use from
     the |C_i| * r products x^-1 * z, x in C_i and z the representative
-    of class k.  constants is the full tensor, every matrix built;
-    inverse_class[i] is the class of inverses of class i.
+    of class k; inverse_class[i] is the class of inverses of class i.
     """
 
     def __init__(self, class_set: ClassSet):
@@ -74,10 +74,6 @@ class ClassAlgebra:
     @property
     def size(self) -> int:
         return len(self.class_set)
-
-    @property
-    def constants(self) -> list[list[list[int]]]:
-        return [self.matrix(i) for i in range(self.size)]
 
     def matrix(self, i: int) -> list[list[int]]:
         """M_i, built on first use and checked against the structural
@@ -113,136 +109,101 @@ class ClassAlgebra:
                 m[cls_of[index[x_inv.translate(z_table)]]][k] += 1
         return m
 
-    def check_consistency(self) -> None:
-        """Build, and so check, every matrix."""
-        for i in range(self.size):
-            self.matrix(i)
-
 
 def class_constants(class_set: ClassSet) -> ClassAlgebra:
     """The class algebra, its matrices built as they are asked for."""
     return ClassAlgebra(class_set)
 
 
-def _restriction(matrix: list[list[int]], basis: list[list[int]],
-                 p: int) -> list[list[int]]:
-    """Matrix of the action on span(basis), basis rows in RREF, each
-    pivot its first nonzero entry.  Verifies invariance and raises
-    otherwise."""
-    d = len(basis)
-    pivots = [next(c for c, x in enumerate(v) if x) for v in basis]
-    images = []
-    for v in basis:
-        support = [(c, x) for c, x in enumerate(v) if x]
-        images.append([sum(row[c] * x for c, x in support) % p for row in matrix])
-    rest = [[images[j][pivots[m]] for j in range(d)] for m in range(d)]
-    # invariance check: the image must reconstruct from coordinates
-    columns = list(zip(*basis))
-    for j in range(d):
-        coords = [rest[m][j] for m in range(d)]
-        if images[j] != [sum(a * b for a, b in zip(coords, col)) % p
-                         for col in columns]:
-            raise InconsistencyError(
-                "class-sum matrix does not preserve a common eigenspace")
-    return rest
+def _split(m: list[list[int]], x: list[int], p: int) -> list[list[int]]:
+    """The components of x on the eigenspaces of m mod p, up to nonzero
+    scalars: with q the minimal polynomial of m on x, of degree k, one
+    h(m) x per root w of q, ascending, h = q / (t - w); x itself when
+    k is 1.  Raises unless q has k distinct roots in F_p."""
+    n = len(x)
+    krylov, echelon = [], []  # echelon rows: (pivot, row, its polynomial)
+    y = x
+    while True:  # reduce y = m**k x against x, ..., m**(k-1) x
+        k = len(krylov)
+        z, q = y, [0] * k + [1] + [0] * (n - k)
+        for c, row, poly in echelon:
+            f = z[c]
+            if f:
+                z = [(a - f * b) % p for a, b in zip(z, row)]
+                q = [(a - f * b) % p for a, b in zip(q, poly)]
+        if not any(z):
+            break
+        c = next(c for c, a in enumerate(z) if a)
+        inv = pow(z[c], p - 2, p)
+        echelon.append((c, [a * inv % p for a in z], [a * inv % p for a in q]))
+        krylov.append(y)
+        y = [sum(map(mul, row, y)) % p for row in m]
+    if k == 1:
+        return [x]
+    q = q[:k + 1]
+    roots = poly_roots_mod_p(q, p)
+    if len(roots) != k:
+        raise InconsistencyError(
+            "eigenspace splitting stalled: matrix not diagonalizable mod p")
+    parts = []
+    for w in roots:
+        h, acc = [0] * k, 0
+        for j in range(k, 0, -1):  # q / (t - w)
+            acc = (q[j] + w * acc) % p
+            h[j - 1] = acc
+        parts.append([sum(map(mul, h, column)) % p for column in zip(*krylov)])
+    return parts
 
 
 def common_eigenbasis(algebra: ClassAlgebra,
                       p: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Split F_p^r into the r common one-dimensional eigenspaces of the
-    class-sum matrices, eigenvalues found by root-scanning characteristic
-    polynomials mod p.  Deterministic throughout.
+    """The r common eigenvectors of the class-sum matrices mod p, found
+    by splitting one vector, with one vector kept per common eigenspace.
+    Deterministic throughout.
 
-    Each subspace is kept as its RREF rows and as u, its component of
-    the unit vector at the identity class, class 0.  That vector is the
-    sum over the characters t of chi_t(1)**2 / |G| times the vectors v_t
-    below, every coefficient nonzero mod p, so u has a nonzero component
-    on each eigenspace inside the subspace.  With A the restriction of
-    M_i and w_1..w_k the distinct roots of its characteristic
-    polynomial, h(A) u is h(w) != 0 times the component for the root w,
-    h the product of x - w_l over the other roots, summed from the
-    Krylov vectors A**l u, l < k.  A simple root's eigenspace is the line
-    through it; a multiple root's is the nullspace of A - w, and h(A) u
-    serves as that subspace's u.
+    The split starts from the unit vector at the identity class, class
+    0.  That vector is the sum over the characters t of chi_t(1)**2 / |G|
+    times the vectors v_t below, every coefficient nonzero mod p, so
+    each kept vector has a nonzero component on every v_t in its common
+    eigenspace.  Each kept vector x is split by the next matrix M_i, in
+    class order, until r vectors are kept: the first Krylov vector
+    M_i**k x that is a combination of the earlier ones gives q, the
+    minimal polynomial of M_i on x, which must have k distinct roots in
+    F_p; for each root w, ascending, h(M_i) x with h = q / (t - w) is
+    h(w) != 0 times the component of x on the eigenspace of w.  A q of
+    degree 1 leaves x whole.  Only the matrices the split uses are
+    built.
 
-    Returns (p, vectors), one vector per character t: the RREF row of
-    its eigenspace, which leads with 1 at the identity class, so its
-    entry at class i is omega_i = |C_i| chi_t(g_i)/chi_t(1) mod p and
-    M_i v = v[i] * v for every i.
+    Returns (p, vectors), one vector per character t, scaled to 1 at
+    the identity class, so its entry at class i is
+    omega_i = |C_i| chi_t(g_i)/chi_t(1) mod p.  M_i v = v[i] * v is
+    checked for every returned v and every matrix the split built.
     """
     r = algebra.size
-    identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    subspaces = [(identity, identity[0])]
+    vectors, used = [[1] + [0] * (r - 1)], []
     for i in range(1, r):
-        if all(len(b) == 1 for b, _ in subspaces):
+        if len(vectors) >= r:  # more only from inconsistent matrices
             break
-        m_i = algebra.matrix(i)
-        refined = []
-        for basis, u in subspaces:
-            if len(basis) == 1:
-                refined.append((basis, u))
-                continue
-            rest = _restriction(m_i, basis, p)
-            poly = charpoly_mod_p(rest, p)
-            roots = poly_roots_mod_p(poly, p)
-            derivative = [k * c % p for k, c in enumerate(poly)][1:]
-            # coordinates of u are its entries at the pivots of the basis
-            krylov = [[u[next(c for c, x in enumerate(v) if x)] for v in basis]]
-            for _ in roots[1:]:
-                krylov.append([sum(a * x for a, x in zip(row, krylov[-1])) % p
-                               for row in rest])
-            product = [1]  # the product of x - w over the roots, ascending
-            for w in roots:
-                product = [(b - w * a) % p for a, b in zip(product + [0], [0] + product)]
-            found = 0
-            for w in roots:
-                h, acc = [0] * len(roots), 0
-                for k in range(len(roots), 0, -1):  # product / (x - w)
-                    acc = (product[k] + w * acc) % p
-                    h[k - 1] = acc
-                coords = [sum(c * vec[m] for c, vec in zip(h, krylov)) % p
-                          for m in range(len(basis))]
-                part = _combination(coords, basis, p)
-                if sum(c * pow(w, k, p) for k, c in enumerate(derivative)) % p:
-                    # a simple root: its eigenspace is a line
-                    lead = next((x for x in part if x), 0)
-                    if not lead:
-                        raise InconsistencyError(
-                            "identity class has no component on an eigenspace")
-                    inv = pow(lead, p - 2, p)
-                    refined.append(([[x * inv % p for x in part]], part))
-                    found += 1
-                    continue
-                shifted = [[x - w if a == b else x for b, x in enumerate(row)]
-                           for a, row in enumerate(rest)]
-                ambient = [_combination(cvec, basis, p)
-                           for cvec in nullspace_mod_p(shifted, p)]
-                reduced, pivots = rref(ambient, p)
-                refined.append((reduced[:len(pivots)], part))
-                found += len(pivots)
-            if found != len(basis):
-                raise InconsistencyError(
-                    "eigenspace splitting stalled: matrix not diagonalizable mod p")
-        subspaces = refined
-    if len(subspaces) != r or any(len(b) != 1 for b, _ in subspaces):
+        m = algebra.matrix(i)
+        used.append((i, m))
+        vectors = [part for x in vectors for part in _split(m, x, p)]
+    if len(vectors) != r:
         raise InconsistencyError(
-            f"expected {r} one-dimensional common eigenspaces, "
-            f"got {[len(b) for b, _ in subspaces]}")
-    vectors = [tuple(basis[0]) for basis, _ in subspaces]
-    if any(v[0] != 1 for v in vectors):
-        raise InconsistencyError("eigenvector vanishes at the identity class")
+            f"expected {r} common eigenvectors, got {len(vectors)}")
+    for n, x in enumerate(vectors):
+        if not x[0]:
+            raise InconsistencyError("eigenvector vanishes at the identity class")
+        inv = pow(x[0], p - 2, p)
+        vectors[n] = tuple(a * inv % p for a in x)
+    for i, m in used:
+        for v in vectors:
+            if [sum(map(mul, row, v)) % p for row in m] != [v[i] * a % p for a in v]:
+                raise InconsistencyError(
+                    f"class-sum matrix {i} does not scale a returned "
+                    f"vector by its entry at class {i}")
     if len(set(vectors)) != r:
         raise InconsistencyError("eigenvalue vectors are not pairwise distinct")
     return p, vectors
-
-
-def _combination(coords: list[int], basis: list[list[int]], p: int) -> list[int]:
-    """The vector with the given coordinates over the basis rows, mod p."""
-    v = [0] * len(basis[0])
-    for c, row in zip(coords, basis):
-        if c:
-            v = [(x + c * y) % p for x, y in zip(v, row)]
-    return v
 
 
 def _column(class_set: ClassSet, j: int) -> tuple[int, list[int]]:

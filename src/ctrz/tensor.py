@@ -98,15 +98,11 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,
-                              k: int,
-                              matrix: list[list[int]] | None = None) -> tuple[int, ...]:
+                              k: int, matrix: list[list[int]]) -> tuple[int, ...]:
     """The trivial character's row of A^k: the indicator of the row whose
-    values are all 1, multiplied by the transition matrix k times.  The
-    matrix is built from chi when none is passed."""
+    values are all 1, multiplied by the transition matrix k times."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
-    if matrix is None:
-        matrix = transition_matrix(chi, table)
     d = [int(all(v == 1 for v in row)) for row in table.values]
     if sum(d) != 1:
         raise InputError("table lacks a unique trivial character")
@@ -161,32 +157,29 @@ def check_closed_forms(chi: ClassFunction, family: str) -> None:
                     f"published {c}, derived {a}")
 
 
-_proven = weakref.WeakKeyDictionary()  # chi: (family, matrix rows) last proven
+_proven = weakref.WeakKeyDictionary()  # chi: (family, copy of the rows) last proven
 
 
 def agreed_multiplicities(chi: ClassFunction, table: CharacterTable, k: int,
-                          family: str | None = None,
-                          matrix: list[list[int]] | None = None
-                          ) -> tuple[int, ...]:
+                          family: str | None = None, *,
+                          matrix: list[list[int]]) -> tuple[int, ...]:
     """The direct route's multiplicity vector, cross-checked for every k
-    against the recurrence on matrix (built from chi by default) and the
-    published formulas of family (the table rows then in the published
-    order).  The proof runs once per chi, matrix content and family."""
+    against the recurrence on matrix and the published formulas of
+    family (the table rows then in the published order).  The proof
+    runs once per chi, matrix content and family."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
-    proof = (family, None if matrix is None else tuple(map(tuple, matrix)))
-    if _proven.get(chi) != proof:
-        a = transition_matrix(chi, table) if matrix is None else matrix
+    if _proven.get(chi) != (family, matrix):
         for j in range(1, len(chi.levels()) + 2):
             direct = multiplicities_direct(chi, table, j)
-            rec = multiplicities_recurrence(chi, table, j, matrix=a)
+            rec = multiplicities_recurrence(chi, table, j, matrix=matrix)
             if direct != rec:
                 raise InconsistencyError(
                     f"direct and recurrence multiplicities disagree at k={j}: "
                     f"{direct} vs {rec}")
         if family is not None:
             check_closed_forms(chi, family)
-        _proven[chi] = proof
+        _proven[chi] = (family, [list(row) for row in matrix])
     return multiplicities_direct(chi, table, k)
 
 

@@ -21,6 +21,8 @@ from ctrz.dixon import (ClassAlgebra, class_constants, common_eigenbasis,
                         compute_character_table, declared_conductor)
 from ctrz.chartab import validate, decompose, permutation_character
 
+from conftest import class_matrices
+
 
 def rat(x, conductor=1):
     return Cyclotomic.from_rational(x, conductor)
@@ -35,34 +37,36 @@ def test_class_constants_weighted_row_sums():
     g = group(["(1,2)", "(1,2,3,4)"], 4)
     cs = ClassSet(g)
     ca = class_constants(cs)
+    constants = class_matrices(ca)
     sizes = cs.sizes()
     r = ca.size
     for i in range(r):
         for j in range(r):
-            total = sum(ca.constants[i][j][k] * sizes[k] for k in range(r))
+            total = sum(constants[i][j][k] * sizes[k] for k in range(r))
             assert total == sizes[i] * sizes[j]
 
 
 def test_class_constants_commute():
     """Class sums span a commutative algebra: a[i][j][k] = a[j][i][k]."""
     g = group(["(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"], 7)
-    ca = class_constants(ClassSet(g))
-    r = ca.size
+    constants = class_matrices(class_constants(ClassSet(g)))
+    r = len(constants)
     for i in range(r):
         for j in range(r):
-            assert ca.constants[i][j] == ca.constants[j][i]
+            assert constants[i][j] == constants[j][i]
 
 
 def test_class_constants_inverse_pairing():
     g = group(["(1,2)", "(1,2,3,4)"], 4)
     cs = ClassSet(g)
     ca = class_constants(cs)
+    constants = class_matrices(ca)
     for i in range(ca.size):
         j = ca.inverse_class[i]
         # Only the inverse class reaches the identity, |C_i| many ways.
         for k in range(ca.size):
             expected = cs.sizes()[i] if k == j else 0
-            assert ca.constants[i][k][0] == expected
+            assert constants[i][k][0] == expected
 
 
 def test_trivial_group_table():
@@ -243,9 +247,8 @@ def test_full_tensor_builds_each_matrix_once(monkeypatch):
     built = _counting_builds(monkeypatch)
     ca = class_constants(ClassSet(group(["(1,2)", "(1,2,3,4)"], 4)))
     assert built == []
-    first = ca.constants
-    ca.check_consistency()
-    assert ca.constants == first
+    first = class_matrices(ca)
+    assert class_matrices(ca) == first
     assert sorted(built) == list(range(ca.size))
 
 
@@ -267,7 +270,7 @@ def test_corrupted_class_matrix_raises(monkeypatch):
     ca = class_constants(ClassSet(g))
     ca.matrix(2)
     with pytest.raises(InconsistencyError):
-        ca.constants
+        class_matrices(ca)
 
 
 def test_s9_constants_and_eigensplit_are_fast():
@@ -282,6 +285,57 @@ def test_s9_constants_and_eigensplit_are_fast():
     elapsed = time.perf_counter() - start
     assert len(set(vectors)) == 30
     assert elapsed < 1.5, f"constants and eigensplit took {elapsed:.2f}s"
+
+
+class StubAlgebra:
+    """The two members the split reads, size and matrix(i), over given
+    matrices: the refusals below need data no group yields."""
+
+    def __init__(self, matrices):
+        self.matrices = matrices
+        self.size = len(matrices)
+
+    def matrix(self, i):
+        return self.matrices[i]
+
+
+def _identity(r, scale=1):
+    return [[scale if i == j else 0 for j in range(r)] for i in range(r)]
+
+
+def test_the_split_refuses_a_matrix_not_diagonalizable_mod_p():
+    """A Jordan block: the identity class's vector has minimal
+    polynomial (t - 1)**2, one root for degree 2."""
+    stub = StubAlgebra([_identity(2), [[1, 0], [1, 1]]])
+    with pytest.raises(InconsistencyError, match="not diagonalizable mod p"):
+        common_eigenbasis(stub, 7)
+
+
+def test_the_split_refuses_matrices_that_do_not_commute():
+    """M1 has eigenvectors (1,1,0) and (0,0,1) for 1 and (1,6,0) for 2;
+    M2 has (1,6,0) for 0, (2,0,1) for 1 and (6,1,6) for 2, mod 7.  So the
+    split finds three vectors, but M2's split of (1,1,0) leaves M1's
+    eigenspace, which the eigen-equation check on M1 catches."""
+    m1 = [[5, 3, 0], [3, 5, 0], [0, 0, 1]]
+    m2 = [[0, 0, 2], [1, 1, 5], [3, 3, 2]]
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % 7 for col in zip(*b)]
+                for row in a]
+
+    assert times(m1, m2) != times(m2, m1)
+    stub = StubAlgebra([_identity(3), m1, m2])
+    with pytest.raises(InconsistencyError, match="class-sum matrix 1 does not"):
+        common_eigenbasis(stub, 7)
+
+
+def test_the_split_refuses_scalar_matrices():
+    """Scalar matrices leave the identity class's vector whole, one
+    vector where three are needed."""
+    stub = StubAlgebra([_identity(3, s) for s in (1, 2, 3)])
+    with pytest.raises(InconsistencyError,
+                       match="expected 3 common eigenvectors, got 1"):
+        common_eigenbasis(stub, 7)
 
 
 def _counting_reductions(monkeypatch):

@@ -1,15 +1,14 @@
-"""Prime-field linear algebra and prime selection.
+"""Prime-field arithmetic and prime selection.
 
-Characteristic polynomials are stored constant-term first, so a monic
-polynomial of degree n has coefficient 1 in position n.
+Polynomials are stored constant-term first, so a monic polynomial of
+degree n has coefficient 1 in position n.
 """
 
 import pytest
 
 from ctrz.errors import InputError
-from ctrz.modp import (is_prime, prime_factors, nullspace_mod_p,
-                       charpoly_mod_p, poly_roots_mod_p, choose_prime,
-                       primitive_root_mod_p)
+from ctrz.modp import (is_prime, prime_factors, poly_roots_mod_p,
+                       choose_prime, primitive_root_mod_p)
 
 
 def test_is_prime_small_range():
@@ -49,41 +48,6 @@ def test_choose_prime_small_cases():
         choose_prime(10**7, 2, cap=1000)
 
 
-def test_charpoly_identity():
-    m = [[1, 0], [0, 1]]
-    # (x - 1)^2 = x^2 - 2x + 1, reduced mod 5.
-    assert charpoly_mod_p(m, 5) == [1, 3, 1]
-
-
-def test_charpoly_companion_matrix():
-    # Companion matrix of x^2 + 1 over F_7.
-    c = [[0, 1], [6, 0]]
-    assert charpoly_mod_p(c, 7) == [1, 0, 1]
-
-
-def test_charpoly_small_prime_large_dimension():
-    """The Hessenberg recurrence must stay correct when p <= n."""
-    c = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-    # x^3 - 1 mod 3.
-    assert charpoly_mod_p(c, 3) == [2, 0, 0, 1]
-    d = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    # (x - 1)^3 = x^3 + x^2 + x + 1 mod 2.
-    assert charpoly_mod_p(d, 2) == [1, 1, 1, 1]
-
-
-def test_charpoly_matches_trace_and_determinant():
-    rows = [[2, 5, 1], [0, 3, 4], [6, 1, 2]]
-    p = 11
-    coeffs = charpoly_mod_p(rows, p)
-    trace = sum(rows[i][i] for i in range(3)) % p
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])) % p
-    assert coeffs[3] == 1
-    assert coeffs[2] == (-trace) % p
-    assert coeffs[0] == (-det) % p
-
-
 def test_poly_roots():
     # x^2 - 1 over F_7.
     assert poly_roots_mod_p([6, 0, 1], 7) == [1, 6]
@@ -91,33 +55,6 @@ def test_poly_roots():
     assert poly_roots_mod_p([1, 0, 1], 7) == []
     # x^2 + 1 over F_5 has roots 2 and 3.
     assert poly_roots_mod_p([1, 0, 1], 5) == [2, 3]
-
-
-def test_nullspace_simple_rank_one():
-    n = nullspace_mod_p([[1, 2], [2, 4]], 5)
-    assert len(n) == 1
-    v = n[0]
-    assert (v[0] + 2 * v[1]) % 5 == 0
-    assert v != (0, 0)
-
-
-def test_nullspace_dimensions():
-    full = nullspace_mod_p([[1, 0], [0, 1]], 7)
-    assert full == []
-    zero = nullspace_mod_p([[0, 0], [0, 0]], 7)
-    assert len(zero) == 2
-    for v in zero:
-        assert any(x % 7 for x in v)
-
-
-def test_nullspace_vectors_annihilate():
-    m = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]
-    p = 11
-    basis = nullspace_mod_p(m, p)
-    assert len(basis) == 1
-    for v in basis:
-        for row in m:
-            assert sum(r * x for r, x in zip(row, v)) % p == 0
 
 
 def test_primitive_root_has_full_order():

@@ -7,6 +7,7 @@ identity, classes by conjugating with every element, powers and class
 constants by repeated products.  The direct orbit count on t-tuples,
 t <= 5, is checked against a walk over all degree**t tuples under the
 generators, with ClassSet replaced so that reading class data fails.
+The eigensplit's vectors are checked against every class matrix.
 """
 
 import itertools
@@ -16,8 +17,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from ctrz.dixon import class_constants
+from ctrz.dixon import class_constants, common_eigenbasis
+from ctrz.modp import choose_prime
 from ctrz.perm import ClassSet, FiniteGroup, Permutation, orbit_count_tuples
+
+from conftest import class_matrices
 
 
 @st.composite
@@ -96,13 +100,32 @@ def check_group(gens):
         for x in elems:
             y = inv[x] * ck.representative
             counts[cs.class_of_element(x)][cs.class_of_element(y)][k] += 1
-    assert ca.constants == counts
+    assert class_matrices(ca) == counts
 
 
 @settings(max_examples=100, deadline=None)
 @given(generator_lists())
 def test_random_groups_agree_with_product_oracles(gens):
     check_group(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
+def test_the_eigensplit_returns_common_eigenvectors(gens):
+    """What the split returns, whichever matrices it used: r pairwise
+    distinct vectors, each 1 at the identity class, and M_i v = v[i] * v
+    mod p for every class matrix M_i."""
+    cs = ClassSet(FiniteGroup(gens))
+    algebra = class_constants(cs)
+    p = choose_prime(cs.exponent, cs.group.order)
+    prime, vectors = common_eigenbasis(algebra, p)
+    assert prime == p
+    assert len(vectors) == len(set(vectors)) == len(cs)
+    assert all(v[0] == 1 for v in vectors)
+    for i, m in enumerate(class_matrices(algebra)):
+        for v in vectors:
+            assert ([sum(a * x for a, x in zip(row, v)) % p for row in m]
+                    == [v[i] * x % p for x in v])
 
 
 def orbits_by_walk(gens, n, t):
