@@ -16,8 +16,12 @@ word has one byte per point, so a group acts on at most ``MAX_DEGREE`` =
 256 points; FiniteGroup refuses a larger degree before it allocates
 anything.
 
-Group enumeration is a breadth-first closure under right multiplication
-by the generators, capped so a typo cannot eat all memory.  Conjugacy
+A group's order comes from a stabilizer chain (Schreier-Sims) built from
+its generators, and the order cap is checked while the chain grows,
+before any element is stored, so a typo cannot eat all memory.  The
+elements are then the products of one transversal word per level of the
+chain, one product each; the identity comes first, and the order of the
+rest follows the chain and means nothing else.  Conjugacy
 classes are conjugation orbits under the generators, reported in a
 canonical order: size ascending, then element order ascending, then the
 lexicographically smallest member.  Orbits on t-tuples are counted by
@@ -174,9 +178,10 @@ def check_degree(degree: int) -> None:
 class FiniteGroup:
     """A finite permutation group enumerated from its generators.
 
-    words[i] is element i as a word (bytes of 0-based images), index maps
-    a word back to i; elements[i] is the same element as a Permutation,
-    built on first use.
+    words[i] is element i as a word (bytes of 0-based images), words[0]
+    the identity; index maps a word back to i; elements[i] is the same
+    element as a Permutation, built on first use.  An order above
+    order_cap raises InputError before any word is stored.
     """
 
     def __init__(self, generators: list[Permutation], degree: int | None = None,
@@ -199,20 +204,105 @@ class FiniteGroup:
         return bytes(p.images) + self.pad
 
     def _enumerate(self, cap: int) -> tuple[list[bytes], dict[bytes, int]]:
-        ident = bytes(range(self.degree))
-        words = [ident]
-        index = {ident: 0}
-        tables = [self.translation_table(g) for g in self.generators]
-        for cur in words:  # grows while iterated: a breadth-first queue
-            for t in tables:
-                w = cur.translate(t)
-                if w not in index:
-                    if len(words) >= cap:
-                        raise InputError(
-                            f"group order exceeds cap {cap}; raise order_cap if intended")
-                    index[w] = len(words)
-                    words.append(w)
+        """Every element, as the products u_k * ... * u_0 of one word u_i
+        from the transversal of each level i of the stabilizer chain:
+        one translate per element and no membership test."""
+        words = [bytes(range(self.degree))]
+        for orbit in reversed(self._transversals(cap)):
+            tables = [u + self.pad for u in orbit.values()]
+            words = [w.translate(t) for t in tables for w in words]
+        # as fast as dict(zip(words, range(n))) and 4 bytes an element smaller
+        index = {w: i for i, w in enumerate(words)}
+        if len(index) != len(words):
+            raise InconsistencyError("stabilizer chain lists an element twice")
         return words, index
+
+    def _transversals(self, cap: int) -> list[dict[int, bytes]]:
+        """The transversals of a stabilizer chain, top level first, by the
+        incremental Schreier-Sims algorithm (Seress, *Permutation Group
+        Algorithms*, 2003, ch. 4).
+
+        Level i has a base point b_i, strong generators that fix b_0 ..
+        b_{i-1}, and a dict from each point of b_i's orbit under them to
+        a word u with u[b_i] == point, filled breadth first from the
+        identity.  A generator, and each Schreier generator u * s *
+        u_{s(x)}^-1 of a level, is sifted through the deeper levels; a
+        residue other than the identity becomes a strong generator of
+        every level it passed and of the one where it stopped, a new
+        level if it fixes every base point, whose base point is then the
+        first point the residue moves.  Each pair of orbit point and
+        strong generator is sifted once: levels only grow and keep the
+        words they hold, so a sift that ended at the identity still
+        would.  The product of the orbit lengths is a lower bound on the
+        order, exact at the end, and is compared with cap after every
+        orbit update, before any element is stored.
+        """
+        n, pad = self.degree, self.pad
+        ident = bytes(range(n))
+        points: list[int] = []              # base points
+        strong: list[list[bytes]] = []      # strong generators, as tables
+        orbits: list[dict[int, bytes]] = []
+        sifted: list[dict[int, int]] = []   # per point: generators sifted
+
+        def sift(g: bytes, start: int) -> tuple[bytes, int]:
+            for level in range(start, len(points)):
+                u = orbits[level].get(g[points[level]])
+                if u is None:
+                    return g, level
+                g = g.translate(bytes.maketrans(u, ident))  # g * u^-1
+            return g, len(points)
+
+        def add(h: bytes, first: int, last: int) -> None:
+            if last == len(points):
+                points.append(next(p for p in range(n) if h[p] != p))
+                strong.append([])
+                orbits.append({points[-1]: ident})
+                sifted.append({})
+            t = h + pad
+            for level in range(first, last + 1):
+                tables, orbit = strong[level], orbits[level]
+                tables.append(t)
+                old = len(orbit)
+                queue = list(orbit)
+                for i, x in enumerate(queue):  # grows while iterated
+                    u = orbit[x]
+                    for s in tables if i >= old else (t,):
+                        if s[x] not in orbit:
+                            orbit[s[x]] = u.translate(s)
+                            queue.append(s[x])
+                bound = 1
+                for o in orbits:
+                    bound *= len(o)
+                if bound > cap:
+                    raise InputError(
+                        f"group order exceeds cap {cap}; raise order_cap if intended")
+
+        def schreier(level: int) -> int | None:
+            """Sift the level's untested Schreier generators; return the
+            deepest level changed, or None once all sift to the identity."""
+            tables, orbit, done = strong[level], orbits[level], sifted[level]
+            for x, u in orbit.items():
+                while (k := done.get(x, 0)) < len(tables):
+                    done[x] = k + 1
+                    g = u.translate(tables[k])
+                    v = orbit[g[points[level]]]
+                    if g != v:
+                        h, j = sift(g.translate(bytes.maketrans(v, ident)),
+                                    level + 1)
+                        if h != ident:
+                            add(h, level + 1, j)
+                            return j
+            return None
+
+        for gen in self.generators:
+            h, j = sift(bytes(gen.images), 0)
+            if h != ident:
+                add(h, 0, j)
+        level = len(points) - 1
+        while level >= 0:
+            j = schreier(level)
+            level = level - 1 if j is None else j
+        return orbits
 
     @cached_property
     def elements(self) -> list[Permutation]:
@@ -262,13 +352,14 @@ class ClassSet:
         words = group.words
         keyed = []
         for members in self._orbits():
-            rep = Permutation(min(words[i] for i in members))
+            rep = Permutation(min(map(words.__getitem__, members)))
+            members.sort()
             keyed.append((len(members), rep.order(), rep.images, rep, members))
         keyed.sort(key=lambda t: t[:3])
         self.classes: list[ConjugacyClass] = []
         self.class_of = [0] * group.order
         for ci, (size, order, _, rep, members) in enumerate(keyed):
-            cls = ConjugacyClass(f"C{ci + 1}", size, order, rep, sorted(members))
+            cls = ConjugacyClass(f"C{ci + 1}", size, order, rep, members)
             self.classes.append(cls)
             for ei in members:
                 self.class_of[ei] = ci
@@ -287,15 +378,13 @@ class ClassSet:
         while (start := assigned.find(0, start)) >= 0:
             orbit = [start]
             assigned[start] = 1
-            queue = [start]
-            while queue:
-                x = words[queue.pop()] + pad
+            for xi in orbit:  # grows while iterated: a breadth-first queue
+                x = words[xi] + pad
                 for ginv, gen in gen_pairs:
                     wi = index[ginv.translate(x).translate(gen)]
                     if not assigned[wi]:
                         assigned[wi] = 1
                         orbit.append(wi)
-                        queue.append(wi)
             orbits.append(orbit)
         return orbits
 

@@ -433,6 +433,19 @@ def test_group_file_order_mismatch(tmp_path):
     assert code == 2
 
 
+def test_group_above_the_order_cap_exits_2_with_the_capacity_message(tmp_path):
+    spec = {"name": "s20", "degree": 20,
+            "generators": ["(1,2)", "(" + ",".join(map(str, range(1, 21))) + ")"]}
+    path = tmp_path / "s20.json"
+    path.write_text(json.dumps(spec))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run("chartable", "compute", "--group", str(path))
+    assert (code, out) == (2, "")
+    assert err.getvalue() == ("error: group order exceeds cap 10000000; "
+                              "raise order_cap if intended\n")
+
+
 def test_group_file_errors(tmp_path):
     code, _ = run("order", "--group", str(tmp_path / "missing.json"))
     assert code == 2

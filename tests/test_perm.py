@@ -148,6 +148,43 @@ def test_order_cap():
                     order_cap=100)
 
 
+def _symmetric_generators(n):
+    return [parse_cycles("(1,2)", n),
+            parse_cycles("(" + ",".join(map(str, range(1, n + 1))) + ")", n)]
+
+
+def _traced(make):
+    """(seconds, peak traced bytes, the exception) of a refused make()."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(InputError) as info:
+            make()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return elapsed, peak, info.value
+
+
+def test_order_cap_at_the_order_enumerates_and_one_below_refuses_early():
+    gens = _symmetric_generators(8)
+    assert FiniteGroup(gens, order_cap=40320).order == 40320
+    _, peak, exc = _traced(lambda: FiniteGroup(gens, order_cap=40319))
+    assert str(exc) == "group order exceeds cap 40319; raise order_cap if intended"
+    # 40320 words of 8 bytes would be 40320 * 41 bytes as bytes objects
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("n", [20, 256])
+def test_order_cap_refuses_large_symmetric_groups_fast(n):
+    gens = _symmetric_generators(n)
+    elapsed, peak, exc = _traced(lambda: FiniteGroup(gens))
+    assert "exceeds cap 10000000" in str(exc)
+    assert elapsed < 1, f"refusal took {elapsed:.2f}s"
+    assert peak < 2 << 20
+
+
 def test_s3_classes_in_canonical_order():
     """Classes sort by (size, element order, smallest member)."""
     g = FiniteGroup([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
@@ -285,20 +322,23 @@ def _pinned_group(name):
 
 
 # Digests of the output of the tuple-based permutation layer this one
-# replaced, taken on that code.  They pin the enumeration order, the
-# canonical class order and everything read off it.
+# replaced, taken on that code.  They pin the canonical class order and
+# everything read off it.  The element order is not pinned: "elements"
+# digests the sorted element images and "class_of" reads the classes in
+# that sorted order, both taken on the breadth-first enumeration that the
+# stabilizer chain replaced.
 PINNED = {
     "g1344-deg8": {
-        "elements": "ec722d155c3e1943", "classes": "c579048a550f622d",
-        "class_of": "ef1cb66def4921d6", "power_inverse": "05ca343357782a84",
+        "elements": "d9780b9c35e70201", "classes": "c579048a550f622d",
+        "class_of": "d2b4c395038c0738", "power_inverse": "05ca343357782a84",
         "power_square": "c7d690fd2c239836", "constants": "86f713d76964794e"},
     "g1344-deg14": {
-        "elements": "31e57b0c0dd6e937", "classes": "d2a7d18cb50fa253",
-        "class_of": "9a45944bccbce4fa", "power_inverse": "05ca343357782a84",
+        "elements": "bf03062d7deba49f", "classes": "d2a7d18cb50fa253",
+        "class_of": "899ebeb31eb4bb29", "power_inverse": "05ca343357782a84",
         "power_square": "2f34439eb9e892a8", "constants": "86f713d76964794e"},
     "s7": {
-        "elements": "4c925289e8b96ac3", "classes": "6164c46e2f4778a9",
-        "class_of": "a2519ae50beca8c7", "power_inverse": "e994167b45cad608",
+        "elements": "94f197ca91eeb80d", "classes": "6164c46e2f4778a9",
+        "class_of": "80ea29ab3554a918", "power_inverse": "e994167b45cad608",
         "power_square": "266d475c2a929905", "constants": "29b054aeccbb72c9"},
 }
 
@@ -306,11 +346,12 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_classes_power_maps_and_constants_pinned(name):
     g, cs = _pinned_group(name)
+    by_image = sorted(range(g.order), key=g.words.__getitem__)
     got = {
-        "elements": _digest([list(e.images) for e in g.elements]),
+        "elements": _digest([list(g.words[i]) for i in by_image]),
         "classes": _digest([[c.label, c.size, c.order, str(c.representative)]
                             for c in cs.classes]),
-        "class_of": _digest(cs.class_of),
+        "class_of": _digest([cs.class_of[i] for i in by_image]),
         "power_inverse": _digest(cs.power_map(-1)),
         "power_square": _digest(cs.power_map(2)),
         "constants": _digest(class_matrices(class_constants(cs))),
@@ -319,9 +360,7 @@ def test_classes_power_maps_and_constants_pinned(name):
 
 
 def _s(n):
-    return FiniteGroup([parse_cycles("(1,2)", n),
-                        parse_cycles("(" + ",".join(map(str, range(1, n + 1)))
-                                     + ")", n)])
+    return FiniteGroup(_symmetric_generators(n))
 
 
 @pytest.mark.parametrize("group, t, want", [

@@ -7,7 +7,9 @@ identity, classes by conjugating with every element, powers and class
 constants by repeated products.  The direct orbit count on t-tuples,
 t <= 5, is checked against a walk over all degree**t tuples under the
 generators, with ClassSet replaced so that reading class data fails.
-The eigensplit's vectors are checked against every class matrix.
+The eigensplit's vectors are checked against every class matrix.  The
+same checks run on identity, repeated and degree-1 generators, where
+the stabilizer chain that enumerates the group has its edge cases.
 """
 
 import itertools
@@ -62,6 +64,7 @@ def check_group(gens):
     elems = closure(gens)
     assert set(g.elements) == elems
     assert g.order == len(elems)
+    assert g.elements[0].is_identity()
     assert [g.element_index(e) for e in g.elements] == list(range(g.order))
     inv = {x: inverse(x) for x in elems}
 
@@ -107,6 +110,22 @@ def check_group(gens):
 @given(generator_lists())
 def test_random_groups_agree_with_product_oracles(gens):
     check_group(gens)
+
+
+@pytest.mark.parametrize("gens", [
+    [Permutation.identity(4)],
+    [Permutation((1, 0, 2, 3))] * 3 + [Permutation.identity(4),
+                                       Permutation((1, 2, 3, 0))] * 2,
+    [Permutation((0,))],
+], ids=["identity", "repeated", "degree-1"])
+def test_chain_order_equals_the_closure_on_edge_cases(gens):
+    check_group(gens)
+
+
+def test_trivial_group_from_a_degree_alone():
+    g = FiniteGroup([], degree=3)
+    assert set(g.elements) == closure([Permutation.identity(3)])
+    assert g.order == 1
 
 
 @settings(max_examples=100, deadline=None)
