@@ -20,11 +20,11 @@ must not change after it is built.  Matching reads only each cell's
 index among the table's distinct values, kept apart from the
 conjugates, so a match builds none.
 
-Orthogonality sums and inner products share one int kernel: a line is
-values at one conductor w as sparse int vectors over one common
-denominator, and a weighted sum of products of two lines is one int
-polynomial reduced mod Phi_w once.  Decomposing against every row sums
-one line of the function against each kept row line.
+Orthogonality sums and inner products run on exact's int kernel: a
+weighted sum of products of two lines (values at one conductor w as
+sparse int vectors over one denominator) is one int polynomial reduced
+mod Phi_w once.  Decomposing against every row sums one line of the
+function against each kept row line.
 
 match_columns searches for row and column permutations making two tables
 equal.  Columns are constrained by class fingerprints at the tightest
@@ -58,8 +58,8 @@ from math import lcm
 from operator import ne
 
 from .errors import CtrzError, InputError
-from .exact import (Cyclotomic, QuadraticView, _field, _from_ints,
-                    _reduce_poly, to_quadratic)
+from .exact import (Cyclotomic, QuadraticView, _from_ints, _line,
+                    _reduce_poly, _weighted_sum, to_quadratic)
 from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
 
@@ -283,27 +283,6 @@ def validate(table: CharacterTable) -> list[Violation]:
                       table.classes[b].label, by_col[a][0], by_col[b][1], ones,
                       order // sizes[a] if a == b else 0)
     return out
-
-
-def _line(cells) -> tuple[int, list]:
-    """(den, vectors): values at one conductor as sparse int vectors,
-    lists of (k, coefficient of zeta**k), over their least common
-    denominator."""
-    den = lcm(*(v.den for v in cells))
-    return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
-                 for v in cells]
-
-
-def _weighted_sum(w: int, a, b, weights) -> tuple[list[int], int]:
-    """(num, den): the sum of weights[c] * a[c] * b[c] over two lines at
-    conductor w, summed as one int polynomial and reduced mod Phi_w once."""
-    acc = [0] * (2 * _field(w)[0] - 1)
-    for s, x, y in zip(weights, a[1], b[1]):
-        for k, xk in x:
-            xk *= s
-            for m, ym in y:
-                acc[k + m] += xk * ym
-    return _reduce_poly(w, acc), a[0] * b[0]
 
 
 def _shown(x) -> str:

@@ -4,12 +4,17 @@ Elements are coefficient vectors of length phi(e) over the power basis
 1, zeta, ..., zeta^(phi(e)-1) reduced modulo the e-th cyclotomic
 polynomial, stored as FLINT's fmpq_poly stores a rational polynomial:
 one tuple of int numerators over one positive int denominator, with
-their gcd divided out once per operation.  Sums, products (an int
-convolution reduced by cached int rows of x^k mod Phi_e, or a scaling
-when a factor is rational or at conductor 1), powers (p^n over q^n in
-one step for a rational p/q), lifts and conjugates stay in ints; the
-Fraction coefficients are built only when read.  No floating point
-anywhere; float inputs are rejected.
+their gcd divided out once per operation.  Sums, products, powers
+(p^n over q^n in one step for a rational p/q), lifts and conjugates
+stay in ints; the Fraction coefficients are built only when read.  No
+floating point anywhere; float inputs are rejected.
+
+One int kernel serves every product, chartab's sums included:
+_weighted_sum convolves two lines (values at one conductor as sparse
+int vectors over one denominator) into one int polynomial, and
+_reduce_poly divides that by the monic Phi_e.  A product of two values
+is such a sum over two one-value lines; a rational or conductor-1
+factor only scales.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
@@ -49,17 +54,6 @@ from .modp import prime_factors
 CYCLOTOMIC_CAP = 1000
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of the e-th cyclotomic polynomial, ascending degree.
@@ -92,44 +86,48 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _field(e: int) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
-    """Per-conductor reduction data (deg, phi, rows): the degree of
-    Phi_e, its coefficients, and rows[m], the coefficient vector of
-    x^(deg+m) reduced mod Phi_e, extended on demand by _power_row."""
+def _field(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(deg, terms): the degree of Phi_e and its nonzero terms below
+    x^deg as (j, coefficient of x^j); Phi_e is monic."""
     phi = cyclotomic_polynomial(e)
-    return len(phi) - 1, phi, []
+    deg = len(phi) - 1
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
 
 
-def _power_row(fld, m: int) -> tuple[int, ...]:
-    # x^(deg + m) mod Phi_e as an int vector of length deg
-    deg, phi, rows = fld
-    while len(rows) <= m:
-        if not rows:
-            prev = [0] * deg + [1]          # x^deg, about to be reduced
-        else:
-            prev = [0] + list(rows[-1])     # shift x^(deg+k) -> x^(deg+k+1)
-        top = prev[deg] if len(prev) > deg else 0
-        vec = prev[:deg] + [0] * (deg - len(prev[:deg]))
-        if top:
-            for j in range(deg):
-                vec[j] -= top * phi[j]
-        rows.append(tuple(vec))
-    return rows[m]
-
-
-def _reduce_poly(e: int, poly: list) -> list:
+def _reduce_poly(e: int, poly) -> list[int]:
     """An int polynomial in zeta_e, ascending coefficients, reduced mod
-    Phi_e to its phi(e) power-basis coefficients."""
-    fld = _field(e)
-    deg = fld[0]
-    out = list(poly[:deg]) + [0] * max(0, deg - len(poly))
-    for m in range(deg, len(poly)):
-        c = poly[m]
+    Phi_e to its phi(e) power-basis coefficients: long division, the top
+    coefficient c of x^m cleared by subtracting c * x^(m-deg) * Phi_e."""
+    deg, terms = _field(e)
+    out = list(poly) + [0] * (deg - len(poly))
+    for m in range(len(out) - 1, deg - 1, -1):
+        c = out[m]
         if c:
-            for j, r in enumerate(_power_row(fld, m - deg)):
-                if r:
-                    out[j] += c * r
-    return out
+            shift = m - deg
+            for j, p in terms:
+                out[shift + j] -= c * p
+    return out[:deg]
+
+
+def _line(cells) -> tuple[int, list]:
+    """(den, vectors): values at one conductor as sparse int vectors,
+    lists of (k, coefficient of zeta**k), over their least common
+    denominator."""
+    den = lcm(*(v.den for v in cells))
+    return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
+                 for v in cells]
+
+
+def _weighted_sum(w: int, a, b, weights) -> tuple[list[int], int]:
+    """(num, den): the sum of weights[c] * a[c] * b[c] over two lines at
+    conductor w, summed as one int polynomial and reduced mod Phi_w once."""
+    acc = [0] * (2 * _field(w)[0] - 1)
+    for s, x, y in zip(weights, a[1], b[1]):
+        for k, xk in x:
+            xk *= s
+            for m, ym in y:
+                acc[k + m] += xk * ym
+    return _reduce_poly(w, acc), a[0] * b[0]
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -276,8 +274,8 @@ class Cyclotomic:
             p, q = _ratio(other)
             return _from_ints(self.conductor, [p * x for x in self.num], self.den * q)
         a, b = self._pair(other)
-        return _from_ints(a.conductor, _reduce_poly(a.conductor, _poly_mul(a.num, b.num)),
-                          a.den * b.den)
+        return _from_ints(a.conductor,
+                          *_weighted_sum(a.conductor, _line([a]), _line([b]), [1]))
 
     __rmul__ = __mul__
 

@@ -100,9 +100,12 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,
                               k: int, matrix: list[list[int]]) -> tuple[int, ...]:
     """The trivial character's row of A^k: the indicator of the row whose
-    values are all 1, multiplied by the transition matrix k times."""
+    values are all 1, multiplied by the transition matrix k times.
+    Refused, as the direct route is, unless chi lives on the table and
+    the table is verified."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
+    require_verified(chi, table)
     d = [int(all(v == 1 for v in row)) for row in table.values]
     if sum(d) != 1:
         raise InputError("table lacks a unique trivial character")

@@ -1,6 +1,9 @@
 """Property tests of the int storage of Cyclotomic: every operation agrees
 with a plain Fraction reference, polynomial arithmetic mod Phi_e, and
-every result keeps a positive denominator coprime to its numerators."""
+every result keeps a positive denominator coprime to its numerators.
+The reference reduces by the same long division as exact, and only up
+to conductor 120, so the int kernel is also checked, up to the cap,
+against identities of Phi_e that do not depend on how it divides."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -11,7 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st
 
 from ctrz.errors import InputError
-from ctrz.exact import Cyclotomic, cyclotomic_polynomial
+from ctrz.exact import (CYCLOTOMIC_CAP, Cyclotomic, _reduce_poly,
+                        cyclotomic_polynomial)
 
 
 # -- the reference: Fraction coefficient lists, reduced by long division
@@ -157,3 +161,53 @@ def test_powers_are_repeated_products(case):
             assert (got.num, got.den) == (product.num, product.den)
             assert normalized(got)
             product = product * v
+
+
+# -- the int kernel against identities that do not share its algorithm
+def totient(e):
+    return sum(1 for k in range(1, e + 1) if gcd(k, e) == 1)
+
+
+def convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+@pytest.mark.parametrize("fixed", [1, 2, 4, 420, 840, CYCLOTOMIC_CAP, None])
+@given(data=st.data())
+def test_the_reduction_kernel_keeps_the_identities_of_phi_e(fixed, data):
+    """For int polynomials p, q of length at most 2e, e up to the cap:
+    _reduce_poly returns phi(e) coefficients, leaves one of degree below
+    phi(e) as it is, ignores exponents folded mod e (Phi_e divides
+    x^e - 1), and reduces p*q as it reduces the product of the reduced
+    p and q, the last both by convolution and through Cyclotomic.  Powers
+    of zeta_e multiply by adding exponents."""
+    e = fixed or data.draw(st.integers(1, CYCLOTOMIC_CAP), label="e")
+    deg = totient(e)
+    polys = []
+    for name in "pq":
+        terms = data.draw(st.dictionaries(st.integers(0, 2 * e - 1),
+                                          st.integers(-10**20, 10**20),
+                                          max_size=12), label=name)
+        polys.append([terms.get(k, 0) for k in range(1 + max(terms, default=0))])
+        folded = [0] * e
+        for k, c in terms.items():
+            folded[k % e] += c
+        reduced = _reduce_poly(e, polys[-1])
+        assert len(reduced) == deg
+        assert _reduce_poly(e, folded) == reduced
+        if len(polys[-1]) <= deg:
+            assert reduced == polys[-1] + [0] * (deg - len(polys[-1]))
+    p, q = polys
+    rp, rq = _reduce_poly(e, p), _reduce_poly(e, q)
+    want = _reduce_poly(e, convolve(p, q))
+    assert _reduce_poly(e, convolve(rp, rq)) == want
+    assert (Cyclotomic(e, rp) * Cyclotomic(e, rq)).coeffs == tuple(want)
+    k, m = data.draw(st.integers(-2 * e, 2 * e)), data.draw(st.integers(-2 * e, 2 * e))
+    assert Cyclotomic.zeta(e, k) * Cyclotomic.zeta(e, m) == Cyclotomic.zeta(e, k + m)

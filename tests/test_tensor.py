@@ -17,7 +17,7 @@ from ctrz.exact import Cyclotomic
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles, orbit_count_tuples
 from ctrz.dixon import compute_character_table
 from ctrz.chartab import (ClassFunction, DecompositionError, decompose,
-                          permutation_character)
+                          permutation_character, table_from_dict, table_to_dict)
 from ctrz.tensor import (AGREEMENT_BOUND, transition_matrix,
                          multiplicities_direct, multiplicities_recurrence,
                          closed_form_multiplicities, agreed_multiplicities,
@@ -313,6 +313,25 @@ def test_direct_route_requires_a_verified_table():
     tab.verified = False
     with pytest.raises(InputError, match="unverified"):
         multiplicities_direct(chi, tab, 2)
+
+
+def test_recurrence_requires_a_verified_table_of_its_character(g8):
+    """A table reloaded from JSON is unverified, and a character of
+    another table does not live on it: the recurrence refuses both, as
+    the direct route and decompose do."""
+    reloaded = table_from_dict(table_to_dict(g8.table))
+    assert not reloaded.verified
+    chi = ClassFunction(reloaded, g8.permchar.values)
+    with pytest.raises(InputError, match="unverified"):
+        multiplicities_direct(chi, reloaded, 2)
+    with pytest.raises(InputError, match="unverified"):
+        decompose(chi, reloaded)
+    with pytest.raises(InputError, match="unverified"):
+        multiplicities_recurrence(chi, reloaded, 2, matrix=g8.transition)
+    with pytest.raises(InputError, match="different table"):
+        multiplicities_recurrence(g8.permchar, reloaded, 2, matrix=g8.transition)
+    assert (multiplicities_recurrence(g8.permchar, g8.table, 2, matrix=g8.transition)
+            == SECOND_MULTIPLICITIES["g1344-deg8"])
 
 
 def _published_by_hand(family, k):
