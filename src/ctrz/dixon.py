@@ -45,6 +45,7 @@ refused only when that exceeds the cap too, before any class constant.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -97,17 +98,14 @@ class ClassAlgebra:
     def _build(self, i: int) -> list[list[int]]:
         cs = self.class_set
         g = cs.group
-        words, index, cls_of = g.words, g.index, cs.class_of
-        ident, n = words[0], g.degree
+        ident, n = g.words[0], g.degree
         # maketrans(x, ident) sends x[a] to a: x's inverse, padded
-        inverses = [bytes.maketrans(words[x], ident)[:n]
-                    for x in cs.classes[i].members]
-        m = [[0] * self.size for _ in range(self.size)]
-        for k, ck in enumerate(cs.classes):
-            z_table = g.translation_table(ck.representative)
-            for x_inv in inverses:  # y = x^-1 * z
-                m[cls_of[index[x_inv.translate(z_table)]]][k] += 1
-        return m
+        inverses = [bytes.maketrans(x, ident)[:n] for x in cs.classes[i].words()]
+        # column k counts the classes of the products x^-1 * z_k
+        columns = [cs.class_counts(map(bytes.translate, inverses,
+                                       repeat(g.translation_table(ck.representative))))
+                   for ck in cs.classes]
+        return [list(row) for row in zip(*columns)]
 
 
 def class_constants(class_set: ClassSet) -> ClassAlgebra:

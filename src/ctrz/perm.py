@@ -21,12 +21,15 @@ its generators, and the order cap is checked while the chain grows,
 before any element is stored, so a typo cannot eat all memory.  The
 elements are then the products of one transversal word per level of the
 chain, one product each; the identity comes first, and the order of the
-rest follows the chain and means nothing else.  Conjugacy
-classes are conjugation orbits under the generators, reported in a
-canonical order: size ascending, then element order ascending, then the
-lexicographically smallest member.  Orbits on t-tuples are counted by
-Burnside's average over the classes, or by a descent through point
-stabilizers of the enumerated words that reads no class data.
+rest follows the chain and means nothing else.  Enumeration keeps only
+the words: the chain, not a hash of every word, shows that none is
+listed twice.  Conjugacy classes are conjugation orbits under the
+generators, walked over words with one word-to-class dict, each class
+packed into one ``bytes`` and reported in a canonical order: size
+ascending, then element order ascending, then the lexicographically
+smallest member.  Orbits on t-tuples are counted by Burnside's average
+over the classes, or by a descent through point stabilizers of the
+enumerated words that reads no class data.
 """
 
 from __future__ import annotations
@@ -179,9 +182,11 @@ class FiniteGroup:
     """A finite permutation group enumerated from its generators.
 
     words[i] is element i as a word (bytes of 0-based images), words[0]
-    the identity; index maps a word back to i; elements[i] is the same
-    element as a Permutation, built on first use.  An order above
-    order_cap raises InputError before any word is stored.
+    the identity, and is all that enumeration keeps; elements[i] is the
+    same element as a Permutation and index maps a word back to i, both
+    built on first use.  An order above order_cap raises InputError
+    before any word is stored, and a stabilizer chain that would list an
+    element twice raises InconsistencyError before any word is built.
     """
 
     def __init__(self, generators: list[Permutation], degree: int | None = None,
@@ -197,25 +202,35 @@ class FiniteGroup:
         self.degree = degree
         self.generators = list(generators)
         self.pad = bytes(range(degree, 256))
-        self.words, self.index = self._enumerate(order_cap)
+        self.words = self._enumerate(order_cap)
 
     def translation_table(self, p: Permutation) -> bytes:
         """256-entry table with ``w.translate(table) == word of w * p``."""
         return bytes(p.images) + self.pad
 
-    def _enumerate(self, cap: int) -> tuple[list[bytes], dict[bytes, int]]:
+    def _enumerate(self, cap: int) -> list[bytes]:
         """Every element, as the products u_k * ... * u_0 of one word u_i
         from the transversal of each level i of the stabilizer chain:
-        one translate per element and no membership test."""
+        one translate per element and no membership test.
+
+        The products are pairwise distinct when, at each level i with base
+        point b_i (its first key), every word u has u[b_i] equal to its
+        key and every word of a deeper level fixes b_i: then the product
+        sends b_i where its u_i does, so two products with different
+        words at some level differ at that level's base point."""
+        levels = self._transversals(cap)
+        for i, orbit in enumerate(levels):
+            b = next(iter(orbit))
+            if any(u[b] != x for x, u in orbit.items()):
+                raise InconsistencyError("stabilizer chain lists an element twice")
+            if any(u[b] != b for deeper in levels[i + 1:] for u in deeper.values()):
+                raise InconsistencyError(
+                    f"stabilizer chain moves base point {b + 1} below its level")
         words = [bytes(range(self.degree))]
-        for orbit in reversed(self._transversals(cap)):
+        for orbit in reversed(levels):
             tables = [u + self.pad for u in orbit.values()]
             words = [w.translate(t) for t in tables for w in words]
-        # as fast as dict(zip(words, range(n))) and 4 bytes an element smaller
-        index = {w: i for i, w in enumerate(words)}
-        if len(index) != len(words):
-            raise InconsistencyError("stabilizer chain lists an element twice")
-        return words, index
+        return words
 
     def _transversals(self, cap: int) -> list[dict[int, bytes]]:
         """The transversals of a stabilizer chain, top level first, by the
@@ -308,6 +323,11 @@ class FiniteGroup:
     def elements(self) -> list[Permutation]:
         return [Permutation(w) for w in self.words]
 
+    @cached_property
+    def index(self) -> dict[bytes, int]:
+        # as fast as dict(zip(words, range(n))) and 4 bytes an element smaller
+        return {w: i for i, w in enumerate(self.words)}
+
     @property
     def order(self) -> int:
         return len(self.words)
@@ -324,6 +344,10 @@ class FiniteGroup:
 
 
 class ConjugacyClass:
+    """One conjugacy class.  The representative is its least member;
+    members packs the member words into one ``bytes``, in the unsorted
+    breadth-first order of the walk that found them."""
+
     __slots__ = ("label", "size", "order", "representative", "members")
 
     def __init__(self, label, size, order, representative, members):
@@ -331,7 +355,12 @@ class ConjugacyClass:
         self.size = size
         self.order = order              # common element order
         self.representative = representative
-        self.members = members          # sorted element indices
+        self.members = members
+
+    def words(self) -> list[bytes]:
+        """The members, one word each, in the order of the walk."""
+        n, m = len(self.representative.images), self.members
+        return [m[j:j + n] for j in range(0, len(m), n)]
 
     def __repr__(self):
         return f"ConjugacyClass({self.label}, size={self.size}, order={self.order})"
@@ -342,57 +371,89 @@ class ClassSet:
 
     Canonical order: class size ascending, element order ascending, then
     the lexicographically smallest member image tuple.  The identity
-    class is always first.  class_of maps element index to class index;
-    power_map(t)[c] is the class of t-th powers of class c, read off
-    powers(c), the classes of all its powers below its element order.
+    class is always first.  Each class is a breadth-first queue of
+    conjugates under the generators: its min is the representative, and
+    its members are packed into one ``bytes``.  The walk marks words in
+    one dict, pre-filled by ``dict.fromkeys`` with the group's words, so
+    it adds no key and each conjugate it builds is freed once looked up
+    or packed.  The dict maps a word to its orbit's number and _rank
+    maps that to the canonical class.
+
+    Only ClassSet reads the dict: class_counts(words), class_of_element,
+    and powers(c), the classes of all powers of class c below its element
+    order, which power_map(t) reads.  class_of, the class of each element
+    index, is built on first use.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        words = group.words
+        self._orbit_of = dict.fromkeys(group.words)
         keyed = []
-        for members in self._orbits():
-            rep = Permutation(min(map(words.__getitem__, members)))
-            members.sort()
-            keyed.append((len(members), rep.order(), rep.images, rep, members))
+        for k, queue in enumerate(self._orbits()):
+            rep = Permutation(min(queue))
+            keyed.append((len(queue), rep.order(), rep.images, k, rep,
+                          b"".join(queue)))
         keyed.sort(key=lambda t: t[:3])
         self.classes: list[ConjugacyClass] = []
-        self.class_of = [0] * group.order
-        for ci, (size, order, _, rep, members) in enumerate(keyed):
-            cls = ConjugacyClass(f"C{ci + 1}", size, order, rep, members)
-            self.classes.append(cls)
-            for ei in members:
-                self.class_of[ei] = ci
+        self._rank = [0] * len(keyed)
+        for ci, (size, order, _, k, rep, members) in enumerate(keyed):
+            self.classes.append(ConjugacyClass(f"C{ci + 1}", size, order, rep,
+                                               members))
+            self._rank[k] = ci
         self.exponent = lcm(1, *(c.order for c in self.classes))
         self._powers: dict[int, list[int]] = {}
 
-    def _orbits(self) -> list[list[int]]:
-        g = self.group
-        words, index, pad = g.words, g.index, g.pad
-        assigned = bytearray(g.order)
+    def _orbits(self):
+        """Yield each conjugation orbit as a list of words, and mark each
+        word in _orbit_of with the number of its orbit, counted from 0."""
+        g, orbit_of = self.group, self._orbit_of
+        pad = g.pad
         # x -> gen^-1 * x * gen, as word translations
         gen_pairs = [(bytes(gen.inverse().images), g.translation_table(gen))
                      for gen in g.generators]
-        orbits = []
-        start = 0
-        while (start := assigned.find(0, start)) >= 0:
-            orbit = [start]
-            assigned[start] = 1
-            for xi in orbit:  # grows while iterated: a breadth-first queue
-                x = words[xi] + pad
+        k = 0
+        for start, mark in orbit_of.items():  # sees the marks set below
+            if mark is not None:
+                continue
+            orbit_of[start] = k
+            queue = [start]
+            for x in queue:  # grows while iterated: a breadth-first queue
+                x += pad
                 for ginv, gen in gen_pairs:
-                    wi = index[ginv.translate(x).translate(gen)]
-                    if not assigned[wi]:
-                        assigned[wi] = 1
-                        orbit.append(wi)
-            orbits.append(orbit)
-        return orbits
+                    y = ginv.translate(x).translate(gen)
+                    if orbit_of[y] is None:
+                        orbit_of[y] = k
+                        queue.append(y)
+            yield queue
+            k += 1
 
     def __len__(self) -> int:
         return len(self.classes)
 
+    def _classes_of(self, words) -> list[int]:
+        return list(map(self._rank.__getitem__,
+                        map(self._orbit_of.__getitem__, words)))
+
+    def class_counts(self, words) -> list[int]:
+        """counts[j] is how many of the words, elements of the group, lie
+        in class j."""
+        counts = [0] * len(self.classes)
+        rank, orbit_of = self._rank, self._orbit_of
+        for w in words:
+            counts[rank[orbit_of[w]]] += 1
+        return counts
+
+    @cached_property
+    def class_of(self) -> list[int]:
+        """class_of[i] is the class of element i, built on first use."""
+        return self._classes_of(self.group.words)
+
     def class_of_element(self, p: Permutation) -> int:
-        return self.class_of[self.group.element_index(p)]
+        g = self.group
+        k = self._orbit_of.get(bytes(p.images)) if p.degree == g.degree else None
+        if k is None:
+            raise InputError(f"{p} is not an element of this group")
+        return self._rank[k]
 
     def power_map(self, t: int) -> list[int]:
         """Class index of t-th powers, per class.  Defined for every
@@ -407,13 +468,13 @@ class ClassSet:
         cached = self._powers.get(class_index)
         if cached is None:
             g = self.group
-            table = g.translation_table(self.classes[class_index].representative)
-            word = g.words[0]
-            cached = []
-            for _ in range(self.classes[class_index].order):
-                cached.append(self.class_of[g.index[word]])
+            cls = self.classes[class_index]
+            table = g.translation_table(cls.representative)
+            powers, word = [], g.words[0]
+            for _ in range(cls.order):
+                powers.append(word)
                 word = word.translate(table)
-            self._powers[class_index] = cached
+            cached = self._powers[class_index] = self._classes_of(powers)
         return cached
 
     def centralizer_order(self, class_index: int) -> int:

@@ -24,6 +24,7 @@ from ctrz import cli, dixon
 from ctrz.chartab import DecompositionError, display_value, table_from_dict
 from ctrz.cli import build_parser, main
 from ctrz.datasets import transcription_table
+from ctrz.perm import FiniteGroup
 from ctrz.pipeline import builtin_analysis
 
 
@@ -422,6 +423,22 @@ def test_group_file_flow(tmp_path):
     code, out = run("decompose", "--group", str(path), "--k", "3",
                     "--format", "csv")
     assert (code, out) == (0, "16,16,16,16\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "compute"], ["classes"],
+    ["orbits", "--t", "3"], ["orbits", "--t", "3", "--method", "direct"],
+], ids=["compute", "classes", "orbits-burnside", "orbits-direct"])
+def test_group_commands_build_no_element_index(tmp_path, monkeypatch, argv):
+    def no_index(group):
+        raise AssertionError("the element index was built")
+
+    monkeypatch.setattr(FiniteGroup, "index", property(no_index))
+    path = tmp_path / "psl27.json"
+    path.write_text(json.dumps({"name": "psl27", "degree": 7, "generators":
+                                ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"]}))
+    code, _ = run(*argv, "--group", str(path), "--format", "json")
+    assert code == 0
 
 
 def test_group_file_order_mismatch(tmp_path):

@@ -13,8 +13,8 @@ import tracemalloc
 
 import pytest
 
-from ctrz.dixon import class_constants
-from ctrz.errors import InputError
+from ctrz.dixon import class_constants, compute_character_table
+from ctrz.errors import InconsistencyError, InputError
 from ctrz.perm import (MAX_DEGREE, Permutation, parse_cycles, format_cycles,
                        FiniteGroup, ClassSet, orbit_count_tuples)
 from ctrz.pipeline import builtin_analysis
@@ -185,6 +185,56 @@ def test_order_cap_refuses_large_symmetric_groups_fast(n):
     assert peak < 2 << 20
 
 
+E3 = b"\x00\x01\x02"  # the identity of S3 as a word
+
+
+@pytest.mark.parametrize("chain, message", [
+    # level 0 lists the identity under keys 0 and 1
+    ([{0: E3, 1: E3, 2: b"\x02\x01\x00"}, {1: E3, 2: b"\x00\x02\x01"}],
+     "stabilizer chain lists an element twice"),
+    # the level-1 word at key 2 moves point 1, level 0's base point
+    ([{0: E3, 1: b"\x01\x00\x02", 2: b"\x02\x01\x00"},
+      {1: E3, 2: b"\x01\x02\x00"}],
+     "stabilizer chain moves base point 1 below its level"),
+], ids=["identity-under-two-keys", "deeper-word-moves-base-point"])
+def test_corrupt_stabilizer_chain_refused(monkeypatch, chain, message):
+    monkeypatch.setattr(FiniteGroup, "_transversals", lambda self, cap: chain)
+    with pytest.raises(InconsistencyError, match=message):
+        FiniteGroup(_symmetric_generators(3))
+
+
+@pytest.mark.parametrize("gens", [
+    ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"],
+    ["(1,2)", "(1,2,3,4,5,6,7)"],
+], ids=["psl(2,7)", "s7"])
+def test_table_builds_no_element_index_and_no_class_of(gens):
+    g = FiniteGroup([parse_cycles(c, 7) for c in gens])
+    cs = ClassSet(g)
+    table = compute_character_table(g, cs)
+    assert table.verified
+    assert "index" not in vars(g)
+    assert "class_of" not in vars(cs)
+    x = g.elements[-1]
+    assert g.element_index(x) == g.order - 1
+    assert x in g
+    assert (parse_cycles("(1,2)", 7) in g) == (g.order == 5040)
+    assert cs.class_of[g.order - 1] == cs.class_of_element(x)
+
+
+def test_s8_classes_peak_traced_memory():
+    # with a word -> index dict, its index ints and member index lists the
+    # two peaked at 4.88 MiB (Python 3.11); the packed classes at 4.07 MiB
+    gens = _symmetric_generators(8)
+    tracemalloc.start()
+    try:
+        cs = ClassSet(FiniteGroup(gens))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cs) == 22
+    assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_s3_classes_in_canonical_order():
     """Classes sort by (size, element order, smallest member)."""
     g = FiniteGroup([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
@@ -313,20 +363,26 @@ def _digest(obj) -> str:
 
 
 def _pinned_group(name):
-    if name == "s7":
-        g = FiniteGroup([parse_cycles("(1,2)", 7),
-                         parse_cycles("(1,2,3,4,5,6,7)", 7)])
+    if name in PINNED_GENERATORS:
+        degree, gens = PINNED_GENERATORS[name]
+        g = FiniteGroup([parse_cycles(c, degree) for c in gens])
         return g, ClassSet(g)
     a = builtin_analysis(name)
     return a.group, a.class_set
 
 
+PINNED_GENERATORS = {
+    "s7": (7, ["(1,2)", "(1,2,3,4,5,6,7)"]),
+    "m11": (11, ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]),
+}
+
 # Digests of the output of the tuple-based permutation layer this one
-# replaced, taken on that code.  They pin the canonical class order and
-# everything read off it.  The element order is not pinned: "elements"
-# digests the sorted element images and "class_of" reads the classes in
-# that sorted order, both taken on the breadth-first enumeration that the
-# stabilizer chain replaced.
+# replaced, taken on that code; M11's were taken on the element-index
+# class walk that the word-keyed one replaced.  They pin the canonical
+# class order and everything read off it.  The element order is not
+# pinned: "elements" digests the sorted element images and "class_of"
+# reads the classes in that sorted order, both taken on the breadth-first
+# enumeration that the stabilizer chain replaced.
 PINNED = {
     "g1344-deg8": {
         "elements": "d9780b9c35e70201", "classes": "c579048a550f622d",
@@ -340,6 +396,10 @@ PINNED = {
         "elements": "94f197ca91eeb80d", "classes": "6164c46e2f4778a9",
         "class_of": "80ea29ab3554a918", "power_inverse": "e994167b45cad608",
         "power_square": "266d475c2a929905", "constants": "29b054aeccbb72c9"},
+    "m11": {
+        "elements": "ff493684ff6a65c2", "classes": "393fcba974172aab",
+        "class_of": "dafd7dac57a82813", "power_inverse": "d7556efb42925f72",
+        "power_square": "13d4011ab6179290", "constants": "03d9cbee99a043de"},
 }
 
 

@@ -72,17 +72,19 @@ def check_group(gens):
     members = []
     for c in cs.classes:
         conj = {inv[t] * c.representative * t for t in elems}
-        assert {g.elements[i] for i in c.members} == conj
+        words = c.words()
+        assert len(c.members) == c.size * g.degree
+        assert sorted(words) == sorted(bytes(x.images) for x in conj)
         assert c.size == len(conj)
         assert c.order == c.representative.order()
         assert c.representative.images == min(x.images for x in conj)
-        members.extend(c.members)
-    assert sorted(members) == list(range(g.order))
+        members.extend(words)
+    assert sorted(members) == sorted(g.words)
     assert cs.classes[0].representative.is_identity()
     keys = [(c.size, c.order, c.representative.images) for c in cs.classes]
     assert keys == sorted(keys)
-    for i, e in enumerate(g.elements):
-        assert i in cs.classes[cs.class_of[i]].members
+    for i, w in enumerate(g.words):
+        assert w in cs.classes[cs.class_of[i]].words()
 
     for t in (-1, 0, 1, 2, 3, 5, cs.exponent + 1):
         want = []
