@@ -98,7 +98,7 @@ class ClassAlgebra:
     def _build(self, i: int) -> list[list[int]]:
         cs = self.class_set
         g = cs.group
-        ident, n = g.words[0], g.degree
+        ident, n = g.identity, g.degree
         # maketrans(x, ident) sends x[a] to a: x's inverse, padded
         inverses = [bytes.maketrans(x, ident)[:n] for x in cs.classes[i].words()]
         # column k counts the classes of the products x^-1 * z_k

@@ -16,25 +16,29 @@ word has one byte per point, so a group acts on at most ``MAX_DEGREE`` =
 256 points; FiniteGroup refuses a larger degree before it allocates
 anything.
 
-A group's order comes from a stabilizer chain (Schreier-Sims) built from
-its generators, and the order cap is checked while the chain grows,
-before any element is stored, so a typo cannot eat all memory.  The
-elements are then the products of one transversal word per level of the
-chain, one product each; the identity comes first, and the order of the
-rest follows the chain and means nothing else.  Enumeration keeps only
-the words: the chain, not a hash of every word, shows that none is
-listed twice.  Conjugacy classes are conjugation orbits under the
-generators, walked over words with one word-to-class dict, each class
-packed into one ``bytes`` and reported in a canonical order: size
-ascending, then element order ascending, then the lexicographically
-smallest member.  Orbits on t-tuples are counted by Burnside's average
-over the classes, or by a descent through point stabilizers of the
-enumerated words that reads no class data.
+A group is held as a stabilizer chain (Schreier-Sims) built from its
+generators, and the order cap is checked while the chain grows, before
+any element is made, so a typo cannot eat all memory.  The order is the
+product of the chain's orbit lengths, and membership is a sift through
+the chain.  The elements are the products of one transversal word per
+level of the chain, one product each, made lazily and not kept; the
+identity comes first, and the order of the rest follows the chain and
+means nothing else.  The chain, not a hash of every word, shows that
+none is listed twice.  Conjugacy classes are conjugation orbits under
+the generators, walked over words with one word-to-class dict that
+grows from empty and is the only place that holds every element; each
+class is a run of its keys, and the classes are reported in a canonical
+order: size ascending, then element order ascending, then the
+lexicographically smallest member.  Orbits on t-tuples are counted by
+Burnside's average over the classes, or by a descent through point
+stabilizers, made from the chain at the top, that reads no class data.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
+from itertools import chain, islice, repeat
 from math import lcm
 
 from .errors import InputError, InconsistencyError
@@ -178,15 +182,34 @@ def check_degree(degree: int) -> None:
             f"degree {degree} exceeds the limit of {MAX_DEGREE} points")
 
 
-class FiniteGroup:
-    """A finite permutation group enumerated from its generators.
+def _sift(g: bytes, points: list[int], orbits: list[dict[int, bytes]],
+          start: int, ident: bytes) -> tuple[bytes, int]:
+    """Divide g by the transversal word u of each chain level from start
+    on, g * u^-1 with u[b] == g[b] at the level's base point b; return
+    the residue and the level whose orbit lacks g[b], len(points) if
+    none does.  g is an element of the chain's group exactly when the
+    residue is ident."""
+    for level in range(start, len(points)):
+        u = orbits[level].get(g[points[level]])
+        if u is None:
+            return g, level
+        g = g.translate(bytes.maketrans(u, ident))  # g * u^-1
+    return g, len(points)
 
-    words[i] is element i as a word (bytes of 0-based images), words[0]
-    the identity, and is all that enumeration keeps; elements[i] is the
-    same element as a Permutation and index maps a word back to i, both
-    built on first use.  An order above order_cap raises InputError
-    before any word is stored, and a stabilizer chain that would list an
-    element twice raises InconsistencyError before any word is built.
+
+class FiniteGroup:
+    """A finite permutation group, held as a stabilizer chain built from
+    its generators.
+
+    The chain is built and checked at init and kept; order is the
+    product of its orbit lengths.  An order above order_cap raises
+    InputError before any element is made, and a chain that would list
+    an element twice raises InconsistencyError.  products() makes every
+    element as a word (bytes of 0-based images), the identity first,
+    and keeps none.  words, the same list kept, elements, the same
+    elements as Permutations, and index, mapping a word back to its
+    position, are built on first use; ``in`` sifts through the chain
+    and builds none of them.
     """
 
     def __init__(self, generators: list[Permutation], degree: int | None = None,
@@ -202,22 +225,26 @@ class FiniteGroup:
         self.degree = degree
         self.generators = list(generators)
         self.pad = bytes(range(degree, 256))
-        self.words = self._enumerate(order_cap)
+        self.identity = bytes(range(degree))  # the identity word
+        self._chain = self._checked_chain(order_cap)
+        self._base = [next(iter(orbit)) for orbit in self._chain]
+        self.order = 1  # the product of the chain's orbit lengths
+        for orbit in self._chain:
+            self.order *= len(orbit)
 
     def translation_table(self, p: Permutation) -> bytes:
         """256-entry table with ``w.translate(table) == word of w * p``."""
         return bytes(p.images) + self.pad
 
-    def _enumerate(self, cap: int) -> list[bytes]:
-        """Every element, as the products u_k * ... * u_0 of one word u_i
-        from the transversal of each level i of the stabilizer chain:
-        one translate per element and no membership test.
+    def _checked_chain(self, cap: int) -> list[dict[int, bytes]]:
+        """The transversals of the stabilizer chain, checked so that the
+        products of one word from each level are pairwise distinct.
 
-        The products are pairwise distinct when, at each level i with base
-        point b_i (its first key), every word u has u[b_i] equal to its
-        key and every word of a deeper level fixes b_i: then the product
-        sends b_i where its u_i does, so two products with different
-        words at some level differ at that level's base point."""
+        They are when, at each level i with base point b_i (its first
+        key), every word u has u[b_i] equal to its key and every word of
+        a deeper level fixes b_i: then a product sends b_i where its u_i
+        does, so two products with different words at some level differ
+        at that level's base point."""
         levels = self._transversals(cap)
         for i, orbit in enumerate(levels):
             b = next(iter(orbit))
@@ -226,11 +253,39 @@ class FiniteGroup:
             if any(u[b] != b for deeper in levels[i + 1:] for u in deeper.values()):
                 raise InconsistencyError(
                     f"stabilizer chain moves base point {b + 1} below its level")
-        words = [bytes(range(self.degree))]
-        for orbit in reversed(levels):
+        return levels
+
+    def _levels(self) -> tuple[list[bytes], list[bytes]]:
+        """The products of the chain's deeper levels, built as a list,
+        are the stabilizer of the top base point; the top level's words
+        are a transversal of it.  Return both."""
+        words = [self.identity]
+        for orbit in reversed(self._chain[1:]):
             tables = [u + self.pad for u in orbit.values()]
             words = [w.translate(t) for t in tables for w in words]
-        return words
+        top = list(self._chain[0].values()) if self._chain else [self.identity]
+        return words, top
+
+    def products(self) -> Iterator[bytes]:
+        """Every element once, as the products u_k * ... * u_0 of one word
+        u_i from the transversal of each level i of the chain, the
+        identity first: one translate each.  The deeper levels' products
+        are built as a list at the call; the top level's are made as the
+        iterator is read, and not kept."""
+        deeper, top = self._levels()
+        return chain.from_iterable(map(bytes.translate, deeper, repeat(u + self.pad))
+                                   for u in top)
+
+    def stabilizer(self, p: int) -> list[bytes]:
+        """The words that fix point p.  A product d * u of a deeper word d
+        and a top-level word u fixes p exactly when d[p] == q, u[q] == p,
+        so only those products are made."""
+        deeper, top = self._levels()
+        by_image: dict[int, list[bytes]] = {}
+        for d in deeper:
+            by_image.setdefault(d[p], []).append(d)
+        return [d.translate(u + self.pad) for u in top
+                for d in by_image.get(u.index(p), ())]
 
     def _transversals(self, cap: int) -> list[dict[int, bytes]]:
         """The transversals of a stabilizer chain, top level first, by the
@@ -258,14 +313,6 @@ class FiniteGroup:
         strong: list[list[bytes]] = []      # strong generators, as tables
         orbits: list[dict[int, bytes]] = []
         sifted: list[dict[int, int]] = []   # per point: generators sifted
-
-        def sift(g: bytes, start: int) -> tuple[bytes, int]:
-            for level in range(start, len(points)):
-                u = orbits[level].get(g[points[level]])
-                if u is None:
-                    return g, level
-                g = g.translate(bytes.maketrans(u, ident))  # g * u^-1
-            return g, len(points)
 
         def add(h: bytes, first: int, last: int) -> None:
             if last == len(points):
@@ -302,15 +349,15 @@ class FiniteGroup:
                     g = u.translate(tables[k])
                     v = orbit[g[points[level]]]
                     if g != v:
-                        h, j = sift(g.translate(bytes.maketrans(v, ident)),
-                                    level + 1)
+                        h, j = _sift(g.translate(bytes.maketrans(v, ident)),
+                                     points, orbits, level + 1, ident)
                         if h != ident:
                             add(h, level + 1, j)
                             return j
             return None
 
         for gen in self.generators:
-            h, j = sift(bytes(gen.images), 0)
+            h, j = _sift(bytes(gen.images), points, orbits, 0, ident)
             if h != ident:
                 add(h, 0, j)
         level = len(points) - 1
@@ -318,6 +365,10 @@ class FiniteGroup:
             j = schreier(level)
             level = level - 1 if j is None else j
         return orbits
+
+    @cached_property
+    def words(self) -> list[bytes]:
+        return list(self.products())
 
     @cached_property
     def elements(self) -> list[Permutation]:
@@ -328,10 +379,6 @@ class FiniteGroup:
         # as fast as dict(zip(words, range(n))) and 4 bytes an element smaller
         return {w: i for i, w in enumerate(self.words)}
 
-    @property
-    def order(self) -> int:
-        return len(self.words)
-
     def element_index(self, p: Permutation) -> int:
         i = self.index.get(bytes(p.images)) if p.degree == self.degree else None
         if i is None:
@@ -340,27 +387,28 @@ class FiniteGroup:
 
     def __contains__(self, p: Permutation) -> bool:
         return (isinstance(p, Permutation) and p.degree == self.degree
-                and bytes(p.images) in self.index)
+                and _sift(bytes(p.images), self._base, self._chain, 0,
+                          self.identity)[0] == self.identity)
 
 
 class ConjugacyClass:
-    """One conjugacy class.  The representative is its least member;
-    members packs the member words into one ``bytes``, in the unsorted
+    """One conjugacy class.  The representative is its least member; the
+    members are a run of the class set's word dict, in the unsorted
     breadth-first order of the walk that found them."""
 
-    __slots__ = ("label", "size", "order", "representative", "members")
+    __slots__ = ("label", "size", "order", "representative", "_keys", "_start")
 
-    def __init__(self, label, size, order, representative, members):
+    def __init__(self, label, size, order, representative, keys, start):
         self.label = label
         self.size = size
         self.order = order              # common element order
         self.representative = representative
-        self.members = members
+        self._keys = keys               # the run keys[start:start + size]
+        self._start = start
 
     def words(self) -> list[bytes]:
         """The members, one word each, in the order of the walk."""
-        n, m = len(self.representative.images), self.members
-        return [m[j:j + n] for j in range(0, len(m), n)]
+        return list(islice(self._keys, self._start, self._start + self.size))
 
     def __repr__(self):
         return f"ConjugacyClass({self.label}, size={self.size}, order={self.order})"
@@ -372,60 +420,67 @@ class ClassSet:
     Canonical order: class size ascending, element order ascending, then
     the lexicographically smallest member image tuple.  The identity
     class is always first.  Each class is a breadth-first queue of
-    conjugates under the generators: its min is the representative, and
-    its members are packed into one ``bytes``.  The walk marks words in
-    one dict, pre-filled by ``dict.fromkeys`` with the group's words, so
-    it adds no key and each conjugate it builds is freed once looked up
-    or packed.  The dict maps a word to its orbit's number and _rank
-    maps that to the canonical class.
+    conjugates under the generators, and its min is the representative.
+    The walk grows one dict from empty: a conjugate becomes a key only
+    when it is not one yet, so the dict is the one place that holds the
+    group's elements, and each class is the run of keys it inserted.
+    Orbit starts are read from group.products(), and the walk stops
+    once the dict holds group.order words.  The dict maps a word to its
+    orbit's number and _rank maps that to the canonical class.
 
     Only ClassSet reads the dict: class_counts(words), class_of_element,
     and powers(c), the classes of all powers of class c below its element
     order, which power_map(t) reads.  class_of, the class of each element
-    index, is built on first use.
+    index, is built on first use, and builds group.words.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self._orbit_of = dict.fromkeys(group.words)
+        self._orbit_of: dict[bytes, int] = {}
         keyed = []
-        for k, queue in enumerate(self._orbits()):
+        for k, (first, queue) in enumerate(self._orbits()):
             rep = Permutation(min(queue))
-            keyed.append((len(queue), rep.order(), rep.images, k, rep,
-                          b"".join(queue)))
+            keyed.append((len(queue), rep.order(), rep.images, k, rep, first))
         keyed.sort(key=lambda t: t[:3])
         self.classes: list[ConjugacyClass] = []
         self._rank = [0] * len(keyed)
-        for ci, (size, order, _, k, rep, members) in enumerate(keyed):
+        for ci, (size, order, _, k, rep, first) in enumerate(keyed):
             self.classes.append(ConjugacyClass(f"C{ci + 1}", size, order, rep,
-                                               members))
+                                               self._orbit_of, first))
             self._rank[k] = ci
         self.exponent = lcm(1, *(c.order for c in self.classes))
         self._powers: dict[int, list[int]] = {}
 
     def _orbits(self):
-        """Yield each conjugation orbit as a list of words, and mark each
-        word in _orbit_of with the number of its orbit, counted from 0."""
+        """Yield each conjugation orbit as its first position among the
+        keys of _orbit_of and the list of its words, and map each word
+        there to the number of its orbit, counted from 0."""
         g, orbit_of = self.group, self._orbit_of
         pad = g.pad
         # x -> gen^-1 * x * gen, as word translations
         gen_pairs = [(bytes(gen.inverse().images), g.translation_table(gen))
                      for gen in g.generators]
         k = 0
-        for start, mark in orbit_of.items():  # sees the marks set below
-            if mark is not None:
+        for start in g.products():
+            if start in orbit_of:
                 continue
+            first = len(orbit_of)
             orbit_of[start] = k
             queue = [start]
             for x in queue:  # grows while iterated: a breadth-first queue
                 x += pad
                 for ginv, gen in gen_pairs:
                     y = ginv.translate(x).translate(gen)
-                    if orbit_of[y] is None:
+                    if y not in orbit_of:
                         orbit_of[y] = k
                         queue.append(y)
-            yield queue
+            yield first, queue
+            if len(orbit_of) == g.order:
+                return
             k += 1
+        raise InconsistencyError(
+            f"conjugacy classes hold {len(orbit_of)} elements, "
+            f"the stabilizer chain {g.order}")
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -470,7 +525,7 @@ class ClassSet:
             g = self.group
             cls = self.classes[class_index]
             table = g.translation_table(cls.representative)
-            powers, word = [], g.words[0]
+            powers, word = [], g.identity
             for _ in range(cls.order):
                 powers.append(word)
                 word = word.translate(table)
@@ -494,16 +549,19 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
 
     method "burnside" averages fixed-point counts over the group, summed
     per conjugacy class.  Method "direct" reads no class data: it descends
-    through point stabilizers of the enumerated words.  H has as many
+    through point stabilizers of the group's words.  H has as many
     orbits on m-tuples as the sum, over its orbits on points with
     representative p, of those of H_p = [w for w in H if w[p] == p] on
     (m-1)-tuples; a trivial H has n**m.  A point fixed by all of H keeps
     H, so each subgroup gives its counts for every length up to m at
     once, and the recursion is only as deep as a chain of stabilizers.
-    It refuses degree**t > tuple_cap tuples before any work, which bounds
-    it: the descent has at most as many leaves as there are orbits.  It
-    holds one stabilizer list per level, each at most the group order of
-    references, and per level at most degree lists of t + 1 counts.
+    The top level lists no element of the group: its point orbits come
+    from the generators, and its stabilizers from group.stabilizer,
+    which makes only the words that fix the point.  It refuses
+    degree**t > tuple_cap tuples before any work, which bounds it: the
+    descent has at most as many leaves as there are orbits.  It holds one
+    stabilizer list per level, each at most half the order of the level
+    above, and per level at most degree lists of t + 1 counts.
     """
     if t < 0:
         raise InputError("tuple length must be nonnegative")
@@ -525,22 +583,39 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
         raise InputError(
             f"{n}**{t} tuples exceed cap {tuple_cap}; use method='burnside'")
 
-    def counts(h: list[bytes], m: int) -> list[int]:
-        """Orbits of h on k-tuples for k = 0..m."""
-        if len(h) == 1 or m == 0:
-            return [n**k for k in range(m + 1)]
+    def combine(orbit, stabilizer, m: int) -> list[int]:
+        """Orbits on k-tuples for k = 0..m of a group whose orbit of each
+        point p is orbit(p) and whose words that fix p are stabilizer(p)."""
         fixed, below, seen = 0, [], set()
         for p in range(n):
             if p not in seen:
-                orbit = {w[p] for w in h}
-                seen |= orbit
-                if len(orbit) == 1:
+                o = orbit(p)
+                seen |= o
+                if len(o) == 1:
                     fixed += 1
                 else:
-                    below.append(counts([w for w in h if w[p] == p], m - 1))
+                    below.append(counts(stabilizer(p), m - 1))
         c = [1]
         for k in range(m):
             c.append(fixed * c[k] + sum(b[k] for b in below))
         return c
 
-    return counts(group.words, t)[t]
+    def counts(h: list[bytes], m: int) -> list[int]:
+        """Orbits of h on k-tuples for k = 0..m."""
+        if len(h) == 1 or m == 0:
+            return [n**k for k in range(m + 1)]
+        return combine(lambda p: {w[p] for w in h},
+                       lambda p: [w for w in h if w[p] == p], m)
+
+    gens = [bytes(gen.images) for gen in group.generators]
+
+    def generated_orbit(p: int) -> set[int]:
+        orbit, queue = {p}, [p]
+        for x in queue:  # grows while iterated
+            for gen in gens:
+                if gen[x] not in orbit:
+                    orbit.add(gen[x])
+                    queue.append(gen[x])
+        return orbit
+
+    return combine(generated_orbit, group.stabilizer, t)[t]

@@ -203,6 +203,18 @@ def test_corrupt_stabilizer_chain_refused(monkeypatch, chain, message):
         FiniteGroup(_symmetric_generators(3))
 
 
+def test_class_walk_refuses_a_chain_short_of_the_group(monkeypatch):
+    # a consistent chain of the subgroup <(1,2)> for the generators of S3:
+    # the class of (1,2) alone holds three transpositions
+    chain = [{0: E3, 1: b"\x01\x00\x02"}]
+    monkeypatch.setattr(FiniteGroup, "_transversals", lambda self, cap: chain)
+    g = FiniteGroup(_symmetric_generators(3))
+    assert g.order == 2
+    with pytest.raises(InconsistencyError,
+                       match="conjugacy classes hold 4 elements, the stabilizer chain 2"):
+        ClassSet(g)
+
+
 @pytest.mark.parametrize("gens", [
     ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"],
     ["(1,2)", "(1,2,3,4,5,6,7)"],
@@ -212,6 +224,7 @@ def test_table_builds_no_element_index_and_no_class_of(gens):
     cs = ClassSet(g)
     table = compute_character_table(g, cs)
     assert table.verified
+    assert "words" not in vars(g)
     assert "index" not in vars(g)
     assert "class_of" not in vars(cs)
     x = g.elements[-1]
@@ -221,9 +234,26 @@ def test_table_builds_no_element_index_and_no_class_of(gens):
     assert cs.class_of[g.order - 1] == cs.class_of_element(x)
 
 
+def test_membership_sifts_through_the_chain():
+    s9 = FiniteGroup(_symmetric_generators(9))
+    a9 = FiniteGroup([parse_cycles("(1,2,3)", 9),
+                      parse_cycles("(1,2,3,4,5,6,7,8,9)", 9)])
+    assert a9.order == 181440
+    odd = parse_cycles("(1,9,2)(3,4)", 9)
+    even = parse_cycles("(1,9,2)(3,4)(5,6)", 9)
+    assert odd in s9 and even in s9 and Permutation.identity(9) in s9
+    assert odd not in a9 and even in a9
+    assert parse_cycles("(1,2)", 8) not in s9
+    assert odd.images not in s9
+    for g in (s9, a9):
+        assert "words" not in vars(g)
+        assert "index" not in vars(g)
+
+
 def test_s8_classes_peak_traced_memory():
     # with a word -> index dict, its index ints and member index lists the
-    # two peaked at 4.88 MiB (Python 3.11); the packed classes at 4.07 MiB
+    # two peaked at 4.88 MiB (Python 3.11); the packed classes at 4.07 MiB;
+    # with the walk's dict the only copy of the elements, 3.11 MiB
     gens = _symmetric_generators(8)
     tracemalloc.start()
     try:

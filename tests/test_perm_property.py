@@ -6,10 +6,13 @@ element set by naive closure, inverses as the last power before the
 identity, classes by conjugating with every element, powers and class
 constants by repeated products.  The direct orbit count on t-tuples,
 t <= 5, is checked against a walk over all degree**t tuples under the
-generators, with ClassSet replaced so that reading class data fails.
-The eigensplit's vectors are checked against every class matrix.  The
-same checks run on identity, repeated and degree-1 generators, where
-the stabilizer chain that enumerates the group has its edge cases.
+generators, with ClassSet replaced so that reading class data fails,
+and against Burnside on intransitive groups with fixed points.
+Membership is checked against the closure on every permutation of the
+degree, non-members included.  The eigensplit's vectors are checked
+against every class matrix.  The same checks run on identity, repeated
+and degree-1 generators, where the stabilizer chain that enumerates the
+group has its edge cases.
 """
 
 import itertools
@@ -66,6 +69,9 @@ def check_group(gens):
     assert g.order == len(elems)
     assert g.elements[0].is_identity()
     assert [g.element_index(e) for e in g.elements] == list(range(g.order))
+    for p in range(g.degree):
+        assert (sorted(g.stabilizer(p))
+                == sorted(bytes(x.images) for x in elems if x.images[p] == p))
     inv = {x: inverse(x) for x in elems}
 
     cs = ClassSet(g)
@@ -73,7 +79,7 @@ def check_group(gens):
     for c in cs.classes:
         conj = {inv[t] * c.representative * t for t in elems}
         words = c.words()
-        assert len(c.members) == c.size * g.degree
+        assert len(set(words)) == len(words) == c.size
         assert sorted(words) == sorted(bytes(x.images) for x in conj)
         assert c.size == len(conj)
         assert c.order == c.representative.order()
@@ -112,6 +118,57 @@ def check_group(gens):
 @given(generator_lists())
 def test_random_groups_agree_with_product_oracles(gens):
     check_group(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
+def test_membership_agrees_with_the_closure(gens):
+    """``in`` sifts through the chain: every permutation of the degree,
+    members and non-members, against the closure, and nothing built."""
+    g = FiniteGroup(gens)
+    elems = closure(gens)
+    n = g.degree
+    for images in itertools.permutations(range(n)):
+        assert (Permutation(images) in g) == (Permutation(images) in elems)
+    assert Permutation.identity(n + 1) not in g
+    assert "words" not in vars(g)
+    assert "index" not in vars(g)
+
+
+@st.composite
+def intransitive_generator_lists(draw):
+    """One to three generators, each permuting the points within fixed
+    blocks: two or three blocks of one to three points, one more point
+    that every generator fixes, and the points relabelled at random."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3),
+                          min_size=2, max_size=3))
+    n = sum(sizes) + 1
+    relabel = draw(st.permutations(range(n)))
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append([relabel[start + i] for i in range(size)])
+        start += size
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        images = list(range(n))
+        for block in blocks:
+            for x, y in zip(block, draw(st.permutations(block))):
+                images[x] = y
+        gens.append(Permutation(images))
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(intransitive_generator_lists())
+def test_direct_count_on_intransitive_groups(gens):
+    """The direct count's top level takes the point orbits from the
+    generators and each stabilizer from the chain; with fixed points and
+    several orbits it must still equal Burnside's average."""
+    g = FiniteGroup(gens)
+    cs = ClassSet(g)
+    for t in range(5):
+        assert (orbit_count_tuples(g, t, method="direct")
+                == orbit_count_tuples(g, t, method="burnside", classes=cs))
 
 
 @pytest.mark.parametrize("gens", [
