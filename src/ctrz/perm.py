@@ -19,8 +19,12 @@ anything.
 A group is held as a stabilizer chain (Schreier-Sims) built from its
 generators, and the order cap is checked while the chain grows, before
 any element is made, so a typo cannot eat all memory.  The order is the
-product of the chain's orbit lengths, and membership is a sift through
-the chain.  The elements are the products of one transversal word per
+product of the chain's orbit lengths.  The group keeps no list of its
+elements and no index into one; each answer has one way:
+``FiniteGroup.products()`` lists the elements, ``p in group`` tests
+membership by a sift through the chain, and
+``ClassSet.class_of_element`` and ``ClassSet.class_counts`` give
+classes.  The elements are the products of one transversal word per
 level of the chain, one product each, made lazily and not kept; the
 identity comes first, and the order of the rest follows the chain and
 means nothing else.  The chain, not a hash of every word, shows that
@@ -37,7 +41,6 @@ stabilizers, made from the chain at the top, that reads no class data.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property
 from itertools import chain, islice, repeat
 from math import lcm
 
@@ -86,9 +89,6 @@ class Permutation:
 
     def __hash__(self) -> int:
         return hash(self.images)
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 1-based, each starting at its smallest point,
@@ -204,12 +204,11 @@ class FiniteGroup:
     The chain is built and checked at init and kept; order is the
     product of its orbit lengths.  An order above order_cap raises
     InputError before any element is made, and a chain that would list
-    an element twice raises InconsistencyError.  products() makes every
-    element as a word (bytes of 0-based images), the identity first,
-    and keeps none.  words, the same list kept, elements, the same
-    elements as Permutations, and index, mapping a word back to its
-    position, are built on first use; ``in`` sifts through the chain
-    and builds none of them.
+    an element twice raises InconsistencyError.  The group keeps no
+    element: products() makes every element once as a word (bytes of
+    0-based images), the identity first, and ``p in group`` sifts p
+    through the chain.  Those are the one way to list the elements and
+    the one way to test membership.
     """
 
     def __init__(self, generators: list[Permutation], degree: int | None = None,
@@ -366,25 +365,6 @@ class FiniteGroup:
             level = level - 1 if j is None else j
         return orbits
 
-    @cached_property
-    def words(self) -> list[bytes]:
-        return list(self.products())
-
-    @cached_property
-    def elements(self) -> list[Permutation]:
-        return [Permutation(w) for w in self.words]
-
-    @cached_property
-    def index(self) -> dict[bytes, int]:
-        # as fast as dict(zip(words, range(n))) and 4 bytes an element smaller
-        return {w: i for i, w in enumerate(self.words)}
-
-    def element_index(self, p: Permutation) -> int:
-        i = self.index.get(bytes(p.images)) if p.degree == self.degree else None
-        if i is None:
-            raise InputError(f"{p} is not an element of this group")
-        return i
-
     def __contains__(self, p: Permutation) -> bool:
         return (isinstance(p, Permutation) and p.degree == self.degree
                 and _sift(bytes(p.images), self._base, self._chain, 0,
@@ -428,10 +408,11 @@ class ClassSet:
     once the dict holds group.order words.  The dict maps a word to its
     orbit's number and _rank maps that to the canonical class.
 
-    Only ClassSet reads the dict: class_counts(words), class_of_element,
-    and powers(c), the classes of all powers of class c below its element
-    order, which power_map(t) reads.  class_of, the class of each element
-    index, is built on first use, and builds group.words.
+    Only ClassSet reads the dict, and it is the one way to the class of
+    an element: class_of_element(p) for one permutation,
+    class_counts(words) for many words, and powers(c), the classes of
+    all powers of class c below its element order, which power_map(t)
+    reads.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -485,10 +466,6 @@ class ClassSet:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def _classes_of(self, words) -> list[int]:
-        return list(map(self._rank.__getitem__,
-                        map(self._orbit_of.__getitem__, words)))
-
     def class_counts(self, words) -> list[int]:
         """counts[j] is how many of the words, elements of the group, lie
         in class j."""
@@ -497,11 +474,6 @@ class ClassSet:
         for w in words:
             counts[rank[orbit_of[w]]] += 1
         return counts
-
-    @cached_property
-    def class_of(self) -> list[int]:
-        """class_of[i] is the class of element i, built on first use."""
-        return self._classes_of(self.group.words)
 
     def class_of_element(self, p: Permutation) -> int:
         g = self.group
@@ -525,18 +497,13 @@ class ClassSet:
             g = self.group
             cls = self.classes[class_index]
             table = g.translation_table(cls.representative)
-            powers, word = [], g.identity
+            rank, orbit_of = self._rank, self._orbit_of
+            cached, word = [], g.identity
             for _ in range(cls.order):
-                powers.append(word)
+                cached.append(rank[orbit_of[word]])
                 word = word.translate(table)
-            cached = self._powers[class_index] = self._classes_of(powers)
+            self._powers[class_index] = cached
         return cached
-
-    def centralizer_order(self, class_index: int) -> int:
-        size = self.classes[class_index].size
-        if self.group.order % size:
-            raise InconsistencyError("class size does not divide group order")
-        return self.group.order // size
 
     def sizes(self) -> list[int]:
         return [c.size for c in self.classes]

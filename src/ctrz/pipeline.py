@@ -2,8 +2,9 @@
 expensive parts.
 
 A GroupAnalysis owns one permutation group and lazily computes, in
-order: the enumerated group, its conjugacy classes, the character table
-(canonical row and column order), and a reporting view of that table.
+order: the group as a stabilizer chain, its conjugacy classes, the
+character table (canonical row and column order), and a reporting view
+of that table.
 For the two embedded groups the reporting view adopts the row order and
 row labels of the published reference table whenever the computed table
 matches it under fingerprint constraints; decompositions are then
@@ -11,8 +12,8 @@ directly comparable with the published multiplicity vectors.  Columns
 always stay in canonical class order.
 
 Analyses for the embedded groups are cached per process so the command
-line and the test suite pay for enumeration and the character table
-once.
+line and the test suite pay for the chain, the class walk and the
+character table once.
 """
 
 from __future__ import annotations

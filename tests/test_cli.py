@@ -24,7 +24,7 @@ from ctrz import cli, dixon
 from ctrz.chartab import DecompositionError, display_value, table_from_dict
 from ctrz.cli import build_parser, main
 from ctrz.datasets import transcription_table
-from ctrz.perm import FiniteGroup
+from ctrz.perm import ClassSet, FiniteGroup, Permutation
 from ctrz.pipeline import builtin_analysis
 
 
@@ -425,20 +425,35 @@ def test_group_file_flow(tmp_path):
     assert (code, out) == (0, "16,16,16,16\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["chartable", "compute"], ["classes"],
-    ["orbits", "--t", "3"], ["orbits", "--t", "3", "--method", "direct"],
-], ids=["compute", "classes", "orbits-burnside", "orbits-direct"])
-def test_group_commands_build_no_element_index(tmp_path, monkeypatch, argv):
-    def no_index(group):
-        raise AssertionError("the element index was built")
+@pytest.mark.parametrize("argv, most", [
+    (["chartable", "compute"], 1), (["classes"], 1),
+    (["orbits", "--t", "3"], 1), (["orbits", "--t", "3", "--method", "direct"], 1),
+    (["decompose", "--k", "3"], 1), (["dims", "--from", "1", "--to", "3"], 1),
+    (["permchar"], 1), (["order"], 0),
+], ids=["compute", "classes", "orbits-burnside", "orbits-direct",
+        "decompose", "dims", "permchar", "order"])
+def test_group_commands_build_no_element_index(tmp_path, monkeypatch, argv, most):
+    """The group keeps no element list or index, and a command makes the
+    elements at most once: one products() call, none for the order."""
+    for name in ("words", "elements", "index", "element_index"):
+        assert not hasattr(FiniteGroup, name)
+    for name in ("class_of", "centralizer_order"):
+        assert not hasattr(ClassSet, name)
+    assert not hasattr(Permutation, "is_identity")
+    calls = []
+    products = FiniteGroup.products
 
-    monkeypatch.setattr(FiniteGroup, "index", property(no_index))
+    def counted(group):
+        calls.append(group)
+        return products(group)
+
+    monkeypatch.setattr(FiniteGroup, "products", counted)
     path = tmp_path / "psl27.json"
     path.write_text(json.dumps({"name": "psl27", "degree": 7, "generators":
                                 ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"]}))
     code, _ = run(*argv, "--group", str(path), "--format", "json")
     assert code == 0
+    assert len(calls) <= most
 
 
 def test_group_file_order_mismatch(tmp_path):

@@ -23,6 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from ctrz.dixon import class_constants, common_eigenbasis
+from ctrz.errors import InputError
 from ctrz.modp import choose_prime
 from ctrz.perm import ClassSet, FiniteGroup, Permutation, orbit_count_tuples
 
@@ -57,7 +58,7 @@ def power(x, t):
 
 def inverse(x):
     prev, q = Permutation.identity(x.degree), x
-    while not q.is_identity():
+    while q != Permutation.identity(x.degree):
         prev, q = q, q * x
     return prev
 
@@ -65,10 +66,11 @@ def inverse(x):
 def check_group(gens):
     g = FiniteGroup(gens)
     elems = closure(gens)
-    assert set(g.elements) == elems
-    assert g.order == len(elems)
-    assert g.elements[0].is_identity()
-    assert [g.element_index(e) for e in g.elements] == list(range(g.order))
+    products = list(g.products())
+    assert len(set(products)) == len(products) == g.order == len(elems)
+    assert {Permutation(w) for w in products} == elems
+    assert products[0] == g.identity
+    assert all(x in g for x in elems)
     for p in range(g.degree):
         assert (sorted(g.stabilizer(p))
                 == sorted(bytes(x.images) for x in elems if x.images[p] == p))
@@ -85,12 +87,18 @@ def check_group(gens):
         assert c.order == c.representative.order()
         assert c.representative.images == min(x.images for x in conj)
         members.extend(words)
-    assert sorted(members) == sorted(g.words)
-    assert cs.classes[0].representative.is_identity()
+    assert sorted(members) == sorted(products)
+    assert cs.classes[0].representative == Permutation.identity(g.degree)
     keys = [(c.size, c.order, c.representative.images) for c in cs.classes]
     assert keys == sorted(keys)
-    for i, w in enumerate(g.words):
-        assert w in cs.classes[cs.class_of[i]].words()
+    for w in products:
+        assert w in cs.classes[cs.class_of_element(Permutation(w))].words()
+    outside = [x for x in map(Permutation, itertools.permutations(range(g.degree)))
+               if x not in elems][:1] + [Permutation.identity(g.degree + 1)]
+    for x in outside:
+        assert x not in g
+        with pytest.raises(InputError):
+            cs.class_of_element(x)
 
     for t in (-1, 0, 1, 2, 3, 5, cs.exponent + 1):
         want = []
@@ -131,8 +139,8 @@ def test_membership_agrees_with_the_closure(gens):
     for images in itertools.permutations(range(n)):
         assert (Permutation(images) in g) == (Permutation(images) in elems)
     assert Permutation.identity(n + 1) not in g
-    assert "words" not in vars(g)
-    assert "index" not in vars(g)
+    assert not hasattr(g, "words")
+    assert not hasattr(g, "index")
 
 
 @st.composite
@@ -183,7 +191,9 @@ def test_chain_order_equals_the_closure_on_edge_cases(gens):
 
 def test_trivial_group_from_a_degree_alone():
     g = FiniteGroup([], degree=3)
-    assert set(g.elements) == closure([Permutation.identity(3)])
+    assert list(g.products()) == [g.identity]
+    assert ({Permutation(w) for w in g.products()}
+            == closure([Permutation.identity(3)]))
     assert g.order == 1
 
 
