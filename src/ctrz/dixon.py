@@ -8,11 +8,19 @@ at the identity class to 1, exactly the vectors of class-sum eigenvalues
 omega_i = |C_i| chi(g_i) / chi(1) reduced mod p, one per irreducible
 character chi.  The split keeps one vector per common eigenspace,
 starting from the unit vector at the identity class, and splits each
-by the minimal polynomial of the next M_i on it, in class order,
-smallest class first, until it keeps r vectors, so only the matrices
-it uses are built, M_i at |C_i| * r products (J. D. Dixon, Numer.
-Math. 10 (1967) 446-450; G. J. A. Schneider, J. Symbolic Comput. 9
-(1990) 601-606).
+by the minimal polynomial of the next M_i on it until it keeps r
+vectors, so only the matrices it uses are built, M_i at |C_i| * r
+products (J. D. Dixon, Numer. Math. 10 (1967) 446-450; G. J. A.
+Schneider, J. Symbolic Comput. 9 (1990) 601-606).  It takes M_i in
+class order, smallest class first, until one splits no kept vector;
+from then on the next is the smallest unbuilt class with a twin,
+none of whose twins is built yet, classes that a power map moves
+first, and class order again once no such class is left.  Twins are
+classes of one shape: the same size and element order, and so for
+the class of each power g**t.  Two characters that a Galois or an
+outer automorphism swaps agree on every class it fixes, and it maps
+each class to one of its shape, so only a class with a twin can
+tell them apart.
 
 The prime is the smallest p = 1 (mod exponent) with p > 2*sqrt(|G|):
 then F_p holds the needed roots of unity, degrees satisfy d <= sqrt(|G|)
@@ -63,11 +71,22 @@ class ClassAlgebra:
     matrix(i) is M_i, (M_i)[j][k] = a[i][j][k], built on first use from
     the |C_i| * r products x^-1 * z, x in C_i and z the representative
     of class k; inverse_class[i] is the class of inverses of class i.
+    kinds[i] is (fixed, size, shape) of class i, which the split
+    chooses its matrices by: fixed is false when a power map moves the
+    class to another, and shape holds the size and element order of
+    the class of g**t for t < o, g in class i of element order o.
     """
 
     def __init__(self, class_set: ClassSet):
         self.class_set = class_set
         self.inverse_class = class_set.power_map(-1)
+        classes = class_set.classes
+        self.kinds = []
+        for i, c in enumerate(classes):
+            powers, o = class_set.powers(i), c.order
+            fixed = all(powers[a] == i for a in range(o) if gcd(a, o) == 1)
+            shape = tuple((classes[k].size, classes[k].order) for k in powers)
+            self.kinds.append((fixed, c.size, shape))
         self._matrices: dict[int, list[list[int]]] = {}
         if sum(class_set.sizes()) != class_set.group.order:
             raise InconsistencyError("class sizes do not sum to the group order")
@@ -83,7 +102,7 @@ class ClassAlgebra:
             m = self._build(i)
             sizes = self.class_set.sizes()
             for j, row in enumerate(m):
-                total = sum(a * s for a, s in zip(row, sizes))
+                total = sum(map(mul, row, sizes))
                 if total != sizes[i] * sizes[j]:
                     raise InconsistencyError(
                         f"weighted constants at ({i},{j}) sum to {total}, "
@@ -118,17 +137,16 @@ def _split(m: list[list[int]], x: list[int], p: int) -> list[list[int]]:
     scalars: with q the minimal polynomial of m on x, of degree k, one
     h(m) x per root w of q, ascending, h = q / (t - w); x itself when
     k is 1.  Raises unless q has k distinct roots in F_p."""
-    n = len(x)
     krylov, echelon = [], []  # echelon rows: (pivot, row, its polynomial)
     y = x
     while True:  # reduce y = m**k x against x, ..., m**(k-1) x
         k = len(krylov)
-        z, q = y, [0] * k + [1] + [0] * (n - k)
-        for c, row, poly in echelon:
+        z, q = y, [0] * k + [1]
+        for c, row, poly in echelon:  # each poly of degree below k
             f = z[c]
             if f:
                 z = [(a - f * b) % p for a, b in zip(z, row)]
-                q = [(a - f * b) % p for a, b in zip(q, poly)]
+                q[:len(poly)] = [(a - f * b) % p for a, b in zip(q, poly)]
         if not any(z):
             break
         c = next(c for c, a in enumerate(z) if a)
@@ -138,7 +156,6 @@ def _split(m: list[list[int]], x: list[int], p: int) -> list[list[int]]:
         y = [sum(map(mul, row, y)) % p for row in m]
     if k == 1:
         return [x]
-    q = q[:k + 1]
     roots = poly_roots_mod_p(q, p)
     if len(roots) != k:
         raise InconsistencyError(
@@ -163,14 +180,18 @@ def common_eigenbasis(algebra: ClassAlgebra,
     0.  That vector is the sum over the characters t of chi_t(1)**2 / |G|
     times the vectors v_t below, every coefficient nonzero mod p, so
     each kept vector has a nonzero component on every v_t in its common
-    eigenspace.  Each kept vector x is split by the next matrix M_i, in
-    class order, until r vectors are kept: the first Krylov vector
-    M_i**k x that is a combination of the earlier ones gives q, the
-    minimal polynomial of M_i on x, which must have k distinct roots in
-    F_p; for each root w, ascending, h(M_i) x with h = q / (t - w) is
-    h(w) != 0 times the component of x on the eigenspace of w.  A q of
-    degree 1 leaves x whole.  Only the matrices the split uses are
-    built.
+    eigenspace.  Each kept vector x is split by the next matrix M_i
+    until r vectors are kept.  M_i is taken in class order until one
+    splits no kept vector; from then on it is the unbuilt class with a
+    twin, another class of its shape (algebra.kinds), whose shape no
+    built class has, least by kind (a class a power map moves first,
+    then the smallest), or the next in class order when there is
+    none.  The first Krylov vector M_i**k x that is a combination of
+    the earlier ones gives q, the minimal polynomial of M_i on x, which
+    must have k distinct roots in F_p; for each root w, ascending,
+    h(M_i) x with h = q / (t - w) is h(w) != 0 times the component of x
+    on the eigenspace of w.  A q of degree 1 leaves x whole.  Only the
+    matrices the split uses are built.
 
     Returns (p, vectors), one vector per character t, scaled to 1 at
     the identity class, so its entry at class i is
@@ -178,13 +199,21 @@ def common_eigenbasis(algebra: ClassAlgebra,
     checked for every returned v and every matrix the split built.
     """
     r = algebra.size
-    vectors, used = [[1] + [0] * (r - 1)], []
-    for i in range(1, r):
-        if len(vectors) >= r:  # more only from inconsistent matrices
-            break
+    kinds = algebra.kinds
+    shapes = [kind[2] for kind in kinds]
+    vectors, used, unbuilt = [[1] + [0] * (r - 1)], [], list(range(1, r))
+    stalled = False
+    while unbuilt and len(vectors) < r:  # more only from inconsistent matrices
+        built = {shapes[j] for j, _ in used}
+        twins = [j for j in unbuilt if stalled and shapes.count(shapes[j]) > 1
+                 and shapes[j] not in built]
+        i = min(twins, key=kinds.__getitem__, default=unbuilt[0])
+        unbuilt.remove(i)
         m = algebra.matrix(i)
         used.append((i, m))
-        vectors = [part for x in vectors for part in _split(m, x, p)]
+        split = [part for x in vectors for part in _split(m, x, p)]
+        stalled = stalled or len(split) == len(vectors)
+        vectors = split
     if len(vectors) != r:
         raise InconsistencyError(
             f"expected {r} common eigenvectors, got {len(vectors)}")

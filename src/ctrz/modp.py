@@ -1,8 +1,9 @@
 """Arithmetic over a prime field F_p.
 
 The choice of the prime, its primitive root and the roots of a
-polynomial in F_p, found by scanning the field: all the eigensplit of
-the character table computation needs beside its own Krylov vectors.
+polynomial in F_p, found by scanning the field and dividing out each
+root found: all the eigensplit of the character table computation
+needs beside its own Krylov vectors.
 """
 
 from __future__ import annotations
@@ -31,14 +32,39 @@ def prime_factors(n: int) -> list[int]:
 
 
 def poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p by exhaustive scan, ascending."""
+    """All roots in F_p, ascending, each once; every x for the zero
+    polynomial.  The scan divides q by (t - x) at each root x, as often
+    as x is one, and stops once q is a nonzero constant, or linear, with
+    its one root above every root found."""
+    q = [c % p for c in coeffs]
+    while q and not q[-1]:
+        q.pop()
+    if not q:
+        return list(range(p))
+
+    def divided(q, x):  # (q / (t - x), q(x)), constant term first
+        acc, out = 0, []
+        for c in reversed(q):
+            acc = (acc * x + c) % p
+            out.append(acc)
+        return out[-2::-1], acc
+
     roots = []
     for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
+        if len(q) <= 2:
+            break
+        value = 0
+        for c in reversed(q):
+            value = (value * x + c) % p
+        if value:
+            continue
+        roots.append(x)
+        quotient, value = divided(q, x)
+        while not value:  # x as often as it is a root
+            q = quotient
+            quotient, value = divided(q, x)
+    if len(q) == 2:
+        roots.append(-q[0] * pow(q[1], p - 2, p) % p)
     return roots
 
 

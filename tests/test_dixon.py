@@ -20,6 +20,7 @@ from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
 from ctrz.dixon import (ClassAlgebra, class_constants, common_eigenbasis,
                         compute_character_table, declared_conductor)
 from ctrz.chartab import validate, decompose, permutation_character
+from ctrz.datasets import builtin_group
 
 from conftest import class_matrices
 
@@ -243,6 +244,29 @@ def test_class_matrices_are_built_on_demand(monkeypatch):
     assert set(built) <= {1, 2}
 
 
+@pytest.mark.parametrize("name, texts, degree, most", [
+    ("g1344-deg8", None, None, 5),
+    ("g1344-deg14", None, None, 5),
+    ("m11", ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"], 11, 4),
+    ("a9", ["(1,2,3)", "(1,2,3,4,5,6,7,8,9)"], 9, 5),
+])
+def test_the_split_builds_few_class_matrices(monkeypatch, name, texts, degree,
+                                             most):
+    """Once a matrix splits nothing, the split takes the classes with an
+    unbuilt twin: the order-1344 builtins build M1-M4 and M7, where
+    class order builds M1-M7, M11 builds 4 of 9 and A9 5 of 17, where
+    class order builds 14."""
+    if texts is None:
+        spec = builtin_group(name)
+        texts, degree = spec["generators"], spec["degree"]
+    g = group(texts, degree)
+    cs = ClassSet(g)
+    built = _counting_builds(monkeypatch)
+    ct = compute_character_table(g, cs)
+    assert ct.verified
+    assert len(built) <= most and len(set(built)) == len(built)
+
+
 def test_full_tensor_builds_each_matrix_once(monkeypatch):
     built = _counting_builds(monkeypatch)
     ca = class_constants(ClassSet(group(["(1,2)", "(1,2,3,4)"], 4)))
@@ -288,12 +312,15 @@ def test_s9_constants_and_eigensplit_are_fast():
 
 
 class StubAlgebra:
-    """The two members the split reads, size and matrix(i), over given
-    matrices: the refusals below need data no group yields."""
+    """The three members the split reads, size, kinds and matrix(i), over
+    given matrices: the refusals below need data no group yields.  Each
+    class has a shape of its own, so none has a twin and the split takes
+    the matrices in class order."""
 
     def __init__(self, matrices):
         self.matrices = matrices
         self.size = len(matrices)
+        self.kinds = [(True, 1, ((1, i + 1),)) for i in range(self.size)]
 
     def matrix(self, i):
         return self.matrices[i]

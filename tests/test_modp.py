@@ -4,6 +4,8 @@ Polynomials are stored constant-term first, so a monic polynomial of
 degree n has coefficient 1 in position n.
 """
 
+import random
+
 import pytest
 
 from ctrz.errors import InputError
@@ -55,6 +57,41 @@ def test_poly_roots():
     assert poly_roots_mod_p([1, 0, 1], 7) == []
     # x^2 + 1 over F_5 has roots 2 and 3.
     assert poly_roots_mod_p([1, 0, 1], 5) == [2, 3]
+
+
+def _roots_by_definition(coeffs, p):
+    return [x for x in range(p)
+            if sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p == 0]
+
+
+def _drawn_polynomial(rng, p):
+    """Half products of linear factors, whose roots repeat and include 0
+    often, scaled by a unit; half free coefficients, of any length and
+    the zero polynomial among them.  Coefficients are then shifted by
+    multiples of p, and zero coefficients may follow the leading one."""
+    if rng.random() < 0.5:
+        coeffs = [rng.randrange(1, p)]
+        for _ in range(rng.randrange(6)):
+            root = rng.choice([0, rng.randrange(p), rng.randrange(p)])
+            coeffs = [(a - root * b) % p
+                      for a, b in zip([0] + coeffs, coeffs + [0])]
+    else:
+        coeffs = [rng.randrange(p) for _ in range(rng.randrange(7))]
+    coeffs = [c + p * rng.randrange(-2, 3) for c in coeffs]
+    return coeffs + [0, p][:rng.randrange(3)]
+
+
+def test_poly_roots_agree_with_the_definition():
+    """The division scan returns exactly the x in F_p with q(x) = 0 mod p,
+    ascending and each once, on 3000 drawn polynomials."""
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 337])
+        coeffs = _drawn_polynomial(rng, p)
+        assert poly_roots_mod_p(coeffs, p) == _roots_by_definition(coeffs, p), (
+            coeffs, p)
+    assert poly_roots_mod_p([], 5) == [0, 1, 2, 3, 4]
+    assert poly_roots_mod_p([7, 0, 14], 7) == [0, 1, 2, 3, 4, 5, 6]
 
 
 def test_primitive_root_has_full_order():
