@@ -1,13 +1,14 @@
 """Exact character tables and centralizer algebra structure for
 permutation groups given by generators.
 
-The layers, bottom up: perm (permutations, group enumeration, conjugacy
-classes, orbit counts), exact (cyclotomic field arithmetic), modp
-(prime-field linear algebra), dixon (character table computation),
-chartab (tables as data: validation, decomposition, matching),
-datasets (embedded groups and the published reference table), tensor
-(tensor power multiplicities and commutant structure), pipeline (cached
-end-to-end analyses), cli (command line).
+The layers, bottom up: perm (permutations, the stabilizer chain that
+gives a group's order and makes its elements, conjugacy classes, orbit
+counts), exact (cyclotomic field arithmetic), modp (the choice of prime,
+its primitive root and the root scan), dixon (character table
+computation), chartab (tables as data: validation, decomposition,
+matching), datasets (embedded groups and the published reference
+table), tensor (tensor power multiplicities and commutant structure),
+pipeline (cached end-to-end analyses), cli (command line).
 """
 
 from .chartab import (CharacterTable, ClassFunction, ClassInfo,

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import ne
@@ -68,13 +67,38 @@ class DecompositionError(CtrzError):
     multiplicities; it is not a character of the table's group."""
 
 
-@dataclass(slots=True)
-class ClassInfo:
-    label: str
-    size: int
-    order: int
-    representative: str | None = None
-    printed_size: int | None = None
+class _Record:
+    """A public record: equality field by field over _fields, False
+    against any other type; a repr naming each field; unhashable, as a
+    record's fields can be set.  Each record spells out its own
+    __init__, so that its signature reads as written."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class ClassInfo(_Record):
+    __slots__ = _fields = ("label", "size", "order", "representative",
+                           "printed_size")
+
+    def __init__(self, label: str, size: int, order: int,
+                 representative: str | None = None,
+                 printed_size: int | None = None):
+        self.label = label
+        self.size = size
+        self.order = order
+        self.representative = representative
+        self.printed_size = printed_size
 
 
 class CharacterTable:
@@ -191,11 +215,13 @@ class CharacterTable:
         return out
 
 
-@dataclass
-class Violation:
-    kind: str
-    subject: str
-    detail: str
+class Violation(_Record):
+    _fields = ("kind", "subject", "detail")
+
+    def __init__(self, kind: str, subject: str, detail: str):
+        self.kind = kind
+        self.subject = subject
+        self.detail = detail
 
     def describe(self) -> str:
         return f"{self.kind} [{self.subject}]: {self.detail}"
@@ -442,14 +468,17 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
 # matching two tables
 
 
-@dataclass
-class Finding:
-    kind: str
-    row: str | None
-    column: str | None
-    external: str
-    computed: str
-    relation: str
+class Finding(_Record):
+    _fields = ("kind", "row", "column", "external", "computed", "relation")
+
+    def __init__(self, kind: str, row: str | None, column: str | None,
+                 external: str, computed: str, relation: str):
+        self.kind = kind
+        self.row = row
+        self.column = column
+        self.external = external
+        self.computed = computed
+        self.relation = relation
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "external": self.external,
@@ -461,9 +490,11 @@ class Finding:
         return d
 
 
-@dataclass
-class TableErrata:
-    findings: list[Finding] = field(default_factory=list)
+class TableErrata(_Record):
+    _fields = ("findings",)
+
+    def __init__(self, findings: list[Finding] | None = None):
+        self.findings = [] if findings is None else findings
 
     def __bool__(self) -> bool:
         return bool(self.findings)
@@ -472,13 +503,17 @@ class TableErrata:
         return {"findings": [f.to_dict() for f in self.findings]}
 
 
-@dataclass
-class MatchResult:
-    row_map: tuple[int, ...]   # external row index -> computed row index
-    col_map: tuple[int, ...]   # external column index -> computed column index
-    errata: TableErrata
-    level: str
-    notes: list[str] = field(default_factory=list)
+class MatchResult(_Record):
+    _fields = ("row_map", "col_map", "errata", "level", "notes")
+
+    def __init__(self, row_map: tuple[int, ...], col_map: tuple[int, ...],
+                 errata: TableErrata, level: str,
+                 notes: list[str] | None = None):
+        self.row_map = row_map   # external row index -> computed row index
+        self.col_map = col_map   # external column index -> computed column index
+        self.errata = errata
+        self.level = level
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         d = {"matching": {"rows": list(self.row_map),

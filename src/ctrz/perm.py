@@ -131,8 +131,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     Grammar: zero or more parenthesised cycles of 1-based points,
     whitespace ignored.  The empty string and ``()`` both denote the
     identity.  Cycles need not be disjoint; they apply left to right.
-    Raises InputError for syntax errors, points out of range, or a point
-    repeated within one cycle.
+    A point is ASCII digits.  Raises InputError for syntax errors, points
+    out of range, or a point repeated within one cycle.
     """
     if degree < 1:
         raise InputError("degree must be at least 1")
@@ -151,9 +151,15 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             continue  # "()" is the identity factor
         points = []
         for part in body.split(","):
-            if not part.isdigit():
+            # ASCII digits only: str.isdigit also passes "²" and "١"
+            if not (part.isascii() and part.isdigit()):
                 raise InputError(f"bad point {part!r} in {text!r}")
-            p = int(part)
+            digits = part.lstrip("0")
+            # refused before int(), which fails past 4300 digits
+            if len(digits) > len(str(degree)):
+                raise InputError(f"point of {len(digits)} digits out of "
+                                 f"range 1..{degree}")
+            p = int(digits or "0")
             if not 1 <= p <= degree:
                 raise InputError(f"point {p} out of range 1..{degree}")
             points.append(p - 1)

@@ -891,12 +891,50 @@ def test_json_int_longer_than_python_reads_exits_2(tmp_path, capsys, command):
     assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point, message", [
+    ("\u00b2", "bad point"), ("\u0661", "bad point"),
+    ("9" * 5000, "out of range")],
+    ids=["superscript", "arabic-indic", "too-long"])
+def test_group_file_malformed_point_exits_two(tmp_path, capsys, point,
+                                              message):
+    """A point that str.isdigit passes but is not ASCII digits, or one
+    longer than int() reads, is bad input: exit 2 with one error line."""
+    spec = {"name": "s3", "degree": 3, "generators": [f"(1,{point})", "(1,2,3)"]}
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(spec))
+    code, out = run("order", "--group", str(path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def _child_env():
+    """The environment with src first on PYTHONPATH, for a child
+    interpreter that imports ctrz."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_import_loads_no_introspection_modules():
+    """ctrz is stdlib-only and imports what it uses: a fresh import of
+    ctrz and ctrz.cli loads none of dataclasses, inspect, ast or dis.
+    The child takes the difference of sys.modules itself, so whatever
+    site loads first does not count."""
+    code = ("import sys; before = set(sys.modules); import ctrz, ctrz.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "ctrz.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+
+
 def test_closed_stdout_exits_141_without_traceback():
     """A reader that went away (`ctrz ... | head -1`) is exit 141, with
     nothing on stderr, not a BrokenPipeError traceback and exit 1."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -75,6 +75,30 @@ def test_parse_rejects_garbage():
         parse_cycles("(1,x)", 4)
 
 
+@pytest.mark.parametrize("text", ["(1,\u00b2)", "(\u0661,2)", "(1,\uff12)"],
+                         ids=["superscript", "arabic-indic", "fullwidth"])
+def test_parse_accepts_only_ascii_digits(text):
+    """str.isdigit passes a superscript two, an Arabic-Indic one and a
+    fullwidth two; none is a point."""
+    with pytest.raises(InputError, match="bad point"):
+        parse_cycles(text, 4)
+
+
+def test_parse_refuses_a_point_too_long_before_reading_it():
+    """int() refuses more than 4300 digits with a ValueError; a point with
+    more digits than the degree is out of range before int() sees it."""
+    with pytest.raises(InputError, match="out of range"):
+        parse_cycles("(1," + "9" * 5000 + ")", 4)
+    with pytest.raises(InputError, match="out of range"):
+        parse_cycles("(1,10)", 9)
+    assert parse_cycles("(1,10)", 10) == parse_cycles("(10,1)", 10)
+    # leading zeros still name the same point
+    assert parse_cycles("(01,0002)", 4) == parse_cycles("(1,2)", 4)
+    assert parse_cycles("(" + "0" * 5000 + "1,2)", 4) == parse_cycles("(1,2)", 4)
+    with pytest.raises(InputError, match="point 0 out of range"):
+        parse_cycles("(00,1)", 4)
+
+
 def test_format_round_trip():
     for text in ["(1,2,3)", "(1,2)(3,4)", "(2,4)", "()"]:
         p = parse_cycles(text, 4)
