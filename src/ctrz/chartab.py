@@ -7,11 +7,12 @@ untrusted (verified=False) until validate finds nothing; downstream
 arithmetic refuses unverified tables.
 
 A table has two conductors.  The declared one, table.conductor, is what
-its values are stored, shown and serialized at: for a computed table the
-group exponent, or its field conductor where the exponent exceeds the
-cyclotomic cap, whatever the file says for a loaded one.  The working
-one is the least divisor of it whose field Q(zeta_m) holds every value,
-7 for the order-1344 groups (whose exponent is 84 or 168) and 1 for a
+its values are shown and serialized at: for a computed table, which
+stores them there, the group exponent, or its field conductor where the
+exponent exceeds the cyclotomic cap; whatever the file says for a loaded
+one, whose cells keep their least conductors, a vector its own.  The
+working one is the least divisor of it whose field Q(zeta_m) holds every
+value, 7 for the order-1344 groups (exponent 84 or 168) and 1 for a
 rational table.  Validation, class functions (hence inner products,
 decomposition and tensor powers) and matching all compute on a copy of
 the rows lifted to the working conductor, kept with their conjugates
@@ -57,7 +58,7 @@ from math import lcm
 from operator import ne
 
 from .errors import CtrzError, InputError
-from .exact import (Cyclotomic, QuadraticView, _from_ints, _line,
+from .exact import (Cyclotomic, QuadraticView, _field, _from_ints, _line,
                     _reduce_poly, _weighted_sum, to_quadratic)
 from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
@@ -171,10 +172,11 @@ class CharacterTable:
             degree, types = 0, []
             for c in self.classes:
                 rep = c.representative or ""
+                points = rep.replace("(", " ").replace(")", " ").replace(",", " ").split()
                 try:
-                    points = [int(x) for x in rep.replace("(", " ").replace(")", " ")
-                              .replace(",", " ").split()]
-                    top = max(points, default=1)
+                    if not all(x.isascii() and x.isdigit() for x in points):
+                        raise ValueError(rep)  # int() reads "١"; parse_cycles does not
+                    top = max(map(int, points), default=1)
                     degree = max(degree, top)
                     types.append(parse_cycles(rep, top).cycle_type()
                                  if top <= MAX_DEGREE else None)
@@ -281,8 +283,7 @@ def validate(table: CharacterTable) -> list[Violation]:
         """Report kind [x,y] unless sum weights[c] * a[c] * b[c] is want."""
         num, den = _weighted_sum(w, a, b, weights)
         if num[0] != want * den or any(num[1:]):
-            # a coefficient vector reads at the declared conductor, as stored
-            got = _shown(_from_ints(w, num, den).lift(lcm(w, table.conductor)))
+            got = _shown(_from_ints(w, num, den), table.conductor)
             out.append(Violation(kind, f"{x},{y}",
                                  f"sum is {got}, expected {_shown(want)}"))
 
@@ -311,11 +312,11 @@ def validate(table: CharacterTable) -> list[Violation]:
     return out
 
 
-def _shown(x) -> str:
+def _shown(x, conductor: int = 1) -> str:
     """An int or a value as a violation prints it, or a stand-in where it
     has more digits than Python prints."""
     try:
-        return str(x) if isinstance(x, int) else display_value(x)
+        return str(x) if isinstance(x, int) else display_value(x, conductor)
     except ValueError:
         return "a number too long to print"
 
@@ -423,14 +424,20 @@ def _products(f: ClassFunction, e=None, lines=None) -> tuple[Cyclotomic, ...]:
     the table's kept lines unless f's values need a larger conductor."""
     t = f.table
     if lines is None:
-        w, _, conj_rows, lines = t._working()
-        e = lcm(w, *(v.conductor for v in f.values))
-        if e != w:
-            lines = [_line([v.lift(e) for v in row]) for row in conj_rows]
+        e, lines = _conj_lines(t, f.values)
     a = _line([v.lift(e) for v in f.values])
     sizes = [c.size for c in t.classes]
     return tuple(_from_ints(e, num, den * t.group_order)
                  for num, den in (_weighted_sum(e, a, b, sizes) for b in lines))
+
+
+def _conj_lines(t: CharacterTable, values) -> tuple[int, list]:
+    """(e, lines): e = lcm(w, conductors of values), the conjugate rows' lines at e."""
+    w, _, conj_rows, lines = t._working()
+    e = lcm(w, *(v.conductor for v in values))
+    if e != w:
+        lines = [_line([v.lift(e) for v in row]) for row in conj_rows]
+    return e, lines
 
 
 def require_verified(f: ClassFunction, table: CharacterTable) -> None:
@@ -698,8 +705,9 @@ def _finish(computed, external, row_map, col_map, mismatches, level,
             kind="cell",
             row=external.characters[a],
             column=external.classes[b].label,
-            external=display_value(external.values[a][b]),
-            computed=display_value(computed.values[row_map[a]][col_map[b]]),
+            external=display_value(external.values[a][b], external.conductor),
+            computed=display_value(computed.values[row_map[a]][col_map[b]],
+                                   computed.conductor),
             relation="cell equality under best matching"))
     # printed metadata is the external table's, or the computed table's
     # when the external one prints none, each against its matched classes;
@@ -809,7 +817,7 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> int | Fraction:
     if not isinstance(text, str) or not text or set(text) - _FRACTION_OK:
         raise InputError(f"not an exact rational string: {text!r}")
     if any(len(part.lstrip("-")) > RATIONAL_DIGITS for part in text.split("/")):
@@ -817,41 +825,48 @@ def _parse_fraction(text: str) -> Fraction:
                          "digits in its numerator or denominator, the limit for "
                          "table values")
     try:
-        return Fraction(text)
+        return Fraction(text) if "/" in text else int(text)  # "-" and ASCII digits
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not an exact rational string: {text!r}") from exc
 
 
-def encode_value(v: Cyclotomic) -> str | dict:
+def encode_value(v: Cyclotomic, conductor: int = 1) -> str | dict:
     """Exact JSON form: rational string, quadratic triple, or coefficient
-    vector, whichever is smallest that represents v exactly."""
+    vector at lcm(v.conductor, conductor), whichever is smallest."""
     if v.is_rational():
         return str(v.num[0]) if v.den == 1 else str(v.as_rational())
     qv = _quadratic(v)
     if qv is not None:
         return {"D": qv.D, "a": str(qv.a), "b": str(qv.b)}
+    v = v.lift(lcm(v.conductor, conductor))
     return {"conductor": v.conductor, "coeffs": [str(c) for c in v.coeffs]}
 
 
 def decode_value(obj, conductor: int) -> Cyclotomic:
+    """A cell at its least conductor, a coefficient vector at its own; the
+    checks and errors of a lift to the table's conductor run, in order."""
     if isinstance(obj, str):
-        return Cyclotomic.from_rational(_parse_fraction(obj), 1).lift(conductor)
-    if isinstance(obj, dict) and "D" in obj:
+        v = Cyclotomic.from_rational(_parse_fraction(obj), 1)
+    elif isinstance(obj, dict) and "D" in obj:
         try:
             qv = QuadraticView(json_int(obj["D"], "D"),
                                _parse_fraction(obj["a"]),
                                _parse_fraction(obj["b"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad quadratic value encoding: {obj!r}") from exc
-        return qv.to_cyclotomic(conductor)
-    if isinstance(obj, dict) and "conductor" in obj:
+        v = qv.to_cyclotomic(conductor)
+    elif isinstance(obj, dict) and "conductor" in obj:
         try:
             inner = json_int(obj["conductor"], "conductor")
-            z = Cyclotomic(inner, [_parse_fraction(c) for c in obj["coeffs"]])
+            v = Cyclotomic(inner, [_parse_fraction(c) for c in obj["coeffs"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad cyclotomic value encoding: {obj!r}") from exc
-        return z.lift(conductor)
-    raise InputError(f"unrecognized exact value encoding: {obj!r}")
+    else:
+        raise InputError(f"unrecognized exact value encoding: {obj!r}")
+    if conductor % v.conductor:
+        raise InputError(f"cannot lift conductor {v.conductor} into {conductor}")
+    _field(conductor)  # refuses it past the cap, or below 1
+    return v
 
 
 def decode_rows(rows, conductor: int) -> list[list[Cyclotomic]]:
@@ -885,7 +900,7 @@ def table_to_dict(table: CharacterTable) -> dict:
         "verified": table.verified,
         "classes": classes,
         "characters": [
-            {"label": lab, "values": [encode_value(v) for v in row]}
+            {"label": lab, "values": [encode_value(v, table.conductor) for v in row]}
             for lab, row in zip(table.characters, table.values)],
     }
 
@@ -945,12 +960,12 @@ def _quadratic(v: Cyclotomic) -> QuadraticView | None:
     return to_quadratic(r, m if m % 4 == 1 else -m)
 
 
-def display_value(v: Cyclotomic) -> str:
+def display_value(v: Cyclotomic, conductor: int = 1) -> str:
     """Human-readable exact value: rational, a + b*sqrt(D), or the
-    coefficient vector."""
+    coefficient vector at lcm(v.conductor, conductor)."""
     if v.is_rational():
         return str(v.as_rational())
     qv = _quadratic(v)
     if qv is not None:
         return str(qv)
-    return f"cyclotomic{list(map(str, v.coeffs))}"
+    return f"cyclotomic{list(map(str, v.lift(lcm(v.conductor, conductor)).coeffs))}"

@@ -102,7 +102,7 @@ def cmd_chartable_compute(args):
     results = {"table": table_to_dict(table)}
     grid = [[""] + [c.label for c in table.classes],
             ["size"] + [str(c.size) for c in table.classes]]
-    grid += [[label] + [display_value(v) for v in row]
+    grid += [[label] + [display_value(v, table.conductor) for v in row]
              for label, row in zip(table.characters, table.values)]
     widths = [max(map(len, column)) for column in zip(*grid)]
     text = ["  ".join(f"{x:>{w}}" for x, w in zip(r, widths)) for r in grid]

@@ -349,11 +349,13 @@ def sqrt_embedding(D: int, conductor: int) -> Cyclotomic:
     sum of zeta_|D|**(t*t) over t mod |D|, whose square is D exactly
     when D = 1 (mod 4).
     """
+    return QuadraticView(D, 0, 1).to_cyclotomic(conductor).lift(conductor)
+
+
+@lru_cache(maxsize=None)
+def _gauss_sum(D: int) -> Cyclotomic:
+    """sqrt(D) at conductor |D|, built once per D within the cap."""
     m = abs(D)
-    if D == 1 or D % 4 != 1:
-        raise InputError(f"no canonical Gauss-sum embedding for D={D}")
-    if conductor % m:
-        raise InputError(f"sqrt({D}) does not lie in conductor {conductor}")
     # the cap refuses |D| before the factoring and the m-term sum
     _field(m)
     if any(m % (p * p) == 0 for p in prime_factors(m)):
@@ -361,8 +363,8 @@ def sqrt_embedding(D: int, conductor: int) -> Cyclotomic:
     poly = [0] * m
     for t in range(m):
         poly[t * t % m] += 1
-    s = _from_ints(m, _reduce_poly(m, poly)).lift(conductor)
-    if s * s != Cyclotomic.from_rational(D, conductor):
+    s = _from_ints(m, _reduce_poly(m, poly))
+    if s * s != D:
         raise InconsistencyError("Gauss sum failed to square to D")
     return s
 
@@ -405,8 +407,12 @@ class QuadraticView:
         return body if den == 1 else f"({body})/{den}"
 
     def to_cyclotomic(self, conductor: int) -> Cyclotomic:
-        s = sqrt_embedding(self.D, conductor)
-        return s * self.b + Fraction(self.a)
+        """a + b*sqrt(D) at conductor |D|, checked to lie in conductor."""
+        if self.D == 1 or self.D % 4 != 1:
+            raise InputError(f"no canonical Gauss-sum embedding for D={self.D}")
+        if conductor % abs(self.D):
+            raise InputError(f"sqrt({self.D}) does not lie in conductor {conductor}")
+        return _gauss_sum(self.D) * self.b + self.a
 
 
 def to_quadratic(z: Cyclotomic, D: int) -> QuadraticView | None:

@@ -15,8 +15,8 @@ independent routes to d(k) are implemented:
               the stacked coefficients of the f^k: for a rational chi
               one dot product of s ints at conductor 1,
   recurrence  the trivial character's row of A^k, where A is the
-              transition matrix, A_ij = <chi_i * chi, chi_j>, each row
-              r int sums against the table's kept row lines,
+              transition matrix, A_ij = <chi_i * chi, chi_j>, one int sum
+              each, r(r+1)/2 of them mirrored for a real chi,
   closed form published per-irreducible formulas for the two embedded
               groups, one coefficient per base f per irreducible.
 
@@ -46,29 +46,43 @@ from operator import mul
 
 from . import datasets
 from .chartab import (CharacterTable, ClassFunction, DecompositionError,
-                      as_multiplicity, decompose, require_verified)
+                      _conj_lines, as_multiplicity, require_verified)
+from .chartab import decompose  # uncalled; perfbench/tracing.py wraps it here
 from .errors import InconsistencyError, InputError
-from .exact import _from_ints
+from .exact import _from_ints, _line, _weighted_sum
 from .perm import ClassSet, orbit_count_tuples
 
 AGREEMENT_BOUND = 12  # unused here; perfbench/workloads.py reads it
 
 
 def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[int]]:
-    """The transition matrix A as an integer matrix.
-
-    Row i holds the multiplicities of chi_i * chi in the table basis,
-    the decomposition of that product, so every entry must come out a
-    nonnegative integer; anything else means chi is not a character of
-    this table's group or the diagonal is misaligned with the columns.
-    """
+    """The transition matrix A: A_ij = <chi_i * chi, chi_j>, one int sum of
+    the line of row i times chi against the kept conjugate line of row j,
+    checked as a nonnegative integer (else chi is no character, or the
+    diagonal is misaligned); a real chi has A_ji = conj(A_ij), mirrored."""
+    require_verified(chi, table)
+    e, lines = _conj_lines(table, chi.values)
+    sizes = [c.size for c in table.classes]
+    real = all(v == v.conj() for v in chi.values)
     out = []
-    for i in range(table.size):
+    for i, row in enumerate(table.working_rows):
+        den, vectors = _line([(x * y).lift(e) for x, y in zip(row, chi.values)])
+        a = (den * table.group_order, vectors)  # each sum over |G|
         try:
-            out.append(list(decompose(table.row(i) * chi, table)))
+            out.append([out[j][i] if real and j < i else _multiplicity(
+                e, *_weighted_sum(e, a, lines[j], sizes), table.characters[j])
+                for j in range(table.size)])
         except DecompositionError as exc:
             raise InconsistencyError(f"transition row {i + 1}: {exc}") from exc
     return out
+
+
+def _multiplicity(e: int, num, den: int, label: str) -> int:
+    """num/den at conductor e as label's multiplicity, checked as ints first."""
+    m, rest = divmod(num[0], den)
+    if rest or m < 0 or any(num[1:]):
+        as_multiplicity(_from_ints(e, num, den), label)  # raises
+    return m
 
 
 def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
@@ -77,9 +91,8 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
     each row regrouped on chi's values: m_i(k) = sum over the values f of
     chi of f^k * a_(i,f), the row's int matrix from chi.level_lines()
     applied to the stacked coefficients of the f^k: one dot product of s
-    ints for a rational chi, whose lines are at conductor 1.  Each result
-    is checked as ints to be a nonnegative integer; only one that is not
-    becomes a Cyclotomic, for the error decompose would raise."""
+    ints for a rational chi, whose lines are at conductor 1, each checked
+    by _multiplicity."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
@@ -87,14 +100,9 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
     powers = [f ** k for f in bases]
     den = lcm(*(p.den for p in powers))
     stacked = [c * (den // p.den) for p in powers for c in p.num]
-    out = []
-    for (d, matrix), label in zip(lines, table.characters):
-        num = [sum(map(mul, row, stacked)) for row in matrix]
-        m, rest = divmod(num[0], d * den)
-        if rest or m < 0 or any(num[1:]):
-            as_multiplicity(_from_ints(e, num, d * den), label)  # raises
-        out.append(m)
-    return tuple(out)
+    return tuple(_multiplicity(e, [sum(map(mul, row, stacked)) for row in matrix],
+                               d * den, label)
+                 for (d, matrix), label in zip(lines, table.characters))
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,

@@ -5,7 +5,9 @@ negative paths: its two wrong cells and three inconsistent class sizes
 must be flagged exactly, and nothing else.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctrz import chartab, dixon
+from ctrz import chartab, cli, dixon
 from ctrz.errors import InputError
 from ctrz.exact import Cyclotomic, sqrt_embedding
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
@@ -630,3 +632,133 @@ def test_unparseable_representative_in_a_tied_class_does_not_crash():
     m = match_columns(tab, table_from_dict(data))
     assert m.level == "size-order"
     assert m.errata.findings == []
+
+
+def test_fingerprints_read_points_in_ascii_digits_only():
+    """A representative whose points are not ASCII digits, which
+    parse_cycles refuses, gets no cycle type and adds nothing to the
+    degree, though int() reads "٢٠" as 20."""
+    data = table_to_dict(_computed(3, ["(1,2)", "(1,2,3)"]))
+    b = next(b for b, c in enumerate(data["classes"]) if c["order"] == 2)
+    data["classes"][b]["representative"] = "(١,٢٠)"
+    degree, fps = table_from_dict(data).fingerprints()
+    assert degree == 3
+    assert fps[b] == (3, 2, None)
+    assert all(t is not None for a, (_, _, t) in enumerate(fps) if a != b)
+
+
+M11_GROUP = {"name": "m11", "degree": 11,
+             "generators": ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]}
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(list(argv))
+    return status, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def m11_report(tmp_path_factory):
+    """The `chartable compute --format json` report of M11, as a file:
+    its i*sqrt(2) cells are coefficient vectors at conductor 88."""
+    d = tmp_path_factory.mktemp("m11")
+    (d / "m11.json").write_text(json.dumps(M11_GROUP))
+    status, text = _cli("chartable", "compute", "--group", str(d / "m11.json"),
+                        "--format", "json")
+    assert status == 0
+    (d / "report.json").write_text(text)
+    return d / "report.json"
+
+
+def _is_vector(cell):
+    return isinstance(cell, dict) and "conductor" in cell
+
+
+@pytest.mark.parametrize("name", ["c2^3", "s4", "psl(2,7)", "g1344-deg8",
+                                  "g1344-deg14", "m11"])
+def test_loaded_tables_serialize_as_written(name, g8, g14, m11_report, tmp_path):
+    """A loaded table serializes to the dict it was read from, at the
+    declared conductor, while each cell sits at its least conductor and a
+    coefficient vector at its own: M11's i*sqrt(2) stays a 40-entry
+    vector at 88, not the 4-entry one at 8."""
+    small = {"c2^3": (6, ["(1,2)", "(3,4)", "(5,6)"]),
+             "s4": (4, ["(1,2,3,4)", "(1,2)"]),
+             "psl(2,7)": (7, ["(1,2,3,4,5,6,7)", "(2,3)(4,7)"])}
+    if name == "m11":
+        data = json.loads(m11_report.read_text())["results"]["table"]
+    elif name in small:
+        data = table_to_dict(_computed(*small[name]))
+    else:
+        data = table_to_dict((g8 if name == "g1344-deg8" else g14).table)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    loaded = load_table(str(path))
+    assert table_to_dict(loaded) == dict(data, verified=False)
+    cells = [(v, cell) for row, ch in zip(loaded.values, data["characters"])
+             for v, cell in zip(row, ch["values"])]
+    assert all(v.conductor == (cell["conductor"] if _is_vector(cell)
+                               else v.reduced().conductor) for v, cell in cells)
+    vectors = [cell for _, cell in cells if _is_vector(cell)]
+    assert bool(vectors) == (name == "m11")
+    assert all(c["conductor"] == 88 and len(c["coeffs"]) == 40 for c in vectors)
+
+
+# sha256 prefixes of the match output, taken before loaded cells kept
+# their own conductors
+M11_SWAPPED_DIGESTS = {"table": "5b416506bea6d0c0", "json": "e4530f43adbbd15c"}
+
+
+def test_match_against_swapped_vector_cells_prints_the_same_bytes(
+        m11_report, tmp_path):
+    """Two coefficient-vector cells of M11's report swapped in one row:
+    the findings print both cells as 40-entry vectors at the declared
+    conductor 88, the bytes pinned before loaded cells kept their own
+    conductors.  The JSON is pinned without its dataset field, which
+    holds the file paths."""
+    report = json.loads(m11_report.read_text())
+    rows = report["results"]["table"]["characters"]
+    (i, j), (i2, j2) = [(i, j) for i, ch in enumerate(rows)
+                        for j, cell in enumerate(ch["values"]) if _is_vector(cell)][:2]
+    assert i == i2
+    cells = rows[i]["values"]
+    cells[j], cells[j2] = cells[j2], cells[j]
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(report))
+    digests = {}
+    for fmt in ("table", "json"):
+        status, text = _cli("chartable", "match", str(m11_report), str(swapped),
+                            "--allow-unverified", "--format", fmt)
+        assert status == 1
+        if fmt == "json":
+            text = json.dumps(json.loads(text)["results"], indent=2, sort_keys=True)
+        else:
+            assert text.count("cyclotomic[") == 4
+        digests[fmt] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == M11_SWAPPED_DIGESTS
+
+
+@pytest.mark.parametrize("cell, conductor, message", [
+    ("x", 2000, "not an exact rational string: 'x'"),
+    ({"D": -7, "a": "0", "b": "1"}, 12, "sqrt(-7) does not lie in conductor 12"),
+    ({"D": -7, "a": "0", "b": "1"}, 1400, "conductor 1400 exceeds cap 1000"),
+    ({"D": -3, "a": "x", "b": "1"}, 2000, "not an exact rational string: 'x'"),
+    ({"D": -3, "b": "1"}, 2000, "bad quadratic value encoding: {'D': -3, 'b': '1'}"),
+    ({"conductor": 8, "coeffs": ["0", "1", "0", "0"]}, 12,
+     "cannot lift conductor 8 into 12"),
+    ({"conductor": 8, "coeffs": ["0", "1", "0", "0"]}, 2000,
+     "conductor 2000 exceeds cap 1000"),
+    ("1", 2000, "conductor 2000 exceeds cap 1000"),
+    ("1", 0, "conductor must be positive"),
+    ({"D": -7, "a": "0", "b": "1"}, -7, "conductor must be positive"),
+    ({"conductor": 8, "coeffs": ["0", "1", "0", "0"]}, -8,
+     "conductor must be positive"),
+])
+def test_decode_errors_keep_their_order(cell, conductor, message):
+    """The cell parses first, then its conductor must divide the
+    declared one, then the declared one must lie within the cap: the
+    checks a lift to the declared conductor makes, in its order, though
+    the cell is kept at its own conductor."""
+    with pytest.raises(InputError) as exc:
+        decode_value(cell, conductor)
+    assert str(exc.value) == message

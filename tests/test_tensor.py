@@ -456,3 +456,112 @@ def test_agreed_multiplicities_equal_the_recurrence_on_small_groups(
     for k in range(1, 41):
         assert agreed_multiplicities(chi, tab, k, matrix=mat) == \
             multiplicities_recurrence(chi, tab, k, matrix=mat)
+
+
+def _reference_transition(chi, table):
+    """The reference the int sums must equal: row i the decomposition of
+    chi_i * chi, its error wrapped with the row."""
+    out = []
+    for i in range(table.size):
+        try:
+            out.append(list(decompose(table.row(i) * chi, table)))
+        except DecompositionError as exc:
+            raise InconsistencyError(f"transition row {i + 1}: {exc}") from exc
+    return out
+
+
+def _transition_outcome(fn, chi, table):
+    try:
+        return fn(chi, table)
+    except InconsistencyError as exc:
+        return "InconsistencyError", str(exc)
+
+
+def _transition_cases(chi, tab):
+    """chi, half of it (a character only if every multiplicity is even)
+    and chi times the first row that is not real, if any, or else the
+    last: the transition of each against the reference."""
+    i = next((i for i in range(tab.size)
+              if any(v != v.conj() for v in tab.row(i).values)), tab.size - 1)
+    for f in (chi, ClassFunction(tab, [v * Fraction(1, 2) for v in chi.values]),
+              chi * tab.row(i)):
+        assert _transition_outcome(transition_matrix, f, tab) == \
+            _transition_outcome(_reference_transition, f, tab)
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "a5", "psl(2,7)",
+                                  "g1344-deg8", "g1344-deg14"])
+def test_transition_matrix_equals_the_per_row_decomposition(name, g8, g14):
+    """The int sums give the matrix, or the error, that decomposing each
+    chi_i * chi gave, on real and non-real functions."""
+    small = {"s3": (["(1,2)", "(1,2,3)"], 3), "s4": (["(1,2,3,4)", "(1,2)"], 4),
+             "a5": (["(1,2,3,4,5)", "(1,2,3)"], 5),
+             "psl(2,7)": (["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 7)}
+    if name in small:
+        chi, tab = _small_group_character(*small[name])
+    else:
+        a = g8 if name == "g1344-deg8" else g14
+        chi, tab = a.permchar, a.table
+        assert transition_matrix(chi, tab) == a.transition
+    _transition_cases(chi, tab)
+
+
+def test_transition_matrix_on_random_small_groups():
+    """The same comparison on the random groups of the permutation
+    property tests, generated by up to three permutations of degree at
+    most six."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from test_perm_property import generator_lists
+
+    @settings(max_examples=40, deadline=None)
+    @given(generator_lists())
+    def check(gens):
+        g = FiniteGroup(gens)
+        cs = ClassSet(g)
+        tab = compute_character_table(g, cs)
+        _transition_cases(permutation_character(g, cs, tab), tab)
+
+    check()
+
+
+def test_transition_matrix_sums_half_the_entries_for_a_real_character(
+        g8, monkeypatch):
+    """A real chi has A_ji = A_ij, so r(r + 1)/2 int sums give the
+    matrix; a faithful linear character of C4, not real, needs all r^2,
+    and its matrix, multiplication by it, is not symmetric."""
+    sums = []
+    real = tensor._weighted_sum
+
+    def counted(*args):
+        sums.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_weighted_sum", counted)
+    r = g8.table.size
+    assert transition_matrix(g8.permchar, g8.table) == g8.transition
+    assert len(sums) == r * (r + 1) // 2
+    c4 = compute_character_table(FiniteGroup([parse_cycles("(1,2,3,4)", 4)]))
+    lam = c4.row(2)
+    assert [v.as_rational() if v.is_rational() else None
+            for v in lam.values] == [1, -1, None, None]
+    sums.clear()
+    mat = transition_matrix(lam, c4)
+    assert len(sums) == 16
+    assert mat == _reference_transition(lam, c4)
+    assert mat != [list(col) for col in zip(*mat)]
+    assert sorted(map(sorted, mat)) == [[0, 0, 0, 1]] * 4
+
+
+def test_transition_matrix_names_the_first_failing_entry():
+    """Half the permutation character of S3 is no character: the error
+    names row 1 and its first entry that is no nonnegative integer, as
+    the per-row decomposition did."""
+    chi, tab = _small_group_character(["(1,2)", "(1,2,3)"], 3)
+    half = ClassFunction(tab, [v * Fraction(1, 2) for v in chi.values])
+    with pytest.raises(InconsistencyError) as got:
+        transition_matrix(half, tab)
+    with pytest.raises(InconsistencyError) as want:
+        _reference_transition(half, tab)
+    assert str(got.value) == str(want.value) == \
+        "transition row 1: multiplicity of chi1 is 1/2"
