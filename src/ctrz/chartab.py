@@ -406,8 +406,7 @@ def permutation_character(group: FiniteGroup, class_set: ClassSet,
         raise InputError("table columns do not match the class set")
     if group is not class_set.group:
         raise InputError("class set belongs to a different group")
-    vals = [c.representative.fixed_points() for c in class_set.classes]
-    return ClassFunction(table, vals)
+    return ClassFunction(table, class_set.fixed_points)
 
 
 def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:

@@ -86,8 +86,8 @@ def cmd_classes(args):
 
 def cmd_permchar(args):
     a = _analysis(args)
-    rows = [[c.label, c.representative.fixed_points()]
-            for c in a.class_set.classes]
+    cs = a.class_set
+    rows = [[c.label, f] for c, f in zip(cs.classes, cs.fixed_points)]
     results = {"permchar": [{"label": x, "fixed_points": f} for x, f in rows]}
     return (a.name, results, _aligned(*zip(*rows)),
             [["label", "fixed_points"]] + rows, False)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .chartab import CharacterTable, ClassInfo, decode_rows, json_int
 from .errors import InputError
@@ -159,7 +160,8 @@ TABLE_PRINTED_DIAG = {
 TABLE_CONDUCTOR = 84
 
 # m_i(k) = sum over the bases f (fixed-point counts) of c_(i,f) * f^k, k >= 1:
-# one row of c_(i,f) per irreducible, published order, trivial character first.
+# one row of c_(i,f) per irreducible, published order, trivial character first,
+# held in CLOSED_FORMS as (bases, den, rows of ints c_(i,f) * den), den the lcm.
 _CLOSED_FORM_TEXT = {
     "g1344-deg8": ((8, 4, 2, 1), """
         1/1344   1/32   7/24   2/7
@@ -186,9 +188,15 @@ _CLOSED_FORM_TEXT = {
         1/64     1/64    -5/32
         1/64    -7/64     7/32"""),
 }
-CLOSED_FORMS = {family: (bases, tuple(tuple(map(Fraction, line.split()))
-                                      for line in text.strip().split("\n")))
-                for family, (bases, text) in _CLOSED_FORM_TEXT.items()}
+
+
+def _in_ints(bases, text):
+    rows = [list(map(Fraction, line.split())) for line in text.strip().split("\n")]
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return bases, den, tuple(tuple(int(c * den) for c in row) for row in rows)
+
+
+CLOSED_FORMS = {f: _in_ints(*entry) for f, entry in _CLOSED_FORM_TEXT.items()}
 
 _SIDE_KEYS = {"g1344-deg8": "g", "g1344-deg14": "h"}
 

@@ -323,10 +323,9 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def as_integer(self) -> int:
-        r = self.as_rational()
-        if self.den != 1:
-            raise InputError(f"value {r} is not an integer")
-        return self.num[0]
+        if self.den == 1 and self.is_rational():
+            return self.num[0]
+        raise InputError(f"value {self.as_rational()} is not an integer")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyclotomic):
@@ -407,12 +406,13 @@ class QuadraticView:
         return body if den == 1 else f"({body})/{den}"
 
     def to_cyclotomic(self, conductor: int) -> Cyclotomic:
-        """a + b*sqrt(D) at conductor |D|, checked to lie in conductor."""
+        """a + b*sqrt(D) at conductor |D| (1 if b = 0), checked to lie in conductor."""
         if self.D == 1 or self.D % 4 != 1:
             raise InputError(f"no canonical Gauss-sum embedding for D={self.D}")
         if conductor % abs(self.D):
             raise InputError(f"sqrt({self.D}) does not lie in conductor {conductor}")
-        return _gauss_sum(self.D) * self.b + self.a
+        root = _gauss_sum(self.D)  # refuses a D that is not squarefree
+        return root * self.b + self.a if self.b else Cyclotomic.from_rational(self.a)
 
 
 def to_quadratic(z: Cyclotomic, D: int) -> QuadraticView | None:

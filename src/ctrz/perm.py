@@ -41,6 +41,7 @@ stabilizers, made from the chain at the top, that reads no class data.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cached_property
 from itertools import chain, islice, repeat
 from math import lcm
 
@@ -418,7 +419,8 @@ class ClassSet:
     an element: class_of_element(p) for one permutation,
     class_counts(words) for many words, and powers(c), the classes of
     all powers of class c below its element order, which power_map(t)
-    reads.
+    reads.  fixed_points, computed on first use, is the one holder of the
+    permutation character's values, which Burnside's count reads too.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -514,6 +516,11 @@ class ClassSet:
     def sizes(self) -> list[int]:
         return [c.size for c in self.classes]
 
+    @cached_property
+    def fixed_points(self) -> list[int]:
+        """Each class representative's fixed-point count, kept: do not change."""
+        return [c.representative.fixed_points() for c in self.classes]
+
 
 def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
                        classes: ClassSet | None = None,
@@ -542,8 +549,7 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
         return 1
     if method == "burnside":
         cs = classes if classes is not None else ClassSet(group)
-        total = sum(c.size * (c.representative.fixed_points() ** t)
-                    for c in cs.classes)
+        total = sum(s * f ** t for s, f in zip(cs.sizes(), cs.fixed_points))
         if total % group.order:
             raise InconsistencyError("orbit count is not an integer")
         return total // group.order

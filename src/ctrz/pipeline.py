@@ -112,8 +112,7 @@ class GroupAnalysis:
         if match is None or self.name not in datasets.TABLE_PRINTED_DIAG:
             return []
         reference = datasets.transcription_table(self.name)
-        fixed = [c.representative.fixed_points()
-                 for c in self.class_set.classes]
+        fixed = self.class_set.fixed_points
         derived = [fixed[match.col_map[b]] for b in range(reference.size)]
         notes = []
         for variant, printed in sorted(

@@ -11,14 +11,15 @@ independent routes to d(k) are implemented:
               m_i(k) = sum over f of f^k * a_(i,f), the inner products
               a_(i,f) = <1_(chi=f), chi_i> kept on chi after first use
               as one int matrix per row at the least conductor holding
-              every f and a_(i,f), each m_i(k) that matrix applied to
-              the stacked coefficients of the f^k: for a rational chi
-              one dot product of s ints at conductor 1,
+              every f and a_(i,f), all m_i(k) one int pass of those
+              matrices over the stacked coefficients of the f^k: for a
+              rational chi one dot product of s ints per row,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix, A_ij = <chi_i * chi, chi_j>, one int sum
               each, r(r+1)/2 of them mirrored for a real chi,
   closed form published per-irreducible formulas for the two embedded
-              groups, one coefficient per base f per irreducible.
+              groups, one int numerator per base f per irreducible over
+              one denominator per family.
 
 One proof per chi, matrix and family cross-checks every k.  With s
 distinct values f, the direct route satisfies the linear recurrence
@@ -28,18 +29,20 @@ routes agree for every k >= 1 (Stanley, Enumerative Combinatorics
 vol. 1, section 4.1).  The published formulas are sums c * f^k, so
 equal coefficients prove them for every k >= 1.
 
-The algebra dimension is computed three ways: the sum of squared
-multiplicities, Burnside's count of orbits on 2k-tuples
-(1/|G|) sum |C| fix(C)^(2k), and the published trivial row at 2k, the
-dimension being <chi^(2k), 1>.  Any disagreement between routes raises
-InconsistencyError; it never happens unless the code or the inputs are
-broken, and the exit-code contract reserves a distinct status for it.
+The algebra dimension is computed three ways, all in ints: the sum of
+squared multiplicities, Burnside's count of orbits on 2k-tuples
+(1/|G|) sum |C| fix(C)^(2k), fix(C) kept by the class set, and the
+published trivial row at 2k, the dimension being <chi^(2k), 1>.  Any
+disagreement between routes raises InconsistencyError; it never happens
+unless the code or the inputs are broken, and the exit-code contract
+reserves a distinct status for it.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
+from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 from operator import mul
@@ -89,10 +92,10 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
                           k: int) -> tuple[int, ...]:
     """Decompose the pointwise k-th power of chi, its inner product with
     each row regrouped on chi's values: m_i(k) = sum over the values f of
-    chi of f^k * a_(i,f), the row's int matrix from chi.level_lines()
-    applied to the stacked coefficients of the f^k: one dot product of s
-    ints for a rational chi, whose lines are at conductor 1, each checked
-    by _multiplicity."""
+    chi of f^k * a_(i,f), every row of every line of chi.level_lines()
+    against the stacked coefficients of the f^k in one int pass, checked
+    by one divmod map; only a failed check walks the lines, where
+    _multiplicity raises for the first failing one."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
@@ -100,9 +103,14 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
     powers = [f ** k for f in bases]
     den = lcm(*(p.den for p in powers))
     stacked = [c * (den // p.den) for p in powers for c in p.num]
-    return tuple(_multiplicity(e, [sum(map(mul, row, stacked)) for row in matrix],
-                               d * den, label)
-                 for (d, matrix), label in zip(lines, table.characters))
+    sums = [sum(map(mul, row, stacked)) for _, matrix in lines for row in matrix]
+    w = len(sums) // len(lines)  # phi(e) rows per line
+    qs, rs = zip(*map(divmod, sums, [d * den for d, mat in lines for _ in mat]))
+    m = qs[::w]
+    if any(rs) or min(m) < 0 or any(q for j, q in enumerate(qs) if j % w):
+        for i, (d, _), label in zip(range(0, len(sums), w), lines, table.characters):
+            _multiplicity(e, sums[i:i + w], d * den, label)
+    return m
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,
@@ -134,16 +142,15 @@ def _evaluate(family: str, k: int, rows: slice) -> tuple[int, ...]:
     """The published rows of family at k: sum over the bases f of c * f^k."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
-    bases, coefficients = _published(family)
+    bases, den, coefficients = _published(family)
     powers = [f ** k for f in bases]
-    values = [sum(c * p for c, p in zip(row, powers))
-              for row in coefficients[rows]]
+    values = [sum(map(mul, row, powers)) for row in coefficients[rows]]
     for n, v in enumerate(values):
-        if v.denominator != 1 or v < 0:
+        if v % den or v < 0:
             raise InconsistencyError(
-                f"closed form for multiplicity {n + 1} evaluated to {v}, "
-                "not a nonnegative integer")
-    return tuple(map(int, values))
+                f"closed form for multiplicity {n + 1} evaluated to "
+                f"{Fraction(v, den)}, not a nonnegative integer")
+    return tuple(v // den for v in values)
 
 
 def closed_form_multiplicities(family: str, k: int) -> tuple[int, ...]:
@@ -155,17 +162,17 @@ def check_closed_forms(chi: ClassFunction, family: str) -> None:
     """Compare the published coefficients of family with the a_(i,f) of
     chi, rows in the published order, base 0 aside; a difference raises
     InconsistencyError naming the irreducible, the base and both."""
-    bases, coefficients = _published(family)
+    bases, den, coefficients = _published(family)
     published = dict(zip(bases, zip(*coefficients)))
     derived = {f.as_rational(): [x.as_rational() for x in a]
                for f, a in chi.levels() if not f.is_zero()}
     for f in sorted(published.keys() | derived.keys(), reverse=True):
         for label, c, a in zip_longest(chi.table.characters, published.get(f, ()),
                                        derived.get(f, ()), fillvalue=0):
-            if a != c:
+            if a * den != c:
                 raise InconsistencyError(
                     f"closed form for {label} disagrees at base {f}: "
-                    f"published {c}, derived {a}")
+                    f"published {Fraction(c, den)}, derived {a}")
 
 
 _proven = weakref.WeakKeyDictionary()  # chi: (family, copy of the rows) last proven

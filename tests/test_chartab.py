@@ -738,6 +738,22 @@ def test_match_against_swapped_vector_cells_prints_the_same_bytes(
     assert digests == M11_SWAPPED_DIGESTS
 
 
+def test_a_quadratic_cell_with_b_zero_decodes_at_conductor_1():
+    """a + 0*sqrt(D) is the rational a, kept at conductor 1, once the D
+    check and the conductor check have passed; it writes back as a."""
+    v = decode_value({"D": -7, "a": "2", "b": "0"}, 84)
+    assert (v.conductor, v.num, v.den) == (1, (2,), 1)
+    assert encode_value(v, 84) == "2"
+    for cell, conductor, message in (
+            ({"D": -4, "a": "2", "b": "0"}, 84,
+             "no canonical Gauss-sum embedding for D=-4"),
+            ({"D": -7, "a": "2", "b": "0"}, 12,
+             "sqrt(-7) does not lie in conductor 12")):
+        with pytest.raises(InputError) as exc:
+            decode_value(cell, conductor)
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("cell, conductor, message", [
     ("x", 2000, "not an exact rational string: 'x'"),
     ({"D": -7, "a": "0", "b": "1"}, 12, "sqrt(-7) does not lie in conductor 12"),

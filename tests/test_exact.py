@@ -73,6 +73,16 @@ def test_rational_detection():
         rat(Fraction(1, 2)).as_integer()
 
 
+def test_as_integer_errors_keep_their_text():
+    assert rat(-12).as_integer() == -12
+    for value, message in ((Cyclotomic.zeta(5), "value is not rational"),
+                           (rat(Fraction(1, 2)), "value 1/2 is not an integer"),
+                           (rat(Fraction(-3, 2), 4), "value -3/2 is not an integer")):
+        with pytest.raises(InputError) as exc:
+            value.as_integer()
+        assert str(exc.value) == message
+
+
 def test_from_rational_rejects_floats():
     with pytest.raises(InputError):
         Cyclotomic.from_rational(1.5)

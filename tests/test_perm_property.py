@@ -130,6 +130,17 @@ def test_random_groups_agree_with_product_oracles(gens):
 
 @settings(max_examples=100, deadline=None)
 @given(generator_lists())
+def test_kept_fixed_points_are_the_representatives(gens):
+    """ClassSet computes each representative's fixed-point count on first
+    use and keeps the list."""
+    cs = ClassSet(FiniteGroup(gens))
+    fixed = cs.fixed_points
+    assert fixed == [c.representative.fixed_points() for c in cs.classes]
+    assert cs.fixed_points is fixed
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
 def test_membership_agrees_with_the_closure(gens):
     """``in`` sifts through the chain: every permutation of the degree,
     members and non-members, against the closure, and nothing built."""

@@ -42,11 +42,11 @@ def test_family_assignment(g8, g14):
 def test_failed_alignment_check_raises_on_every_access(monkeypatch):
     """A failed closed-form alignment check is never cached as "no
     family": the second access raises too."""
-    bases, rows = datasets.CLOSED_FORMS["g1344-deg8"]
+    bases, den, rows = datasets.CLOSED_FORMS["g1344-deg8"]
     corrupted = [list(row) for row in rows]
-    corrupted[4][1] += 1
+    corrupted[4][1] += den  # the published coefficient + 1
     monkeypatch.setitem(datasets.CLOSED_FORMS, "g1344-deg8",
-                        (bases, tuple(map(tuple, corrupted))))
+                        (bases, den, tuple(map(tuple, corrupted))))
     a = GroupAnalysis(datasets.builtin_group("g1344-deg8"), is_builtin=True)
     for _ in range(2):
         with pytest.raises(InconsistencyError):

@@ -297,6 +297,35 @@ def test_direct_route_rejects_a_non_character_as_decompose_does():
             assert str(exc.value) == f"multiplicity of {tab.characters[0]} is {shown}"
 
 
+def test_direct_route_on_lines_wider_than_one():
+    """A faithful linear character of C4 has values +-1 and +-i, so each
+    line is a matrix of phi(4) = 2 rows: the one int pass gives what
+    decomposing each power gives, and a non-character raises the text
+    of decompose for its first failing row, with an irrational one
+    caught in a line's second row."""
+    c4 = compute_character_table(FiniteGroup([parse_cycles("(1,2,3,4)", 4)]))
+    lam = c4.row(2)
+    e, _, lines = lam.level_lines()
+    assert e == 4 and all(len(matrix) == 2 for _, matrix in lines)
+    for k in range(1, 9):
+        assert multiplicities_direct(lam, c4, k) == decompose(lam.power(k), c4)
+    i = Cyclotomic.zeta(4)
+    cases = [([v * Fraction(1, 2) for v in lam.values], "chi3 is 1/2"),
+             ([v + i for v in lam.values], "chi1 is irrational"),
+             ([-v for v in lam.values], "chi3 is -1")]
+    for values, shown in cases:
+        f = ClassFunction(c4, values)
+        for k in (1, 3, 5):  # (-lam)^2 is a character
+            with pytest.raises(DecompositionError) as direct:
+                multiplicities_direct(f, c4, k)
+            with pytest.raises(DecompositionError) as reference:
+                decompose(f.power(k), c4)
+            assert str(direct.value) == str(reference.value)
+        with pytest.raises(DecompositionError) as exc:
+            multiplicities_direct(f, c4, 1)
+        assert str(exc.value) == f"multiplicity of {shown}"
+
+
 def test_permutation_characters_run_the_direct_route_at_conductor_1(g8, g14):
     """A rational chi has rational a_(i,f), so its level lines sit at
     conductor 1 even where the table's working conductor is 7."""
@@ -381,6 +410,33 @@ def test_closed_form_data_equals_the_printed_formulas(family):
         assert dimension_closed_form(family, k) == _dimension_by_hand(family, k)
 
 
+@pytest.mark.parametrize("family", ["g1344-deg8", "g1344-deg14"])
+def test_closed_forms_are_int_numerators_over_one_denominator(family):
+    """Each family is held as ints over the lcm of its printed
+    denominators, 1344, and each int over it is the printed coefficient."""
+    bases, den, rows = datasets.CLOSED_FORMS[family]
+    printed_bases, text = datasets._CLOSED_FORM_TEXT[family]
+    printed = [line.split() for line in text.strip().split("\n")]
+    assert bases == printed_bases and den == 1344
+    assert all(type(c) is int for row in rows for c in row)
+    assert [[Fraction(c, den) for c in row] for row in rows] == \
+        [[Fraction(c) for c in row] for row in printed]
+
+
+def test_a_closed_form_dimension_that_is_no_integer_names_its_value(monkeypatch):
+    """The trivial row's coefficient of 8^k raised by 1/1344 adds
+    8^2/1344 = 1/21 to the dimension at k = 1, 2 orbits on pairs."""
+    bases, den, rows = datasets.CLOSED_FORMS["g1344-deg8"]
+    corrupted = [list(row) for row in rows]
+    corrupted[0][0] += 1
+    monkeypatch.setitem(datasets.CLOSED_FORMS, "g1344-deg8",
+                        (bases, den, tuple(map(tuple, corrupted))))
+    with pytest.raises(InconsistencyError) as exc:
+        dimension_closed_form("g1344-deg8", 1)
+    assert str(exc.value) == ("closed form for multiplicity 1 evaluated to "
+                              "43/21, not a nonnegative integer")
+
+
 def _fresh(a):
     """The permutation character of a as a new object: no kept levels
     and no proof on record."""
@@ -388,11 +444,11 @@ def _fresh(a):
 
 
 def test_a_corrupted_published_coefficient_is_caught(g8, monkeypatch):
-    bases, rows = datasets.CLOSED_FORMS["g1344-deg8"]
+    bases, den, rows = datasets.CLOSED_FORMS["g1344-deg8"]
     corrupted = [list(row) for row in rows]
-    corrupted[7][1] += Fraction(1, 32)
+    corrupted[7][1] += den // 32  # the published coefficient + 1/32
     monkeypatch.setitem(datasets.CLOSED_FORMS, "g1344-deg8",
-                        (bases, tuple(map(tuple, corrupted))))
+                        (bases, den, tuple(map(tuple, corrupted))))
     with pytest.raises(InconsistencyError, match=(
             r"closed form for chi8 disagrees at base 4: "
             r"published 1/8, derived 3/32")):
