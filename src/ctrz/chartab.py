@@ -15,11 +15,11 @@ working one is the least divisor of it whose field Q(zeta_m) holds every
 value, 7 for the order-1344 groups (exponent 84 or 168) and 1 for a
 rational table.  Validation, class functions (hence inner products,
 decomposition and tensor powers) and matching all compute on a copy of
-the rows lifted to the working conductor, kept with their conjugates
-and the lines of those, built once on first use, so a table's values
-must not change after it is built.  Matching reads only each cell's
-index among the table's distinct values, kept apart from the
-conjugates, so a match builds none.
+the rows lifted to the working conductor, with lines of them and of
+their conjugates from int vectors kept per distinct value and conjugate,
+built once on first use, so a table's values must not change after it
+is built.  Matching reads only each cell's index among the table's
+distinct values, kept apart from the conjugates, so a match builds none.
 
 Orthogonality sums and inner products run on exact's int kernel: a
 weighted sum of products of two lines (values at one conductor w as
@@ -149,15 +149,17 @@ class CharacterTable:
         return self._cells
 
     def _working(self):
-        """(w, rows, conjugate rows, their lines): the working conductor,
-        the rows at it and their complex conjugates, also as lines."""
+        """(w, kept, cells, rows, row lines, conjugate lines): the working
+        conductor, the distinct values at it and their conjugates each as
+        (values, sparse int vectors), then per row its cells as indices
+        into those, the row at w and the lines of it and its conjugate."""
         if self._work is None:
-            # equal cells share one descent and one conjugation
+            # equal cells share one descent, one conjugation and one vector
             w, cells, values = self._distinct()
-            conj = [v.conj() for v in values]
-            rows, conj_rows = ([tuple(at[n] for n in row) for row in cells]
-                               for at in (values, conj))
-            self._work = (w, rows, conj_rows, [_line(row) for row in conj_rows])
+            kept = [(at, [_line([v])[1][0] for v in at])
+                    for at in (values, [v.conj() for v in values])]
+            self._work = (w, kept, cells, [tuple(values[n] for n in c) for c in cells],
+                          *([_kept_line(at, c) for c in cells] for at in kept))
         return self._work
 
     def fingerprints(self) -> tuple[int | None, list[tuple]]:
@@ -197,7 +199,7 @@ class CharacterTable:
     @property
     def working_rows(self) -> list[tuple[Cyclotomic, ...]]:
         """The rows with every value lifted to the working conductor."""
-        return self._working()[1]
+        return self._working()[3]
 
     def row(self, i: int) -> "ClassFunction":
         return ClassFunction(self, self.working_rows[i])
@@ -205,16 +207,22 @@ class CharacterTable:
     def reordered_rows(self, row_map: list[int],
                        labels: list[str] | None = None) -> "CharacterTable":
         """New table with row a taken from old row row_map[a]."""
-        if sorted(row_map) != list(range(self.size)):
+        if sorted(row_map) != list(range(len(self.values))):
             raise InputError("row_map must be a permutation of the row indices")
         rows = [self.values[i] for i in row_map]
         names = labels if labels is not None else [self.characters[i] for i in row_map]
         out = CharacterTable(self.name, self.group_order, self.conductor,
                              self.classes, names, rows,
                              verified=self.verified)
-        w, *parts = self._working()
-        out._work = (w, *([part[i] for i in row_map] for part in parts))
+        w, kept, *rowwise = self._working()
+        out._work = (w, kept, *([part[i] for i in row_map] for part in rowwise))
         return out
+
+
+def _kept_line(kept, indices) -> tuple[int, list]:
+    """The line of the kept values named by indices, from their kept vectors."""
+    values, own = kept
+    return _line([values[n] for n in indices], [own[n] for n in indices])
 
 
 class Violation(_Record):
@@ -239,7 +247,8 @@ def validate(table: CharacterTable) -> list[Violation]:
     An empty list means the table is consistent.
 
     Each orthogonality sum is one int sum of the kernel at the working
-    conductor, a row or column against the line of a conjugate one.  A
+    conductor, a row's or column's line, from the table's kept per-value
+    vectors, against the line of a conjugate one.  A
     square table whose row relations all hold satisfies its column
     relations too (X D X* = |G| I gives X* X = |G| D^-1, D the class
     sizes), so their sums are skipped; a class size that does not divide
@@ -277,7 +286,7 @@ def validate(table: CharacterTable) -> list[Violation]:
                              f"squares sum to {_shown(sum(d * d for d in degrees))}, "
                              f"group order is {_shown(order)}"))
     n, r = len(table.values), table.size
-    w, rows, conj_rows, conj_lines = table._working()
+    w, kept, cells, _, row_lines, conj_lines = table._working()
 
     def check(kind, x, y, a, b, weights, want):
         """Report kind [x,y] unless sum weights[c] * a[c] * b[c] is want."""
@@ -289,15 +298,14 @@ def validate(table: CharacterTable) -> list[Violation]:
 
     before = len(out)
     for i in range(n):
-        row = _line(rows[i])
         for j in range(i, n):
             check("row-orthogonality", table.characters[i], table.characters[j],
-                  row, conj_lines[j], sizes, order if i == j else 0)
+                  row_lines[i], conj_lines[j], sizes, order if i == j else 0)
     # a square X with X D X* = |G| I, D the class sizes, is invertible, so
     # X* X = |G| D^-1: the column relations hold once the row ones do
     derived = n == r and len(out) == before
     if not derived:
-        by_col = [(_line([row[a] for row in rows]), _line([row[a] for row in conj_rows]))
+        by_col = [[_kept_line(at, [c[a] for c in cells]) for at in kept]
                   for a in range(r)]
         ones = [1] * n
     for a in range(r):
@@ -432,10 +440,10 @@ def _products(f: ClassFunction, e=None, lines=None) -> tuple[Cyclotomic, ...]:
 
 def _conj_lines(t: CharacterTable, values) -> tuple[int, list]:
     """(e, lines): e = lcm(w, conductors of values), the conjugate rows' lines at e."""
-    w, _, conj_rows, lines = t._working()
+    w, (_, (conj, _)), cells, *_, lines = t._working()
     e = lcm(w, *(v.conductor for v in values))
     if e != w:
-        lines = [_line([v.lift(e) for v in row]) for row in conj_rows]
+        lines = [_line([conj[n].lift(e) for n in c]) for c in cells]
     return e, lines
 
 

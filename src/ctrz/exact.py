@@ -11,10 +11,10 @@ floating point anywhere; float inputs are rejected.
 
 One int kernel serves every product, chartab's sums included:
 _weighted_sum convolves two lines (values at one conductor as sparse
-int vectors over one denominator) into one int polynomial, and
-_reduce_poly divides that by the monic Phi_e.  A product of two values
-is such a sum over two one-value lines; a rational or conductor-1
-factor only scales.
+int vectors over one denominator, a cell at it sharing the vector its
+caller keeps) into one int polynomial, and _reduce_poly divides that by
+the monic Phi_e.  A product of two values is such a sum over two
+one-value lines; a rational or conductor-1 factor only scales.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
@@ -109,13 +109,16 @@ def _reduce_poly(e: int, poly) -> list[int]:
     return out[:deg]
 
 
-def _line(cells) -> tuple[int, list]:
+def _line(cells, own=None) -> tuple[int, list]:
     """(den, vectors): values at one conductor as sparse int vectors,
     lists of (k, coefficient of zeta**k), over their least common
-    denominator."""
+    denominator; own[c], if given, is cell c's vector over its own."""
     den = lcm(*(v.den for v in cells))
-    return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
-                 for v in cells]
+    if own is None:
+        return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
+                     for v in cells]
+    return den, [u if v.den == den else [(k, x * (den // v.den)) for k, x in u]
+                 for v, u in zip(cells, own)]
 
 
 def _weighted_sum(w: int, a, b, weights) -> tuple[list[int], int]:

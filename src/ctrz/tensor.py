@@ -13,10 +13,12 @@ independent routes to d(k) are implemented:
               as one int matrix per row at the least conductor holding
               every f and a_(i,f), all m_i(k) one int pass of those
               matrices over the stacked coefficients of the f^k: for a
-              rational chi one dot product of s ints per row,
+              rational chi, each f = p/q taken as p^k over q^k, one dot
+              product of s ints per row,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix, A_ij = <chi_i * chi, chi_j>, one int sum
-              each, r(r+1)/2 of them mirrored for a real chi,
+              each, of the table's kept lines for a rational chi,
+              r(r+1)/2 of them mirrored for a real chi,
   closed form published per-irreducible formulas for the two embedded
               groups, one int numerator per base f per irreducible over
               one denominator per family.
@@ -60,20 +62,30 @@ AGREEMENT_BOUND = 12  # unused here; perfbench/workloads.py reads it
 
 def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[int]]:
     """The transition matrix A: A_ij = <chi_i * chi, chi_j>, one int sum of
-    the line of row i times chi against the kept conjugate line of row j,
-    checked as a nonnegative integer (else chi is no character, or the
-    diagonal is misaligned); a real chi has A_ji = conj(A_ij), mirrored."""
+    the kept line of row i, chi in the weights |C| * chi(C) over their
+    common denominator q if rational, else of the line of row i times
+    chi, against the kept conjugate line of row j, checked as a
+    nonnegative integer (else chi is no character, or the diagonal is
+    misaligned); a real chi has A_ji = conj(A_ij), mirrored."""
     require_verified(chi, table)
-    e, lines = _conj_lines(table, chi.values)
     sizes = [c.size for c in table.classes]
-    real = all(v == v.conj() for v in chi.values)
+    if all(v.is_rational() for v in chi.values):
+        q = lcm(*(v.den for v in chi.values))
+        weights = [s * v.num[0] * (q // v.den) for s, v in zip(sizes, chi.values)]
+        e, *_, rows, lines = table._working()
+        real, scale = True, q * table.group_order
+    else:
+        e, lines = _conj_lines(table, chi.values)
+        weights, scale = sizes, table.group_order
+        real = all(v == v.conj() for v in chi.values)
+        rows = (_line([(x * y).lift(e) for x, y in zip(row, chi.values)])
+                for row in table.working_rows)
     out = []
-    for i, row in enumerate(table.working_rows):
-        den, vectors = _line([(x * y).lift(e) for x, y in zip(row, chi.values)])
-        a = (den * table.group_order, vectors)  # each sum over |G|
+    for i, (den, vectors) in enumerate(rows):
+        a = (den * scale, vectors)  # each sum over |G|, times q if rational
         try:
             out.append([out[j][i] if real and j < i else _multiplicity(
-                e, *_weighted_sum(e, a, lines[j], sizes), table.characters[j])
+                e, *_weighted_sum(e, a, lines[j], weights), table.characters[j])
                 for j in range(table.size)])
         except DecompositionError as exc:
             raise InconsistencyError(f"transition row {i + 1}: {exc}") from exc
@@ -100,9 +112,11 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
     e, bases, lines = chi.level_lines()
-    powers = [f ** k for f in bases]
-    den = lcm(*(p.den for p in powers))
-    stacked = [c * (den // p.den) for p in powers for c in p.num]
+    # a rational base p/q, at conductor 1 once reduced, as the ints p^k, q^k
+    powers = [((f.num[0] ** k,), f.den ** k) if f.conductor == 1
+              else ((p := f ** k).num, p.den) for f in bases]
+    den = lcm(*(q for _, q in powers))
+    stacked = [c * (den // q) for num, q in powers for c in num]
     sums = [sum(map(mul, row, stacked)) for _, matrix in lines for row in matrix]
     w = len(sums) // len(lines)  # phi(e) rows per line
     qs, rs = zip(*map(divmod, sums, [d * den for d, mat in lines for _ in mat]))
@@ -206,11 +220,9 @@ class SemisimpleStructure:
     distinct positive multiplicity m, largest blocks first."""
 
     def __init__(self, multiplicities):
-        if any(m < 0 for m in multiplicities):
-            raise InputError("multiplicities must be nonnegative")
+        self.dimension = _sum_of_squares(multiplicities)
         self.blocks = sorted(Counter(m for m in multiplicities if m).items(),
                              reverse=True)
-        self.dimension = sum(n * m * m for m, n in self.blocks)
 
     def _terms(self, block: str) -> list[str]:
         return [("" if n == 1 else str(n)) + f"{block}{m}"
@@ -228,6 +240,12 @@ class SemisimpleStructure:
                 "display": self.display()}
 
 
+def _sum_of_squares(multiplicities) -> int:
+    if any(m < 0 for m in multiplicities):
+        raise InputError("multiplicities must be nonnegative")
+    return sum(m * m for m in multiplicities)
+
+
 def dimension_closed_form(family: str, k: int) -> int:
     """The published dimension formula of family: the dimension is
     <chi^(2k), 1>, the trivial row, published first, at 2k."""
@@ -240,7 +258,7 @@ def dims_row(class_set: ClassSet, d: tuple[int, ...], k: int,
     method, raising InconsistencyError unless all agree."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
-    sq = SemisimpleStructure(d).dimension
+    sq = _sum_of_squares(d)
     fx = orbit_count_tuples(class_set.group, 2 * k, classes=class_set)
     row = {"k": k, "sum_of_squares": sq, "fixed_point_formula": fx}
     if family is not None:

@@ -513,6 +513,52 @@ def test_reordered_rows(g8):
         tab.reordered_rows([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
 
 
+def test_reordered_rows_validate_as_a_fresh_table():
+    """A reordered table keeps its parent's per-value vectors and
+    permutes only what is kept per row, so validate, whose column sums
+    read both on the transcription's 28 violations, reports what a table
+    built from the reordered values reports."""
+    tab = transcription_table("g1344-deg8")
+    rng = random.Random(5)
+    for p in ([10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9], list(range(10, -1, -1)),
+              rng.sample(range(11), 11)):
+        moved = tab.reordered_rows(p)
+        fresh = CharacterTable(tab.name, tab.group_order, tab.conductor,
+                               tab.classes, moved.characters, moved.values)
+        got = validate(moved)
+        assert len(got) == 28
+        assert any(v.kind == "column-orthogonality" for v in got)
+        assert got == validate(fresh)
+        assert moved.working_rows == fresh.working_rows
+
+
+def test_reordered_rows_of_a_table_with_fewer_rows_than_classes():
+    """row_map permutes the rows, whose count need not be the classes'."""
+    tab = transcription_table("g1344-deg8")
+    part = CharacterTable(tab.name, tab.group_order, tab.conductor, tab.classes,
+                          tab.characters[:3], tab.values[:3])
+    moved = part.reordered_rows([2, 0, 1])
+    assert moved.values == [tab.values[2], tab.values[0], tab.values[1]]
+    assert validate(moved) == validate(CharacterTable(
+        tab.name, tab.group_order, tab.conductor, tab.classes,
+        moved.characters, moved.values))
+    with pytest.raises(InputError):
+        part.reordered_rows(list(range(tab.size)))
+
+
+def test_reordered_rows_lift_their_lines_past_the_working_conductor(g8):
+    """zeta_3 times row i needs conductor 21, where the reordered table's
+    conjugate lines are rebuilt from its cells: <zeta_3 chi_i, chi_j> is
+    zeta_3 at j = i alone, so decompose names row i's label."""
+    tab = g8.canonical_table
+    moved = tab.reordered_rows(list(range(10, -1, -1)))
+    z3 = Cyclotomic.zeta(3)
+    for i in range(tab.size):
+        f = ClassFunction(moved, [v * z3 for v in moved.working_rows[i]])
+        with pytest.raises(DecompositionError, match=f"of {moved.characters[i]} is irrational"):
+            decompose(f, moved)
+
+
 def test_identity_column(g8):
     assert g8.canonical_table.identity_column() == 0
 

@@ -168,6 +168,12 @@ def test_dimension_from_vector():
     assert SemisimpleStructure(()).dimension == 0
 
 
+def test_dims_row_rejects_a_negative_multiplicity():
+    g = FiniteGroup([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
+    with pytest.raises(InputError, match="^multiplicities must be nonnegative$"):
+        dims_row(ClassSet(g), (1, -1, 2), 1)
+
+
 def test_dimension_closed_form_rejects_unknown_family():
     with pytest.raises(InputError):
         dimension_closed_form("nope", 2)
@@ -295,6 +301,25 @@ def test_direct_route_rejects_a_non_character_as_decompose_does():
             with pytest.raises(DecompositionError) as exc:
                 route(f, tab)
             assert str(exc.value) == f"multiplicity of {tab.characters[0]} is {shown}"
+
+
+def test_direct_route_on_rational_bases_over_two():
+    """Half the permutation character of S3 takes the values 3/2, 0 and
+    1/2, each power an int numerator over 2^k: the direct route raises
+    the text decompose gives for the power, the fractional multiplicity
+    of chi1."""
+    chi, tab = _small_group_character(["(1,2)", "(1,2,3)"], 3)
+    half = ClassFunction(tab, [v * Fraction(1, 2) for v in chi.values])
+    assert [f.as_rational() for f in half.level_lines()[1]] == \
+        [Fraction(3, 2), 0, Fraction(1, 2)]
+    pinned = ["1/2", "1/2", "5/8", "7/8", "41/32", "61/32", "365/128"]
+    for k, shown in enumerate(pinned, 1):
+        with pytest.raises(DecompositionError) as direct:
+            multiplicities_direct(half, tab, k)
+        with pytest.raises(DecompositionError) as reference:
+            decompose(half.power(k), tab)
+        assert str(direct.value) == str(reference.value) == \
+            f"multiplicity of chi1 is {shown}"
 
 
 def test_direct_route_on_lines_wider_than_one():
