@@ -367,9 +367,10 @@ class ClassFunction:
                         break
                 else:
                     groups.append((v, {c}))
+            # an indicator is rational, so its sums are at the working conductor
             self._levels = [
-                (f, _products(ClassFunction(
-                    t, [int(c in members) for c in range(t.size)])))
+                (f, tuple(_from_ints(t.working_conductor, *s) for s in _products(
+                    ClassFunction(t, [int(c in members) for c in range(t.size)]))))
                 for f, members in groups]
         return self._levels
 
@@ -422,29 +423,25 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:
     if f.table is not h.table:
         raise InputError("class functions live on different tables")
     e = lcm(*(v.conductor for v in f.values + h.values))
-    return _products(f, e, [_line([v.lift(e).conj() for v in h.values])])[0]
+    num, den = _products(f, e, [_line([v.lift(e).conj() for v in h.values])])[0]
+    return _from_ints(e, num, den)
 
 
-def _products(f: ClassFunction, e=None, lines=None) -> tuple[Cyclotomic, ...]:
-    """<f, h> at conductor e for each h given as the line of its conjugate
-    at e; by default <f, chi_i> for every row chi_i of f's table, against
-    the table's kept lines unless f's values need a larger conductor."""
+def _products(f: ClassFunction, e=None, lines=None) -> list[tuple[list[int], int]]:
+    """<f, h> at conductor e as (num, den) for each h given as the line of
+    its conjugate at e; by default <f, chi_i> for every row chi_i of f's
+    table, e = lcm(w, conductors of f), against the table's kept lines
+    unless e exceeds the working conductor w."""
     t = f.table
     if lines is None:
-        e, lines = _conj_lines(t, f.values)
+        w, (_, (conj, _)), cells, *_, lines = t._working()
+        e = lcm(w, *(v.conductor for v in f.values))
+        if e != w:
+            lines = [_line([conj[n].lift(e) for n in c]) for c in cells]
     a = _line([v.lift(e) for v in f.values])
     sizes = [c.size for c in t.classes]
-    return tuple(_from_ints(e, num, den * t.group_order)
-                 for num, den in (_weighted_sum(e, a, b, sizes) for b in lines))
-
-
-def _conj_lines(t: CharacterTable, values) -> tuple[int, list]:
-    """(e, lines): e = lcm(w, conductors of values), the conjugate rows' lines at e."""
-    w, (_, (conj, _)), cells, *_, lines = t._working()
-    e = lcm(w, *(v.conductor for v in values))
-    if e != w:
-        lines = [_line([conj[n].lift(e) for n in c]) for c in cells]
-    return e, lines
+    return [(num, den * t.group_order)
+            for num, den in (_weighted_sum(e, a, b, sizes) for b in lines)]
 
 
 def require_verified(f: ClassFunction, table: CharacterTable) -> None:
@@ -456,26 +453,29 @@ def require_verified(f: ClassFunction, table: CharacterTable) -> None:
         raise InputError("table is unverified; validate it first or override")
 
 
-def as_multiplicity(value: Cyclotomic, label: str) -> int:
-    """An inner product against the row labelled label as a nonnegative
-    integer; anything else raises DecompositionError."""
-    if not value.is_rational():
+def as_multiplicity(num, den: int, label: str) -> int:
+    """An inner product against the row labelled label, the power-basis
+    int vector num over a positive den, as a nonnegative integer;
+    anything else raises DecompositionError."""
+    if any(num[1:]):
         raise DecompositionError(f"multiplicity of {label} is irrational")
-    if value.den != 1 or value.num[0] < 0:
-        raise DecompositionError(f"multiplicity of {label} is {value.as_rational()}")
-    return value.num[0]
+    m, rest = divmod(num[0], den)
+    if rest or m < 0:
+        raise DecompositionError(f"multiplicity of {label} is {Fraction(num[0], den)}")
+    return m
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
-    """Multiplicities of f against the table rows.
+    """Multiplicities of f against the table rows, each checked on the
+    ints of its sum.
 
     Requires a verified table.  Raises DecompositionError when any
     multiplicity is negative or fractional, which means f is not a
     character of this group.
     """
     require_verified(f, table)
-    return tuple(as_multiplicity(v, label)
-                 for v, label in zip(_products(f), table.characters))
+    return tuple(as_multiplicity(num, den, label)
+                 for (num, den), label in zip(_products(f), table.characters))
 
 
 # ---------------------------------------------------------------------------
@@ -588,18 +588,16 @@ def match_columns(computed: CharacterTable,
             comp_keys = [fp[:n] for fp in comp_fps]
             ext_keys = [fp[:n] for fp in ext_fps]
             if Counter(comp_keys) == Counter(ext_keys):
-                row_map, col_map, mism = _search(comp_cells, ext_cells, comp_keys,
-                                                 ext_keys, comp_deg, ext_deg)
-                return _finish(computed, external, row_map, col_map, mism, level,
+                row_map, col_map = _search(comp_cells, ext_cells, comp_keys,
+                                           ext_keys, comp_deg, ext_deg)
+                return _finish(computed, external, row_map, col_map, level,
                                ext_fps, comp_cells, ext_cells)
     # positional fallback: errata will cover whatever disagrees
     col_map = _positional([c.size for c in computed.classes],
                           [c.size for c in external.classes])
     row_map = (_positional(comp_deg, ext_deg) if comp_deg is not None
                else tuple(range(r)))
-    mism = [(a, b) for a in range(r) for b in range(r)
-            if ext_cells[a][b] != comp_cells[row_map[a]][col_map[b]]]
-    return _finish(computed, external, row_map, col_map, mism, "positional",
+    return _finish(computed, external, row_map, col_map, "positional",
                    ext_fps, comp_cells, ext_cells)
 
 
@@ -615,7 +613,7 @@ def _positional(comp_keys, ext_keys) -> tuple[int, ...]:
 
 def _search(comp_cells, ext_cells, comp_fps, ext_fps, comp_deg, ext_deg):
     """Minimal-mismatch assignment under fingerprint and degree groups,
-    as (row_map, col_map, mismatched cell list).
+    as (row_map, col_map).
 
     A depth-first search maps the external columns, fingerprint groups in
     order of their first column, then the external rows, degree groups
@@ -693,13 +691,20 @@ def _search(comp_cells, ext_cells, comp_fps, ext_fps, comp_deg, ext_deg):
     budget = 0
     while not extend(0, 0, lookup(comp_deg, [None] * r)):
         budget += 1
-    mism = [(a, b) for a in range(r) for b in range(r)
+    return tuple(row_map), tuple(col_map)
+
+
+def _mismatches(comp_cells, ext_cells, row_map, col_map) -> list[tuple[int, int]]:
+    """The external cells (a, b) that differ from the computed cells the
+    maps pair them with, in row-major order."""
+    r = len(col_map)
+    return [(a, b) for a in range(r) for b in range(r)
             if ext_cells[a][b] != comp_cells[row_map[a]][col_map[b]]]
-    return tuple(row_map), tuple(col_map), mism
 
 
-def _finish(computed, external, row_map, col_map, mismatches, level,
+def _finish(computed, external, row_map, col_map, level,
             ext_fps, comp_cells, ext_cells):
+    mismatches = _mismatches(comp_cells, ext_cells, row_map, col_map)
     errata = TableErrata()
     if computed.group_order != external.group_order:
         errata.findings.append(Finding(
@@ -748,10 +753,6 @@ def _ambiguity_notes(external, row_map, col_map, base_count, fps,
     except InputError:
         return notes
 
-    def count(rm, cm):
-        return sum(1 for a in range(r) for b in range(r)
-                   if ext_cells[a][b] != comp_cells[rm[a]][cm[b]])
-
     row_pairs = [None] + [pair for rows in deg.values() if len(rows) == 2
                           for pair in [tuple(rows)]]
     for b1 in range(r):
@@ -764,7 +765,7 @@ def _ambiguity_notes(external, row_map, col_map, base_count, fps,
                 rm = list(row_map)
                 if pair:
                     rm[pair[0]], rm[pair[1]] = rm[pair[1]], rm[pair[0]]
-                if count(rm, cm) == base_count:
+                if len(_mismatches(comp_cells, ext_cells, rm, cm)) == base_count:
                     swap = (f" with rows {external.characters[pair[0]]}/"
                             f"{external.characters[pair[1]]}" if pair else "")
                     notes.append(
@@ -824,6 +825,24 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_list(value, name: str) -> list:
+    """value itself when it is a JSON array; a string or an object, which
+    iterate too, raises TypeError instead of being read as one."""
+    if type(value) is not list:
+        raise TypeError(f"{name} must be a list, not {type(value).__name__}")
+    return value
+
+
+def read_json(path: str, what: str):
+    """The JSON value in the file at path; an unreadable file or text that
+    is not JSON raises InputError naming what the file should hold."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSON, or an int too long
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _parse_fraction(text: str) -> int | Fraction:
     if not isinstance(text, str) or not text or set(text) - _FRACTION_OK:
         raise InputError(f"not an exact rational string: {text!r}")
@@ -865,7 +884,8 @@ def decode_value(obj, conductor: int) -> Cyclotomic:
     elif isinstance(obj, dict) and "conductor" in obj:
         try:
             inner = json_int(obj["conductor"], "conductor")
-            v = Cyclotomic(inner, [_parse_fraction(c) for c in obj["coeffs"]])
+            v = Cyclotomic(inner, [_parse_fraction(c)
+                                   for c in json_list(obj["coeffs"], "coeffs")])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad cyclotomic value encoding: {obj!r}") from exc
     else:
@@ -922,7 +942,7 @@ def table_from_dict(data: dict) -> CharacterTable:
                              order=json_int(c["order"], "order"),
                              representative=c.get("representative"),
                              printed_size=c.get("printed_size"))
-                   for c in data["classes"]]
+                   for c in json_list(data["classes"], "classes")]
         for c in classes:
             if (type(c.representative) not in (str, type(None))
                     or type(c.printed_size) not in (int, type(None))):
@@ -930,8 +950,9 @@ def table_from_dict(data: dict) -> CharacterTable:
                                 "and an integer printed_size")
             if c.order < 1:
                 raise ValueError(f"class {c.label} needs a positive element order")
-        characters = [str(ch["label"]) for ch in data["characters"]]
-        values = decode_rows((ch["values"] for ch in data["characters"]),
+        rows = json_list(data["characters"], "characters")
+        characters = [str(ch["label"]) for ch in rows]
+        values = decode_rows((json_list(ch["values"], "values") for ch in rows),
                              conductor)
         return CharacterTable(
             name=str(data.get("name", "external")),
@@ -945,11 +966,7 @@ def table_from_dict(data: dict) -> CharacterTable:
 def load_table(path: str) -> CharacterTable:
     """Read a table from a JSON file: either a bare table object or a
     command report that carries one under results.table."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: JSON, or an int too long
-        raise InputError(f"cannot read table {path}: {exc}") from exc
+    data = read_json(path, "table")
     if isinstance(data, dict) and "conductor" not in data:
         inner = data.get("results")
         if isinstance(inner, dict) and isinstance(inner.get("table"), dict):

@@ -21,12 +21,11 @@ printed_size metadata so discrepancies can be reported, not hidden.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .chartab import CharacterTable, ClassInfo, decode_rows, json_int
+from .chartab import CharacterTable, ClassInfo, decode_rows, json_int, read_json
 from .errors import InputError
 from .perm import check_degree, parse_cycles
 
@@ -211,11 +210,7 @@ def builtin_group(name: str) -> dict:
 def load_group_file(path: str) -> dict:
     """Read a group spec JSON file: name, degree, generators, and
     optionally comments and an expected order."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: JSON, or an int too long
-        raise InputError(f"cannot read group spec {path}: {exc}") from exc
+    data = read_json(path, "group spec")
     try:
         gens = data["generators"]
         if not _is_string_list(gens):

@@ -83,9 +83,10 @@ class ClassAlgebra:
         classes = class_set.classes
         self.kinds = []
         for i, c in enumerate(classes):
-            powers, o = class_set.powers(i), c.order
-            fixed = all(powers[a] == i for a in range(o) if gcd(a, o) == 1)
-            shape = tuple((classes[k].size, classes[k].order) for k in powers)
+            # least conductor 1: every unit power of g is conjugate to g
+            fixed = _column(class_set, i)[0] == 1
+            shape = tuple((classes[k].size, classes[k].order)
+                          for k in class_set.powers(i))
             self.kinds.append((fixed, c.size, shape))
         self._matrices: dict[int, list[list[int]]] = {}
         if sum(class_set.sizes()) != class_set.group.order:

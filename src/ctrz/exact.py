@@ -419,22 +419,18 @@ class QuadraticView:
 
 
 def to_quadratic(z: Cyclotomic, D: int) -> QuadraticView | None:
-    """Express z as a + b*sqrt(D) if it lies in Q(sqrt(D)), else None."""
+    """Express z as a + b*sqrt(D) if it lies in Q(sqrt(D)), else None:
+    b is read off the first coordinate past the constant one where
+    sqrt(D) is nonzero, which an irrational sqrt(D) has."""
     if z.is_rational():
-        return QuadraticView(D, z.coeffs[0], 0)
+        return QuadraticView(D, Fraction(z.num[0], z.den), 0)
     try:
         s = sqrt_embedding(D, z.conductor)
     except InputError:
         return None
-    sc, zc = s.coeffs, z.coeffs
-    b = None
-    for i in range(1, len(sc)):
-        if sc[i]:
-            b = zc[i] / sc[i]
-            break
-    if b is None:
-        return None
+    i = next(i for i, c in enumerate(s.num) if i and c)
+    b = Fraction(z.num[i] * s.den, z.den * s.num[i])
     rest = z - s * b
     if not rest.is_rational():
         return None
-    return QuadraticView(D, rest.coeffs[0], b)
+    return QuadraticView(D, Fraction(rest.num[0], rest.den), b)

@@ -16,9 +16,10 @@ independent routes to d(k) are implemented:
               rational chi, each f = p/q taken as p^k over q^k, one dot
               product of s ints per row,
   recurrence  the trivial character's row of A^k, where A is the
-              transition matrix, A_ij = <chi_i * chi, chi_j>, one int sum
-              each, of the table's kept lines for a rational chi,
-              r(r+1)/2 of them mirrored for a real chi,
+              transition matrix, A_ij = <chi_i * chi, chi_j>: for a
+              rational chi, one int sum each of the table's kept lines,
+              r(r+1)/2 of them mirrored; for any other, row i the
+              decomposition of chi_i * chi,
   closed form published per-irreducible formulas for the two embedded
               groups, one int numerator per base f per irreducible over
               one denominator per family.
@@ -51,53 +52,42 @@ from operator import mul
 
 from . import datasets
 from .chartab import (CharacterTable, ClassFunction, DecompositionError,
-                      _conj_lines, as_multiplicity, require_verified)
-from .chartab import decompose  # uncalled; perfbench/tracing.py wraps it here
+                      as_multiplicity, decompose, require_verified)
 from .errors import InconsistencyError, InputError
-from .exact import _from_ints, _line, _weighted_sum
+from .exact import _weighted_sum
 from .perm import ClassSet, orbit_count_tuples
 
 AGREEMENT_BOUND = 12  # unused here; perfbench/workloads.py reads it
 
 
 def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[int]]:
-    """The transition matrix A: A_ij = <chi_i * chi, chi_j>, one int sum of
-    the kept line of row i, chi in the weights |C| * chi(C) over their
-    common denominator q if rational, else of the line of row i times
-    chi, against the kept conjugate line of row j, checked as a
-    nonnegative integer (else chi is no character, or the diagonal is
-    misaligned); a real chi has A_ji = conj(A_ij), mirrored."""
+    """The transition matrix A: A_ij = <chi_i * chi, chi_j>, each checked
+    as a nonnegative integer (else chi is no character, or the diagonal
+    is misaligned).  For a rational chi, A_ij is one int sum of the kept
+    line of row i, chi in the weights |C| * chi(C) over their common
+    denominator q, against the kept conjugate line of row j, and
+    A_ji = A_ij is mirrored; any other chi takes row i as the
+    decomposition of chi_i * chi."""
     require_verified(chi, table)
-    sizes = [c.size for c in table.classes]
-    if all(v.is_rational() for v in chi.values):
+    rational = all(v.is_rational() for v in chi.values)
+    if rational:
         q = lcm(*(v.den for v in chi.values))
-        weights = [s * v.num[0] * (q // v.den) for s, v in zip(sizes, chi.values)]
+        weights = [c.size * v.num[0] * (q // v.den)
+                   for c, v in zip(table.classes, chi.values)]
         e, *_, rows, lines = table._working()
-        real, scale = True, q * table.group_order
-    else:
-        e, lines = _conj_lines(table, chi.values)
-        weights, scale = sizes, table.group_order
-        real = all(v == v.conj() for v in chi.values)
-        rows = (_line([(x * y).lift(e) for x, y in zip(row, chi.values)])
-                for row in table.working_rows)
     out = []
-    for i, (den, vectors) in enumerate(rows):
-        a = (den * scale, vectors)  # each sum over |G|, times q if rational
+    for i in range(table.size):
         try:
-            out.append([out[j][i] if real and j < i else _multiplicity(
-                e, *_weighted_sum(e, a, lines[j], weights), table.characters[j])
-                for j in range(table.size)])
+            if rational:
+                a = (rows[i][0] * q * table.group_order, rows[i][1])  # sums over q|G|
+                out.append([out[j][i] if j < i else as_multiplicity(
+                    *_weighted_sum(e, a, lines[j], weights), table.characters[j])
+                    for j in range(table.size)])
+            else:
+                out.append(list(decompose(table.row(i) * chi, table)))
         except DecompositionError as exc:
             raise InconsistencyError(f"transition row {i + 1}: {exc}") from exc
     return out
-
-
-def _multiplicity(e: int, num, den: int, label: str) -> int:
-    """num/den at conductor e as label's multiplicity, checked as ints first."""
-    m, rest = divmod(num[0], den)
-    if rest or m < 0 or any(num[1:]):
-        as_multiplicity(_from_ints(e, num, den), label)  # raises
-    return m
 
 
 def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
@@ -107,7 +97,7 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
     chi of f^k * a_(i,f), every row of every line of chi.level_lines()
     against the stacked coefficients of the f^k in one int pass, checked
     by one divmod map; only a failed check walks the lines, where
-    _multiplicity raises for the first failing one."""
+    as_multiplicity raises for the first failing one."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
@@ -123,7 +113,7 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
     m = qs[::w]
     if any(rs) or min(m) < 0 or any(q for j, q in enumerate(qs) if j % w):
         for i, (d, _), label in zip(range(0, len(sums), w), lines, table.characters):
-            _multiplicity(e, sums[i:i + w], d * den, label)
+            as_multiplicity(sums[i:i + w], d * den, label)
     return m
 
 

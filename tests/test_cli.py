@@ -16,11 +16,12 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ctrz import cli, dixon
+from ctrz import cli, datasets, dixon
 from ctrz.chartab import DecompositionError, display_value, table_from_dict
 from ctrz.cli import build_parser, main
 from ctrz.datasets import transcription_table
@@ -489,6 +490,72 @@ def test_group_file_errors(tmp_path):
     nogen.write_text(json.dumps({"name": "x", "degree": 3}))
     code, _ = run("order", "--group", str(nogen))
     assert code == 2
+
+
+def test_group_file_with_no_generators_exits_two(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "x", "degree": 3, "generators": []}))
+    assert run("order", "--group", str(path)) == (2, "")
+    assert capsys.readouterr().err == f"error: group spec {path} lists no generators\n"
+
+
+def test_group_file_with_a_comments_list_loads(tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"name": "s3", "degree": 3,
+                                "generators": ["(1,2)", "(1,2,3)"],
+                                "comments": ["a transposition and a 3-cycle"]}))
+    assert run("order", "--group", str(path)) == (0, "6\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["structure", "--k", "0"], "--k must be at least 1"),
+    (["orbits", "--t", "0"], "--t must be at least 1")])
+def test_structure_and_orbits_refuse_a_zero_power(capsys, argv, message):
+    assert run(*argv, "--builtin", "g1344-deg8") == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_inconsistency_exits_three_through_main(monkeypatch, capsys):
+    """A closed form that evaluates to no integer is an inconsistency,
+    not a finding: exit 3, its text on stderr and nothing on stdout."""
+    assert builtin_analysis("g1344-deg8").family  # proven before the patch
+    bases, den, rows = datasets.CLOSED_FORMS["g1344-deg8"]
+    monkeypatch.setitem(datasets.CLOSED_FORMS, "g1344-deg8",
+                        (bases, den, ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:]))
+    code, out = run("decompose", "--builtin", "g1344-deg8", "--k", "1",
+                    "--method", "closed-form")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "inconsistency: closed form for multiplicity 1 evaluated to "
+        f"{Fraction(den + 8, den)}, not a nonnegative integer\n")
+
+
+def _c2_table_file(tmp_path, first_row) -> str:
+    table = {"name": "c2", "group_order": 2, "conductor": 3,
+             "classes": [{"label": "1a", "size": 1, "order": 1},
+                         {"label": "2a", "size": 1, "order": 2}],
+             "characters": [{"label": "chi1", "values": first_row},
+                            {"label": "chi2", "values": ["1", "-1"]}]}
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(table))
+    return str(path)
+
+
+@pytest.mark.parametrize("first_row, message", [
+    ("11", "malformed table JSON: values must be a list, not str"),
+    ({"1a": "1", "2a": "1"}, "malformed table JSON: values must be a list, not dict"),
+    (["1", {"conductor": 3, "coeffs": "12"}],
+     "bad cyclotomic value encoding: {'conductor': 3, 'coeffs': '12'}")])
+def test_table_json_string_or_object_where_a_list_belongs_exits_two(
+        tmp_path, capsys, first_row, message):
+    """A string or an object iterates, but is no row of cells and no
+    coefficient vector: "11" is not the two cells 1 and 1, and "12" not
+    the coefficients 1 and 2."""
+    path = _c2_table_file(tmp_path, first_row)
+    assert run("chartable", "check", path) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run("chartable", "check", _c2_table_file(tmp_path, ["1", "1"])) == \
+        (0, "table is consistent\n")
 
 
 def test_unknown_builtin_exits_two():

@@ -115,6 +115,26 @@ def test_negative_powers():
     assert z / Fraction(2, 3) == z * Fraction(3, 2)
 
 
+def test_division_by_zero_and_a_non_int_exponent_are_refused():
+    z = Cyclotomic.zeta(3)
+    with pytest.raises(InputError, match="division by zero"):
+        z / 0
+    with pytest.raises(InputError, match="division by zero"):
+        z / Fraction(0, 5)
+    for n in (1.5, 2.0, Fraction(1, 2)):
+        with pytest.raises(InputError, match="exponent must be an integer"):
+            z ** n
+
+
+def test_a_rational_minus_a_cyclotomic():
+    """1 - z goes through __rsub__: the negation of z plus 1."""
+    z = Cyclotomic.zeta(3)
+    d = 1 - z
+    assert (d.conductor, d.coeffs) == (3, (1, -1))
+    assert d + z == rat(1)
+    assert Fraction(1, 2) - z == -(z - Fraction(1, 2))
+
+
 def test_conjugation():
     z = Cyclotomic.zeta(7)
     assert z.conj() == Cyclotomic.zeta(7, 6)

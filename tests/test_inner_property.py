@@ -33,9 +33,9 @@ def oracle_inner_product(f, h):
 
 def oracle_decompose(f, table):
     require_verified(f, table)
-    return tuple(as_multiplicity(oracle_inner_product(f, table.row(i)),
-                                 table.characters[i])
-                 for i in range(table.size))
+    products = (oracle_inner_product(f, table.row(i)) for i in range(table.size))
+    return tuple(as_multiplicity(v.num, v.den, label)
+                 for v, label in zip(products, table.characters))
 
 
 def oracle_levels(f):

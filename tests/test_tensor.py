@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctrz import datasets, tensor
+from ctrz import chartab, datasets, tensor
 from ctrz.errors import InconsistencyError, InputError
 from ctrz.exact import Cyclotomic
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles, orbit_count_tuples
@@ -44,13 +44,18 @@ def test_transition_matrix_against_inner_products(g8, g14):
     """The inner products <chi_i chi, chi_j> are the entries A_ij exactly
     when sum_j A_ij chi_j(c) = chi_i(c) chi(c) at every class c, since
     the irreducibles are linearly independent.  Checked in exact
-    arithmetic without going through decompose."""
+    arithmetic without going through decompose, which gives the rows of
+    a chi that is not rational: g1344-deg8's chi2 and a faithful linear
+    character of C4, neither of them real."""
     s3 = FiniteGroup([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
     cs = ClassSet(s3)
     s3_tab = compute_character_table(s3, cs)
     s3_chi = permutation_character(s3, cs, s3_tab)
+    c4 = compute_character_table(FiniteGroup([parse_cycles("(1,2,3,4)", 4)]))
     cases = [(g8.table, g8.permchar), (g14.table, g14.permchar),
-             (s3_tab, s3_chi)]
+             (s3_tab, s3_chi), (g8.table, g8.table.row(1)), (c4, c4.row(2))]
+    for tab, chi in cases[3:]:
+        assert any(v != v.conj() for v in chi.values)
     for tab, chi in cases:
         mat = transition_matrix(chi, tab)
         for i, row in enumerate(mat):
@@ -610,7 +615,8 @@ def test_transition_matrix_sums_half_the_entries_for_a_real_character(
         g8, monkeypatch):
     """A real chi has A_ji = A_ij, so r(r + 1)/2 int sums give the
     matrix; a faithful linear character of C4, not real, needs all r^2,
-    and its matrix, multiplication by it, is not symmetric."""
+    one decomposition of r sums per row, and its matrix, multiplication
+    by it, is not symmetric."""
     sums = []
     real = tensor._weighted_sum
 
@@ -619,6 +625,7 @@ def test_transition_matrix_sums_half_the_entries_for_a_real_character(
         return real(*args)
 
     monkeypatch.setattr(tensor, "_weighted_sum", counted)
+    monkeypatch.setattr(chartab, "_weighted_sum", counted)
     r = g8.table.size
     assert transition_matrix(g8.permchar, g8.table) == g8.transition
     assert len(sums) == r * (r + 1) // 2
