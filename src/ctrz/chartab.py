@@ -59,7 +59,7 @@ from operator import ne
 
 from .errors import CtrzError, InputError
 from .exact import (Cyclotomic, QuadraticView, _field, _from_ints, _line,
-                    _reduce_poly, _weighted_sum, to_quadratic)
+                    _reduce_poly, _terms, _weighted_sum, to_quadratic)
 from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
 
@@ -151,12 +151,12 @@ class CharacterTable:
     def _working(self):
         """(w, kept, cells, rows, row lines, conjugate lines): the working
         conductor, the distinct values at it and their conjugates each as
-        (values, sparse int vectors), then per row its cells as indices
+        (values, their exact._terms), then per row its cells as indices
         into those, the row at w and the lines of it and its conjugate."""
         if self._work is None:
             # equal cells share one descent, one conjugation and one vector
             w, cells, values = self._distinct()
-            kept = [(at, [_line([v])[1][0] for v in at])
+            kept = [(at, [_terms(v) for v in at])
                     for at in (values, [v.conj() for v in values])]
             self._work = (w, kept, cells, [tuple(values[n] for n in c) for c in cells],
                           *([_kept_line(at, c) for c in cells] for at in kept))
@@ -276,11 +276,11 @@ def validate(table: CharacterTable) -> list[Violation]:
     degrees = []
     for i, row in enumerate(table.values):
         v = row[idc]
-        if not v.is_rational() or v.den != 1 or v.num[0] <= 0:
+        if v.den != 1 or v.num[0] <= 0 or any(v.num[1:]):
             out.append(Violation("degree", table.characters[i],
                                  "degree is not a positive integer"))
             return out
-        degrees.append(v.as_integer())
+        degrees.append(v.num[0])
     if sum(d * d for d in degrees) != order:
         out.append(Violation("degree-squares", "table",
                              f"squares sum to {_shown(sum(d * d for d in degrees))}, "
@@ -288,19 +288,18 @@ def validate(table: CharacterTable) -> list[Violation]:
     n, r = len(table.values), table.size
     w, kept, cells, _, row_lines, conj_lines = table._working()
 
-    def check(kind, x, y, a, b, weights, want):
-        """Report kind [x,y] unless sum weights[c] * a[c] * b[c] is want."""
-        num, den = _weighted_sum(w, a, b, weights)
-        if num[0] != want * den or any(num[1:]):
-            got = _shown(_from_ints(w, num, den), table.conductor)
-            out.append(Violation(kind, f"{x},{y}",
-                                 f"sum is {got}, expected {_shown(want)}"))
+    def report(kind, x, y, num, den, want):
+        got = _shown(_from_ints(w, num, den), table.conductor)
+        out.append(Violation(kind, f"{x},{y}", f"sum is {got}, expected {_shown(want)}"))
 
     before = len(out)
-    for i in range(n):
+    for i, a in enumerate(row_lines):
         for j in range(i, n):
-            check("row-orthogonality", table.characters[i], table.characters[j],
-                  row_lines[i], conj_lines[j], sizes, order if i == j else 0)
+            num, den = _weighted_sum(w, a, conj_lines[j], sizes)
+            # off the diagonal every coefficient must vanish
+            if any(num) if i < j else (num[0] != order * den or any(num[1:])):
+                report("row-orthogonality", table.characters[i], table.characters[j],
+                       num, den, order if i == j else 0)
     # a square X with X D X* = |G| I, D the class sizes, is invertible, so
     # X* X = |G| D^-1: the column relations hold once the row ones do
     derived = n == r and len(out) == before
@@ -314,9 +313,11 @@ def validate(table: CharacterTable) -> list[Violation]:
                 out.append(Violation("class-sizes", table.classes[a].label,
                                      "size does not divide group order"))
             elif not derived:
-                check("column-orthogonality", table.classes[a].label,
-                      table.classes[b].label, by_col[a][0], by_col[b][1], ones,
-                      order // sizes[a] if a == b else 0)
+                num, den = _weighted_sum(w, by_col[a][0], by_col[b][1], ones)
+                want = order // sizes[a] if a == b else 0
+                if num[0] != want * den or any(num[1:]):
+                    report("column-orthogonality", table.classes[a].label,
+                           table.classes[b].label, num, den, want)
     return out
 
 
@@ -568,6 +569,8 @@ def match_columns(computed: CharacterTable,
     if computed.size != external.size or len(computed.characters) != len(external.characters):
         raise InputError("tables have different sizes; no matching exists")
     r = computed.size
+    if r != len(computed.values):
+        raise InputError(f"tables are not square: {len(computed.values)} rows, {r} classes")
     comp_cells, ext_cells = _canonical_cells(computed, external)
     # one fingerprint per class: size, order, and the cycle type of the
     # representative (None where it does not parse) when both tables name
@@ -734,16 +737,16 @@ def _finish(computed, external, row_map, col_map, level,
         for f in found:
             f.external, f.computed = f.computed, f.external
     errata.findings += found
-    notes = _ambiguity_notes(external, row_map, col_map, len(mismatches),
+    notes = _ambiguity_notes(external, row_map, col_map,
                              [fp[:2] for fp in ext_fps], comp_cells, ext_cells)
     return MatchResult(tuple(row_map), tuple(col_map), errata, level, notes)
 
 
-def _ambiguity_notes(external, row_map, col_map, base_count, fps,
-                     comp_cells, ext_cells):
+def _ambiguity_notes(external, row_map, col_map, fps, comp_cells, ext_cells):
     """Column pair swaps within one (size, order) group fps, with an
     optional same-degree row pair swap, that leave the mismatch count
-    unchanged are conventional choices."""
+    unchanged are conventional choices, each swap counted on the cells
+    it changes alone, against the mismatch grid built once."""
     r = external.size
     notes = []
     deg = {}
@@ -753,19 +756,27 @@ def _ambiguity_notes(external, row_map, col_map, base_count, fps,
     except InputError:
         return notes
 
-    row_pairs = [None] + [pair for rows in deg.values() if len(rows) == 2
-                          for pair in [tuple(rows)]]
+    ext_cols = list(zip(*ext_cells))
+    comp_cols = list(zip(*(comp_cells[i] for i in row_map)))  # external row order
+    grid = [list(map(ne, ext_cols[b], comp_cols[col_map[b]])) for b in range(r)]
+    col_miss, row_miss = list(map(sum, grid)), list(map(sum, zip(*grid)))
+    row_pairs = [()] + [tuple(rows) for rows in deg.values() if len(rows) == 2]
     for b1 in range(r):
         for b2 in range(b1 + 1, r):
             if fps[b1] != fps[b2]:
                 continue
             cm = list(col_map)
             cm[b1], cm[b2] = cm[b2], cm[b1]
+            # a swap changes only the cells of columns b1, b2 and of its rows
+            swapped = sum(sum(map(ne, ext_cols[b], comp_cols[cm[b]])) for b in (b1, b2))
             for pair in row_pairs:
-                rm = list(row_map)
-                if pair:
-                    rm[pair[0]], rm[pair[1]] = rm[pair[1]], rm[pair[0]]
-                if len(_mismatches(comp_cells, ext_cells, rm, cm)) == base_count:
+                new, old = swapped, col_miss[b1] + col_miss[b2]
+                for a, i in zip(pair, pair[::-1]):
+                    row = map(comp_cells[row_map[i]].__getitem__, cm)
+                    new += (sum(map(ne, ext_cells[a], row))
+                            - sum(ext_cols[b][a] != comp_cols[cm[b]][a] for b in (b1, b2)))
+                    old += row_miss[a] - grid[b1][a] - grid[b2][a]
+                if new == old:
                     swap = (f" with rows {external.characters[pair[0]]}/"
                             f"{external.characters[pair[1]]}" if pair else "")
                     notes.append(

@@ -10,11 +10,12 @@ stay in ints; the Fraction coefficients are built only when read.  No
 floating point anywhere; float inputs are rejected.
 
 One int kernel serves every product, chartab's sums included:
-_weighted_sum convolves two lines (values at one conductor as sparse
-int vectors over one denominator, a cell at it sharing the vector its
-caller keeps) into one int polynomial, and _reduce_poly divides that by
-the monic Phi_e.  A product of two values is such a sum over two
-one-value lines; a rational or conductor-1 factor only scales.
+_weighted_sum sums two lines, values at one conductor over one
+denominator as a dense int list of constant terms and sparse int
+vectors of the higher terms of the cells that have any.  It pairs the
+constants off as one int dot product and convolves only the higher
+terms, dividing by the monic Phi_e only when both lines have some.  A
+product of two values is one such sum; only this module builds or reads a line.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
@@ -47,6 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, InconsistencyError
 from .modp import prime_factors
@@ -99,38 +101,61 @@ def _reduce_poly(e: int, poly) -> list[int]:
     Phi_e to its phi(e) power-basis coefficients: long division, the top
     coefficient c of x^m cleared by subtracting c * x^(m-deg) * Phi_e."""
     deg, terms = _field(e)
-    out = list(poly) + [0] * (deg - len(poly))
+    out = list(poly)
+    out += [0] * (deg - len(out))
     for m in range(len(out) - 1, deg - 1, -1):
         c = out[m]
         if c:
             shift = m - deg
             for j, p in terms:
                 out[shift + j] -= c * p
-    return out[:deg]
+    del out[deg:]
+    return out
 
 
-def _line(cells, own=None) -> tuple[int, list]:
-    """(den, vectors): values at one conductor as sparse int vectors,
-    lists of (k, coefficient of zeta**k), over their least common
-    denominator; own[c], if given, is cell c's vector over its own."""
-    den = lcm(*(v.den for v in cells))
-    if own is None:
-        return den, [[(k, x * (den // v.den)) for k, x in enumerate(v.num) if x]
-                     for v in cells]
-    return den, [u if v.den == den else [(k, x * (den // v.den)) for k, x in u]
-                 for v, u in zip(cells, own)]
+def _terms(v) -> list[tuple[int, int]]:
+    """v's terms past the constant one as (k, coefficient of zeta**k) over v.den."""
+    return [(k, x) for k, x in enumerate(v.num) if x and k]
+
+
+def _line(cells, own=None) -> tuple[int, list[int], dict]:
+    """(den, constants, rest): values at one conductor over their least
+    common denominator, every cell's constant term and, per cell c with
+    higher terms, its _terms scaled to den, own[c] shared if given."""
+    den = lcm(*[v.den for v in cells])
+    constants, rest = [], {}
+    for c, v in enumerate(cells):
+        f = den // v.den
+        constants.append(v.num[0] * f)
+        if u := (_terms(v) if own is None else own[c]):
+            rest[c] = u if f == 1 else [(k, x * f) for k, x in u]
+    return den, constants, rest
 
 
 def _weighted_sum(w: int, a, b, weights) -> tuple[list[int], int]:
     """(num, den): the sum of weights[c] * a[c] * b[c] over two lines at
-    conductor w, summed as one int polynomial and reduced mod Phi_w once."""
-    acc = [0] * (2 * _field(w)[0] - 1)
-    for s, x, y in zip(weights, a[1], b[1]):
+    conductor w.  The constant terms give one int dot product; the higher
+    terms of either line meet the other's constants, and those of both
+    are convolved and reduced mod Phi_w."""
+    (p, a0, ra), (q, b0, rb) = a, b
+    # a line at conductor 1 or 2, where Phi has degree 1, has no higher terms
+    acc = [0] * ((_field(w)[0] - 1) * (2 if ra and rb else 1) + 1) if w > 2 else [0]
+    acc[0] = sum(map(mul, map(mul, weights, a0), b0))
+    if not (ra or rb):
+        return acc, p * q
+    for c, x in ra.items():
+        s = weights[c]
+        t, y = s * b0[c], rb.get(c, ())
         for k, xk in x:
+            acc[k] += xk * t
             xk *= s
             for m, ym in y:
                 acc[k + m] += xk * ym
-    return _reduce_poly(w, acc), a[0] * b[0]
+    for c, y in rb.items():
+        t = weights[c] * a0[c]
+        for m, ym in y:
+            acc[m] += t * ym
+    return _reduce_poly(w, acc) if ra and rb else acc, p * q
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -269,11 +294,13 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Cyclotomic) and 1 in (self.conductor, other.conductor):
-            # a value at conductor 1 scales the other operand, as a rational does
-            a, b = (self, other) if other.conductor == 1 else (other, self)
-            return _from_ints(a.conductor, [b.num[0] * x for x in a.num], a.den * b.den)
-        if not isinstance(other, Cyclotomic) and isinstance(other, (int, Fraction)):
+        if isinstance(other, Cyclotomic):
+            if 1 in (self.conductor, other.conductor):
+                # a value at conductor 1 scales the other operand, as a rational does
+                a, b = (self, other) if other.conductor == 1 else (other, self)
+                return _from_ints(a.conductor, [b.num[0] * x for x in a.num],
+                                  a.den * b.den)
+        elif isinstance(other, (int, Fraction)):
             p, q = _ratio(other)
             return _from_ints(self.conductor, [p * x for x in self.num], self.den * q)
         a, b = self._pair(other)

@@ -75,14 +75,16 @@ def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[in
         weights = [c.size * v.num[0] * (q // v.den)
                    for c, v in zip(table.classes, chi.values)]
         e, *_, rows, lines = table._working()
+
+        def entry(i, j):  # the sum over q|G|
+            num, den = _weighted_sum(e, rows[i], lines[j], weights)
+            return as_multiplicity(num, den * q * table.group_order, table.characters[j])
     out = []
     for i in range(table.size):
         try:
             if rational:
-                a = (rows[i][0] * q * table.group_order, rows[i][1])  # sums over q|G|
-                out.append([out[j][i] if j < i else as_multiplicity(
-                    *_weighted_sum(e, a, lines[j], weights), table.characters[j])
-                    for j in range(table.size)])
+                out.append([out[j][i] if j < i else entry(i, j)
+                            for j in range(table.size)])
             else:
                 out.append(list(decompose(table.row(i) * chi, table)))
         except DecompositionError as exc:

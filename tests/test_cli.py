@@ -1197,3 +1197,20 @@ def test_every_subcommand_takes_exactly_its_pinned_options():
             ("--method", ("method", ["burnside", "direct"], "burnside",
                           False, None))] + fmt,
     }
+
+
+@pytest.mark.parametrize("rows,classes", [(3, 4), (4, 3)])
+def test_match_refuses_tables_that_are_not_square(tmp_path, capsys, rows, classes):
+    """Two tables of the same shape, but with row count and class count
+    unequal, exit 2 before the search, with no traceback."""
+    data = {"name": "odd", "group_order": 4, "conductor": 1, "verified": True,
+            "classes": [{"label": f"C{j + 1}", "size": 1, "order": 1 if j == 0 else 2,
+                         "representative": None} for j in range(classes)],
+            "characters": [{"label": f"chi{i + 1}", "values": ["1"] * classes}
+                           for i in range(rows)]}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(data))
+    assert main(["chartable", "match", str(path), str(path), "--allow-unverified"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: tables are not square: {rows} rows, "
+                                 f"{classes} classes\n")

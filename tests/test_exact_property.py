@@ -13,9 +13,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st
 
+from ctrz import exact
 from ctrz.errors import InputError
-from ctrz.exact import (CYCLOTOMIC_CAP, Cyclotomic, _reduce_poly,
-                        cyclotomic_polynomial)
+from ctrz.exact import (CYCLOTOMIC_CAP, Cyclotomic, _line, _reduce_poly, _terms,
+                        _weighted_sum, cyclotomic_polynomial)
 
 
 # -- the reference: Fraction coefficient lists, reduced by long division
@@ -211,3 +212,72 @@ def test_the_reduction_kernel_keeps_the_identities_of_phi_e(fixed, data):
     assert (Cyclotomic(e, rp) * Cyclotomic(e, rq)).coeffs == tuple(want)
     k, m = data.draw(st.integers(-2 * e, 2 * e)), data.draw(st.integers(-2 * e, 2 * e))
     assert Cyclotomic.zeta(e, k) * Cyclotomic.zeta(e, m) == Cyclotomic.zeta(e, k + m)
+
+
+# -- the kernel: weighted sums of two lines against a dense reference
+KERNEL_CONDUCTORS = (1, 4, 7, 88, 420)
+
+
+@st.composite
+def kernel_cells(draw, e, rational):
+    """A list of values at conductor e, each zero, rational or (unless
+    rational) irrational."""
+    deg = len(cyclotomic_polynomial(e)) - 1
+    frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    kinds = ["zero", "rational"] + ([] if rational else ["irrational"])
+    cells = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        if kind == "zero":
+            coeffs = [0] * deg
+        elif kind == "rational":
+            coeffs = [draw(frac)] + [0] * (deg - 1)
+        else:
+            coeffs = [0] * deg
+            for k in draw(st.lists(st.integers(0, deg - 1), min_size=1, max_size=4)):
+                coeffs[k] = draw(frac)
+        cells.append(Cyclotomic(e, coeffs))
+    return cells
+
+
+@st.composite
+def kernel_cases(draw):
+    """(e, a cells, b cells, weights): either line may be all rational,
+    so one side alone, both or neither may have higher terms."""
+    e = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    a = draw(kernel_cells(e, draw(st.booleans())))
+    b = draw(kernel_cells(e, draw(st.booleans())))
+    n = min(len(a), len(b))
+    weights = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    return e, a[:n], b[:n], weights
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None, database=None)
+@given(kernel_cases())
+def test_weighted_sum_against_the_dense_product(case):
+    """_weighted_sum is the sum of w * a * b over the cells, each product
+    multiplied out densely and reduced by long division by Phi_e, for a
+    line built from the values and from their kept _terms alike."""
+    e, a, b, weights = case
+    want = [Fraction(0)] * len(a[0].num)
+    for s, x, y in zip(weights, a, b):
+        want = [u + s * v for u, v in zip(want, ref_mul(e, x.coeffs, y.coeffs))]
+    for la, lb in ((_line(a), _line(b)),
+                   (_line(a, [_terms(v) for v in a]), _line(b, [_terms(v) for v in b]))):
+        num, den = _weighted_sum(e, la, lb, weights)
+        assert [Fraction(x, den) for x in num] == want
+
+
+def test_weighted_sum_of_rational_lines_reduces_nothing(monkeypatch):
+    """Two lines whose cells are all rational sum as one int dot product
+    of their constant terms, with no division by Phi_e, at any conductor;
+    one irrational cell on each side takes the division."""
+    calls = []
+    real, z = exact._reduce_poly, Cyclotomic.zeta(7)
+    monkeypatch.setattr(exact, "_reduce_poly", lambda *args: calls.append(1) or real(*args))
+    a = [Cyclotomic.from_rational(x, 7) for x in (1, -2, 3)]
+    b = [Cyclotomic.from_rational(x, 7) for x in (Fraction(1, 2), 5, 0)]
+    num, den = _weighted_sum(7, _line(a), _line(b), [1, 3, -2])
+    assert (num, den) == ([1 - 60, 0, 0, 0, 0, 0], 2) and calls == []
+    _weighted_sum(7, _line(a[:2] + [z]), _line(b[:2] + [z]), [1, 3, -2])
+    assert calls == [1]

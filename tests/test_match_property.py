@@ -4,14 +4,16 @@ fingerprints and row degrees, keeping the first one with the fewest
 disagreeing cells."""
 
 import itertools
+import time
 from functools import cache
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from ctrz.chartab import match_columns, table_from_dict, table_to_dict
+from ctrz.chartab import (_ambiguity_notes, _canonical_cells, _mismatches,
+                          match_columns, table_from_dict, table_to_dict)
 from ctrz.pipeline import GroupAnalysis
 from ctrz.perm import parse_cycles
 
@@ -144,3 +146,64 @@ def test_match_reads_only_what_json_carries():
                 direct.errata.findings, direct.notes) == \
             (loaded.level, loaded.row_map, loaded.col_map,
              loaded.errata.findings, loaded.notes), (a, b)
+
+
+def recounted_notes(external, row_map, col_map, comp_cells, ext_cells):
+    """The ambiguity notes by a full recount of the grid per swap."""
+    r = external.size
+    base = len(_mismatches(comp_cells, ext_cells, row_map, col_map))
+    deg = {}
+    for i, d in enumerate(external.degrees()):
+        deg.setdefault(d, []).append(i)
+    row_pairs = [None] + [tuple(rows) for rows in deg.values() if len(rows) == 2]
+    notes = []
+    for b1, b2 in itertools.combinations(range(r), 2):
+        c1, c2 = external.classes[b1], external.classes[b2]
+        if (c1.size, c1.order) != (c2.size, c2.order):
+            continue
+        cm = list(col_map)
+        cm[b1], cm[b2] = cm[b2], cm[b1]
+        for pair in row_pairs:
+            rm = list(row_map)
+            if pair:
+                rm[pair[0]], rm[pair[1]] = rm[pair[1]], rm[pair[0]]
+            if len(_mismatches(comp_cells, ext_cells, rm, cm)) == base:
+                swap = (f" with rows {external.characters[pair[0]]}/"
+                        f"{external.characters[pair[1]]}" if pair else "")
+                notes.append(f"columns {c1.label}/{c2.label} match either way{swap}; "
+                             "the choice is conventional")
+                break
+    return notes
+
+
+@seed(20261023)
+@settings(max_examples=150, deadline=None, database=None)
+@given(shuffled_copies(), st.randoms(use_true_random=False))
+def test_ambiguity_notes_equal_a_full_recount(case, rng):
+    """The notes, counted on the swapped columns and rows alone, equal a
+    recount of every cell per swap, both under the best matching and
+    under random maps, whose base count is larger."""
+    name, data, _ = case
+    table = computed(name)
+    external = table_from_dict(data)
+    result = match_columns(table, external)
+    comp_cells, ext_cells = _canonical_cells(table, external)
+    assert result.notes == recounted_notes(external, result.row_map, result.col_map,
+                                           comp_cells, ext_cells)
+    r = table.size
+    row_map, col_map = rng.sample(range(r), r), rng.sample(range(r), r)
+    fps = [(c.size, c.order) for c in external.classes]
+    assert _ambiguity_notes(external, row_map, col_map, fps, comp_cells, ext_cells) == \
+        recounted_notes(external, row_map, col_map, comp_cells, ext_cells)
+
+
+def test_match_of_c2_to_the_sixth_with_itself_is_quick():
+    """C2^6 has 63 classes of size 1 and order 2, so its notes try 1953
+    column swaps; each is counted on its two columns alone."""
+    table = GroupAnalysis({"name": "c2^6", "degree": 12, "generators": [
+        f"({2 * k + 1},{2 * k + 2})" for k in range(6)]}).canonical_table
+    match_columns(table, table)
+    start = time.perf_counter()
+    result = match_columns(table, table)
+    assert time.perf_counter() - start < 0.1
+    assert result.errata.findings == [] and result.notes == []
