@@ -24,8 +24,8 @@ distinct values, kept apart from the conjugates, so a match builds none.
 Orthogonality sums and inner products run on exact's int kernel: a
 weighted sum of products of two lines (values at one conductor w as
 sparse int vectors over one denominator) is one int polynomial reduced
-mod Phi_w once.  Decomposing against every row sums one line of the
-function against each kept row line.
+mod Phi_w once, one call summing a line against many: validation a row
+against the rows after it, decomposing the function against every row.
 
 match_columns searches for row and column permutations making two tables
 equal.  Columns are constrained by class fingerprints at the tightest
@@ -58,8 +58,8 @@ from math import lcm
 from operator import ne
 
 from .errors import CtrzError, InputError
-from .exact import (Cyclotomic, QuadraticView, _field, _from_ints, _line,
-                    _reduce_poly, _terms, _weighted_sum, to_quadratic)
+from .exact import (Cyclotomic, QuadraticView, _field, _from_ints, _line, _terms,
+                    _weighted_sums, to_quadratic)
 from .perm import MAX_DEGREE, ClassSet, FiniteGroup, parse_cycles
 
 
@@ -216,6 +216,8 @@ class CharacterTable:
                              verified=self.verified)
         w, kept, *rowwise = self._working()
         out._work = (w, kept, *([part[i] for i in row_map] for part in rowwise))
+        # one index space: the distinct values share the permuted cells
+        out._cells = (w, out._work[2], self._distinct()[2])
         return out
 
 
@@ -294,8 +296,7 @@ def validate(table: CharacterTable) -> list[Violation]:
 
     before = len(out)
     for i, a in enumerate(row_lines):
-        for j in range(i, n):
-            num, den = _weighted_sum(w, a, conj_lines[j], sizes)
+        for j, (num, den) in enumerate(_weighted_sums(w, a, conj_lines[i:], sizes), i):
             # off the diagonal every coefficient must vanish
             if any(num) if i < j else (num[0] != order * den or any(num[1:])):
                 report("row-orthogonality", table.characters[i], table.characters[j],
@@ -304,16 +305,18 @@ def validate(table: CharacterTable) -> list[Violation]:
     # X* X = |G| D^-1: the column relations hold once the row ones do
     derived = n == r and len(out) == before
     if not derived:
-        by_col = [[_kept_line(at, [c[a] for c in cells]) for at in kept]
-                  for a in range(r)]
+        columns, conj_columns = ([_kept_line(at, [c[a] for c in cells]) for a in range(r)]
+                                 for at in kept)
         ones = [1] * n
     for a in range(r):
-        for b in range(a, r):
-            if a == b and order % sizes[a]:
-                out.append(Violation("class-sizes", table.classes[a].label,
-                                     "size does not divide group order"))
-            elif not derived:
-                num, den = _weighted_sum(w, by_col[a][0], by_col[b][1], ones)
+        first = a
+        if order % sizes[a]:  # reported in place of its diagonal sum
+            first += 1
+            out.append(Violation("class-sizes", table.classes[a].label,
+                                 "size does not divide group order"))
+        if not derived:
+            sums = _weighted_sums(w, columns[a], conj_columns[first:], ones)
+            for b, (num, den) in enumerate(sums, first):
                 want = order // sizes[a] if a == b else 0
                 if num[0] != want * den or any(num[1:]):
                     report("column-orthogonality", table.classes[a].label,
@@ -375,32 +378,21 @@ class ClassFunction:
                 for f, members in groups]
         return self._levels
 
-    def level_lines(self) -> tuple[int, list, list]:
+    def level_lines(self) -> tuple[int, tuple, list]:
         """(e, bases, lines): e the least conductor that holds every value
         f of levels() and every a_(i,f), bases those f at their least
-        conductors, and for every row chi_i a line (den, matrix): the int
-        matrix that maps the coefficient vectors of the f^k, each at its
-        f's conductor, stacked in the order of bases, to den times the
-        coefficient vector at e of <self^k, chi_i> = sum over f of
-        f^k * a_(i,f).  For a rational function, every permutation
-        character among them, e is 1 and the matrix is one row of s ints,
-        the a_(i,f) over den: its level sets and the class sizes are
-        closed under the Galois action on classes, so each a_(i,f) is
-        rational too.  Computed on first use and kept."""
+        conductors, and per row chi_i the kernel line at e of its a_(i,f)
+        in the order of bases, so <self^k, chi_i> = sum over f of
+        f^k * a_(i,f) is one sum of it against the line of the f^k.  For
+        a rational function, every permutation character among them, e is
+        1: its level sets and the class sizes are closed under the Galois
+        action on classes, so each a_(i,f) is rational too.  Computed on
+        first use and kept."""
         if self._level_lines is None:
-            levels = [(f.reduced(), [x.reduced() for x in a]) for f, a in self.levels()]
-            e = lcm(*(v.conductor for f, a in levels for v in (f, *a)))
-            bases = [f for f, _ in levels]
-            lines = []
-            for a in zip(*(a for _, a in levels)):
-                den = lcm(*(x.den for x in a))
-                # the column of zeta_c^j, c the conductor of f, is
-                # zeta_e^(j*e/c) * a_(i,f) * den reduced mod Phi_e
-                columns = [_reduce_poly(e, [0] * (j * (e // f.conductor))
-                                        + [c * (den // x.den) for c in x.lift(e).num])
-                           for f, x in zip(bases, a) for j in range(len(f.num))]
-                lines.append((den, list(zip(*columns))))
-            self._level_lines = (e, bases, lines)
+            bases, *rows = zip(*[(f.reduced(), *(x.reduced() for x in a))
+                                 for f, a in self.levels()])
+            e = lcm(*(v.conductor for col in (bases, *rows) for v in col))
+            self._level_lines = (e, bases, [_line([x.lift(e) for x in a]) for a in rows])
         return self._level_lines
 
 
@@ -424,25 +416,24 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:
     if f.table is not h.table:
         raise InputError("class functions live on different tables")
     e = lcm(*(v.conductor for v in f.values + h.values))
-    num, den = _products(f, e, [_line([v.lift(e).conj() for v in h.values])])[0]
-    return _from_ints(e, num, den)
+    (num, den), = _weighted_sums(e, _line([v.lift(e) for v in f.values]),
+                                 [_line([v.lift(e).conj() for v in h.values])],
+                                 [c.size for c in f.table.classes])
+    return _from_ints(e, num, den * f.table.group_order)
 
 
-def _products(f: ClassFunction, e=None, lines=None) -> list[tuple[list[int], int]]:
-    """<f, h> at conductor e as (num, den) for each h given as the line of
-    its conjugate at e; by default <f, chi_i> for every row chi_i of f's
-    table, e = lcm(w, conductors of f), against the table's kept lines
-    unless e exceeds the working conductor w."""
+def _products(f: ClassFunction) -> list[tuple[list[int], int]]:
+    """<f, chi_i> as (num, den) at e = lcm(w, conductors of f) for every
+    row chi_i of f's table, one kernel call against the table's kept
+    conjugate lines unless e exceeds the working conductor w."""
     t = f.table
-    if lines is None:
-        w, (_, (conj, _)), cells, *_, lines = t._working()
-        e = lcm(w, *(v.conductor for v in f.values))
-        if e != w:
-            lines = [_line([conj[n].lift(e) for n in c]) for c in cells]
-    a = _line([v.lift(e) for v in f.values])
-    sizes = [c.size for c in t.classes]
-    return [(num, den * t.group_order)
-            for num, den in (_weighted_sum(e, a, b, sizes) for b in lines)]
+    w, (_, (conj, _)), cells, *_, lines = t._working()
+    e = lcm(w, *(v.conductor for v in f.values))
+    if e != w:
+        lines = [_line([conj[n].lift(e) for n in c]) for c in cells]
+    sums = _weighted_sums(e, _line([v.lift(e) for v in f.values]), lines,
+                          [c.size for c in t.classes])
+    return [(num, den * t.group_order) for num, den in sums]
 
 
 def require_verified(f: ClassFunction, table: CharacterTable) -> None:

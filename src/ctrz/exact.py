@@ -9,13 +9,14 @@ their gcd divided out once per operation.  Sums, products, powers
 stay in ints; the Fraction coefficients are built only when read.  No
 floating point anywhere; float inputs are rejected.
 
-One int kernel serves every product, chartab's sums included:
-_weighted_sum sums two lines, values at one conductor over one
-denominator as a dense int list of constant terms and sparse int
-vectors of the higher terms of the cells that have any.  It pairs the
-constants off as one int dot product and convolves only the higher
-terms, dividing by the monic Phi_e only when both lines have some.  A
-product of two values is one such sum; only this module builds or reads a line.
+One int kernel serves every product and every sum of chartab and tensor:
+_weighted_sums sums one line against many, a line being values at one
+conductor over one denominator as a dense int list of constant terms
+and sparse int vectors of the higher terms of the cells that have any.
+Each sum pairs the constants off as one int dot product and convolves
+only the higher terms, dividing by the monic Phi_e only when both lines
+have some.  A product is one sum of two one-value lines; only this
+module builds or reads a line, the direct route's line of powers too.
 
 Conductors embed upward: zeta_m == zeta_e**(e/m) whenever m divides e,
 so mixed-conductor arithmetic lifts both operands to the lcm.  They also
@@ -132,30 +133,48 @@ def _line(cells, own=None) -> tuple[int, list[int], dict]:
     return den, constants, rest
 
 
-def _weighted_sum(w: int, a, b, weights) -> tuple[list[int], int]:
-    """(num, den): the sum of weights[c] * a[c] * b[c] over two lines at
-    conductor w.  The constant terms give one int dot product; the higher
-    terms of either line meet the other's constants, and those of both
-    are convolved and reduced mod Phi_w."""
-    (p, a0, ra), (q, b0, rb) = a, b
+def _weighted_sums(w: int, a, lines, weights) -> list[tuple[list[int], int]]:
+    """(num, den) per line b of lines: the sum of weights[c] * a[c] * b[c]
+    at conductor w, a's constant terms weighted once.  The higher terms
+    of either line meet the other's constants, and those of both are
+    convolved and reduced mod Phi_w."""
+    p, a0, ra = a
+    wa = list(map(mul, weights, a0))
     # a line at conductor 1 or 2, where Phi has degree 1, has no higher terms
-    acc = [0] * ((_field(w)[0] - 1) * (2 if ra and rb else 1) + 1) if w > 2 else [0]
-    acc[0] = sum(map(mul, map(mul, weights, a0), b0))
-    if not (ra or rb):
-        return acc, p * q
-    for c, x in ra.items():
-        s = weights[c]
-        t, y = s * b0[c], rb.get(c, ())
-        for k, xk in x:
-            acc[k] += xk * t
-            xk *= s
-            for m, ym in y:
-                acc[k + m] += xk * ym
-    for c, y in rb.items():
-        t = weights[c] * a0[c]
-        for m, ym in y:
-            acc[m] += t * ym
-    return _reduce_poly(w, acc) if ra and rb else acc, p * q
+    pad = [0] * (_field(w)[0] - 1 if w > 2 else 0)
+    out = []
+    for q, b0, rb in lines:
+        acc = [sum(map(mul, wa, b0)), *pad]
+        if ra or rb:
+            if ra and rb:
+                acc += pad
+            for c, x in ra.items():
+                s = weights[c]
+                t, y = s * b0[c], rb.get(c, ())
+                for k, xk in x:
+                    acc[k] += xk * t
+                    xk *= s
+                    for m, ym in y:
+                        acc[k + m] += xk * ym
+            for c, y in rb.items():
+                t = wa[c]
+                for m, ym in y:
+                    acc[m] += t * ym
+            if ra and rb:
+                acc = _reduce_poly(w, acc)
+        out.append((acc, p * q))
+    return out
+
+
+def _power_line(e: int, bases, k: int) -> tuple[int, list[int], dict]:
+    """The line at conductor e of the k-th powers of bases, each at a
+    conductor dividing e.  A rational base p/q, at conductor 1, is p^k
+    over q^k and is not lifted, as a line reads only its constant term."""
+    if e == 1:  # every base rational: the ints alone
+        dens = [f.den ** k for f in bases]
+        den = lcm(*dens)
+        return den, [f.num[0] ** k * (den // q) for f, q in zip(bases, dens)], {}
+    return _line([v if (v := f ** k).conductor == 1 else v.lift(e) for f in bases])
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -305,7 +324,7 @@ class Cyclotomic:
             return _from_ints(self.conductor, [p * x for x in self.num], self.den * q)
         a, b = self._pair(other)
         return _from_ints(a.conductor,
-                          *_weighted_sum(a.conductor, _line([a]), _line([b]), [1]))
+                          *_weighted_sums(a.conductor, _line([a]), [_line([b])], [1])[0])
 
     __rmul__ = __mul__
 

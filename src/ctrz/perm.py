@@ -560,7 +560,7 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
     # 2**t already exceeds the cap once t reaches its bit length
     if (n > 1 and t >= tuple_cap.bit_length()) or n**t > tuple_cap:
         raise InputError(
-            f"{n}**{t} tuples exceed cap {tuple_cap}; use method='burnside'")
+            f"{n}**{t} tuples exceed cap {tuple_cap}; use the burnside method")
 
     def combine(orbit, stabilizer, m: int) -> list[int]:
         """Orbits on k-tuples for k = 0..m of a group whose orbit of each

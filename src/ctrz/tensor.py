@@ -10,11 +10,11 @@ independent routes to d(k) are implemented:
   direct      <chi^k, chi_i> regrouped on the values f of chi:
               m_i(k) = sum over f of f^k * a_(i,f), the inner products
               a_(i,f) = <1_(chi=f), chi_i> kept on chi after first use
-              as one int matrix per row at the least conductor holding
-              every f and a_(i,f), all m_i(k) one int pass of those
-              matrices over the stacked coefficients of the f^k: for a
-              rational chi, each f = p/q taken as p^k over q^k, one dot
-              product of s ints per row,
+              as one kernel line per row at the least conductor holding
+              every f and a_(i,f), all m_i(k) one kernel call of the
+              line of the f^k against them: for a rational chi, each
+              f = p/q taken as p^k over q^k, one dot product of s ints
+              per row,
   recurrence  the trivial character's row of A^k, where A is the
               transition matrix, A_ij = <chi_i * chi, chi_j>: for a
               rational chi, one int sum each of the table's kept lines,
@@ -54,7 +54,7 @@ from . import datasets
 from .chartab import (CharacterTable, ClassFunction, DecompositionError,
                       as_multiplicity, decompose, require_verified)
 from .errors import InconsistencyError, InputError
-from .exact import _weighted_sum
+from .exact import _power_line, _weighted_sums
 from .perm import ClassSet, orbit_count_tuples
 
 AGREEMENT_BOUND = 12  # unused here; perfbench/workloads.py reads it
@@ -75,16 +75,14 @@ def transition_matrix(chi: ClassFunction, table: CharacterTable) -> list[list[in
         weights = [c.size * v.num[0] * (q // v.den)
                    for c, v in zip(table.classes, chi.values)]
         e, *_, rows, lines = table._working()
-
-        def entry(i, j):  # the sum over q|G|
-            num, den = _weighted_sum(e, rows[i], lines[j], weights)
-            return as_multiplicity(num, den * q * table.group_order, table.characters[j])
     out = []
     for i in range(table.size):
         try:
-            if rational:
-                out.append([out[j][i] if j < i else entry(i, j)
-                            for j in range(table.size)])
+            if rational:  # each sum over q|G|
+                sums = _weighted_sums(e, rows[i], lines[i:], weights)
+                out.append([out[j][i] for j in range(i)] + [
+                    as_multiplicity(num, den * q * table.group_order, table.characters[j])
+                    for j, (num, den) in enumerate(sums, i)])
             else:
                 out.append(list(decompose(table.row(i) * chi, table)))
         except DecompositionError as exc:
@@ -96,27 +94,15 @@ def multiplicities_direct(chi: ClassFunction, table: CharacterTable,
                           k: int) -> tuple[int, ...]:
     """Decompose the pointwise k-th power of chi, its inner product with
     each row regrouped on chi's values: m_i(k) = sum over the values f of
-    chi of f^k * a_(i,f), every row of every line of chi.level_lines()
-    against the stacked coefficients of the f^k in one int pass, checked
-    by one divmod map; only a failed check walks the lines, where
-    as_multiplicity raises for the first failing one."""
+    chi of f^k * a_(i,f), one kernel call of the line of the f^k against
+    the lines of chi.level_lines(), each sum checked by as_multiplicity."""
     if k < 1:
         raise InputError("tensor power k must be at least 1")
     require_verified(chi, table)
     e, bases, lines = chi.level_lines()
-    # a rational base p/q, at conductor 1 once reduced, as the ints p^k, q^k
-    powers = [((f.num[0] ** k,), f.den ** k) if f.conductor == 1
-              else ((p := f ** k).num, p.den) for f in bases]
-    den = lcm(*(q for _, q in powers))
-    stacked = [c * (den // q) for num, q in powers for c in num]
-    sums = [sum(map(mul, row, stacked)) for _, matrix in lines for row in matrix]
-    w = len(sums) // len(lines)  # phi(e) rows per line
-    qs, rs = zip(*map(divmod, sums, [d * den for d, mat in lines for _ in mat]))
-    m = qs[::w]
-    if any(rs) or min(m) < 0 or any(q for j, q in enumerate(qs) if j % w):
-        for i, (d, _), label in zip(range(0, len(sums), w), lines, table.characters):
-            as_multiplicity(sums[i:i + w], d * den, label)
-    return m
+    sums = _weighted_sums(e, _power_line(e, bases, k), lines, [1] * len(bases))
+    return tuple(as_multiplicity(num, den, label)
+                 for (num, den), label in zip(sums, table.characters))
 
 
 def multiplicities_recurrence(chi: ClassFunction, table: CharacterTable,

@@ -532,6 +532,18 @@ def test_reordered_rows_validate_as_a_fresh_table():
         assert moved.working_rows == fresh.working_rows
 
 
+def test_reordered_rows_keep_one_index_space(g8):
+    """A reordered table numbers its distinct values as its parent does:
+    the cells of _distinct() are those of _working(), and they name the
+    reordered rows' values, so no value is descended a second time."""
+    tab = g8.canonical_table
+    moved = tab.reordered_rows(list(range(10, -1, -1)))
+    w, cells, values = moved._distinct()
+    assert cells == moved._working()[2] and values is tab._distinct()[2]
+    assert [tuple(values[n] for n in c) for c in cells] == moved.working_rows
+    assert w == tab.working_conductor
+
+
 def test_reordered_rows_of_a_table_with_fewer_rows_than_classes():
     """row_map permutes the rows, whose count need not be the classes'."""
     tab = transcription_table("g1344-deg8")

@@ -412,6 +412,15 @@ def test_orbits_both_methods():
     assert (code, out) == (0, "3\n")
 
 
+def test_orbits_direct_refuses_past_the_tuple_cap(capsys):
+    """The refusal names the method as the CLI spells it, so it reads
+    right from the command line and from the library alike."""
+    assert run("orbits", "--builtin", "g1344-deg14", "--t", "9",
+               "--method", "direct") == (2, "")
+    assert capsys.readouterr().err == (
+        "error: 14**9 tuples exceed cap 10000000; use the burnside method\n")
+
+
 def test_group_file_flow(tmp_path):
     spec = {"name": "klein", "degree": 4, "order": 4,
             "generators": ["(1,2)(3,4)", "(1,3)(2,4)"]}

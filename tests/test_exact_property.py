@@ -16,7 +16,7 @@ from hypothesis import given, seed, settings, strategies as st
 from ctrz import exact
 from ctrz.errors import InputError
 from ctrz.exact import (CYCLOTOMIC_CAP, Cyclotomic, _line, _reduce_poly, _terms,
-                        _weighted_sum, cyclotomic_polynomial)
+                        _weighted_sums, cyclotomic_polynomial)
 
 
 # -- the reference: Fraction coefficient lists, reduced by long division
@@ -241,43 +241,52 @@ def kernel_cells(draw, e, rational):
 
 @st.composite
 def kernel_cases(draw):
-    """(e, a cells, b cells, weights): either line may be all rational,
-    so one side alone, both or neither may have higher terms."""
+    """(e, a cells, one to three lists of b cells, weights): any line may
+    be all rational, so in each pair one side alone, both or neither may
+    have higher terms."""
     e = draw(st.sampled_from(KERNEL_CONDUCTORS))
     a = draw(kernel_cells(e, draw(st.booleans())))
-    b = draw(kernel_cells(e, draw(st.booleans())))
-    n = min(len(a), len(b))
+    bs = [draw(kernel_cells(e, draw(st.booleans()))) for _ in range(draw(st.integers(1, 3)))]
+    n = min(len(a), *map(len, bs))
     weights = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
-    return e, a[:n], b[:n], weights
+    return e, a[:n], [b[:n] for b in bs], weights
 
 
 @seed(20261022)
 @settings(max_examples=150, deadline=None, database=None)
 @given(kernel_cases())
 def test_weighted_sum_against_the_dense_product(case):
-    """_weighted_sum is the sum of w * a * b over the cells, each product
-    multiplied out densely and reduced by long division by Phi_e, for a
-    line built from the values and from their kept _terms alike."""
-    e, a, b, weights = case
-    want = [Fraction(0)] * len(a[0].num)
-    for s, x, y in zip(weights, a, b):
-        want = [u + s * v for u, v in zip(want, ref_mul(e, x.coeffs, y.coeffs))]
-    for la, lb in ((_line(a), _line(b)),
-                   (_line(a, [_terms(v) for v in a]), _line(b, [_terms(v) for v in b]))):
-        num, den = _weighted_sum(e, la, lb, weights)
-        assert [Fraction(x, den) for x in num] == want
+    """_weighted_sums gives, per line b, the sum of w * a * b over the
+    cells, each product multiplied out densely and reduced by long
+    division by Phi_e, for lines built from the values and from their
+    kept _terms alike."""
+    e, a, bs, weights = case
+    wants = []
+    for b in bs:
+        want = [Fraction(0)] * len(a[0].num)
+        for s, x, y in zip(weights, a, b):
+            want = [u + s * v for u, v in zip(want, ref_mul(e, x.coeffs, y.coeffs))]
+        wants.append(want)
+    for line in (_line, lambda cells: _line(cells, [_terms(v) for v in cells])):
+        sums = _weighted_sums(e, line(a), [line(b) for b in bs], weights)
+        assert [[Fraction(x, den) for x in num] for num, den in sums] == wants
 
 
 def test_weighted_sum_of_rational_lines_reduces_nothing(monkeypatch):
-    """Two lines whose cells are all rational sum as one int dot product
-    of their constant terms, with no division by Phi_e, at any conductor;
-    one irrational cell on each side takes the division."""
+    """A sum with a line whose cells are all rational is one int dot
+    product of the constant terms and the higher terms of the other line
+    scaled, with no division by Phi_e, at any conductor; one irrational
+    cell on each side takes the division.  One call sums a line with an
+    irrational cell against a rational line and an irrational one, so
+    it divides once."""
     calls = []
     real, z = exact._reduce_poly, Cyclotomic.zeta(7)
     monkeypatch.setattr(exact, "_reduce_poly", lambda *args: calls.append(1) or real(*args))
     a = [Cyclotomic.from_rational(x, 7) for x in (1, -2, 3)]
     b = [Cyclotomic.from_rational(x, 7) for x in (Fraction(1, 2), 5, 0)]
-    num, den = _weighted_sum(7, _line(a), _line(b), [1, 3, -2])
-    assert (num, den) == ([1 - 60, 0, 0, 0, 0, 0], 2) and calls == []
-    _weighted_sum(7, _line(a[:2] + [z]), _line(b[:2] + [z]), [1, 3, -2])
-    assert calls == [1]
+    assert _weighted_sums(7, _line(a), [_line(b)], [1, 3, -2]) == \
+        [([1 - 60, 0, 0, 0, 0, 0], 2)]
+    assert calls == []
+    (num, den), _ = _weighted_sums(7, _line(a[:2] + [z]), [_line(b), _line(b[:2] + [z])],
+                                   [1, 3, -2])
+    assert (num, den) == ([1 - 60, 0, 0, 0, 0, 0], 2) and calls == [1]

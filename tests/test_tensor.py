@@ -328,15 +328,15 @@ def test_direct_route_on_rational_bases_over_two():
 
 
 def test_direct_route_on_lines_wider_than_one():
-    """A faithful linear character of C4 has values +-1 and +-i, so each
-    line is a matrix of phi(4) = 2 rows: the one int pass gives what
-    decomposing each power gives, and a non-character raises the text
-    of decompose for its first failing row, with an irrational one
-    caught in a line's second row."""
+    """A faithful linear character of C4 has values +-1 and +-i, so its
+    lines sit at conductor 4 and some row's a_(i,f) has higher terms:
+    the one kernel call gives what decomposing each power gives, and a
+    non-character raises the text of decompose for its first failing
+    row, with an irrational one caught in a sum's higher terms."""
     c4 = compute_character_table(FiniteGroup([parse_cycles("(1,2,3,4)", 4)]))
     lam = c4.row(2)
     e, _, lines = lam.level_lines()
-    assert e == 4 and all(len(matrix) == 2 for _, matrix in lines)
+    assert e == 4 and any(rest for _, _, rest in lines)
     for k in range(1, 9):
         assert multiplicities_direct(lam, c4, k) == decompose(lam.power(k), c4)
     i = Cyclotomic.zeta(4)
@@ -616,16 +616,16 @@ def test_transition_matrix_sums_half_the_entries_for_a_real_character(
     """A real chi has A_ji = A_ij, so r(r + 1)/2 int sums give the
     matrix; a faithful linear character of C4, not real, needs all r^2,
     one decomposition of r sums per row, and its matrix, multiplication
-    by it, is not symmetric."""
+    by it, is not symmetric.  Each kernel call counts one sum per line."""
     sums = []
-    real = tensor._weighted_sum
+    real = tensor._weighted_sums
 
-    def counted(*args):
-        sums.append(1)
-        return real(*args)
+    def counted(w, a, lines, weights):
+        sums.extend([1] * len(lines))
+        return real(w, a, lines, weights)
 
-    monkeypatch.setattr(tensor, "_weighted_sum", counted)
-    monkeypatch.setattr(chartab, "_weighted_sum", counted)
+    monkeypatch.setattr(tensor, "_weighted_sums", counted)
+    monkeypatch.setattr(chartab, "_weighted_sums", counted)
     r = g8.table.size
     assert transition_matrix(g8.permchar, g8.table) == g8.transition
     assert len(sums) == r * (r + 1) // 2
