@@ -343,12 +343,20 @@ class Cyclotomic:
         if self.is_rational():  # p^n / q^n, canonical as p / q is
             return _from_ints(self.conductor, (self.num[0] ** n,) + self.num[1:],
                               self.den ** n)
-        result = Cyclotomic.from_rational(1, self.conductor)
+        if n == 0:
+            return Cyclotomic.from_rational(1, self.conductor)
+        # start from the power at n's lowest set bit and square only while
+        # bits remain: bit_length(n) + popcount(n) - 2 products
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

@@ -30,12 +30,16 @@ identity comes first, and the order of the rest follows the chain and
 means nothing else.  The chain, not a hash of every word, shows that
 none is listed twice.  Conjugacy classes are conjugation orbits under
 the generators, walked over words with one word-to-class dict that
-grows from empty and is the only place that holds every element; each
-class is a run of its keys, and the classes are reported in a canonical
-order: size ascending, then element order ascending, then the
+grows from empty and is the only place that holds every element.  The
+walk conjugates each word by two generators at a time, written out, in
+one sweep of the growing queue per pair, the last of an odd number
+alone; the sweeps repeat until none adds a word, so a two-generator
+group's walk is one sweep.  Each class is a run of its keys in that
+pair-sweep order, and the classes are reported in a canonical order:
+size ascending, then element order ascending, then the
 lexicographically smallest member.  Orbits on t-tuples are counted by
 Burnside's average over the classes, or by a descent through point
-stabilizers, made from the chain at the top, that reads no class data.
+stabilizers, taken from the chain at the top, that reads no class data.
 """
 
 from __future__ import annotations
@@ -381,7 +385,7 @@ class FiniteGroup:
 class ConjugacyClass:
     """One conjugacy class.  The representative is its least member; the
     members are a run of the class set's word dict, in the unsorted
-    breadth-first order of the walk that found them."""
+    pair-sweep order of the walk that found them."""
 
     __slots__ = ("label", "size", "order", "representative", "_keys", "_start")
 
@@ -406,11 +410,16 @@ class ClassSet:
 
     Canonical order: class size ascending, element order ascending, then
     the lexicographically smallest member image tuple.  The identity
-    class is always first.  Each class is a breadth-first queue of
-    conjugates under the generators, and its min is the representative.
-    The walk grows one dict from empty: a conjugate becomes a key only
-    when it is not one yet, so the dict is the one place that holds the
-    group's elements, and each class is the run of keys it inserted.
+    class is always first.  Each class is a queue of conjugates under
+    the generators, and its min is the representative.  The queue is
+    swept once per pair of generators, each word conjugated by both, and
+    once by the last of an odd number; the sweeps take turns, each from
+    where it last stopped, until the next has read every word, so two
+    generators make one sweep and the members are in pair-sweep order,
+    not breadth first.  The walk grows one dict from empty: a conjugate
+    becomes a key only when it is not one yet, so the dict is the one
+    place that holds the group's elements, and each class is the run of
+    keys it inserted.
     Orbit starts are read from group.products(), and the walk stops
     once the dict holds group.order words.  The dict maps a word to its
     orbit's number and _rank maps that to the canonical class.
@@ -446,9 +455,14 @@ class ClassSet:
         there to the number of its orbit, counted from 0."""
         g, orbit_of = self.group, self._orbit_of
         pad = g.pad
-        # x -> gen^-1 * x * gen, as word translations
-        gen_pairs = [(bytes(gen.inverse().images), g.translation_table(gen))
-                     for gen in g.generators]
+        # x -> gen^-1 * x * gen, as word translations: two per sweep, and
+        # the last of an odd number alone; the identity stands in for the
+        # generators of a group given none
+        conj = [(bytes(gen.inverse().images), g.translation_table(gen))
+                for gen in g.generators or [Permutation.identity(g.degree)]]
+        sweeps = [conj[i] + conj[i + 1] for i in range(0, len(conj) - 1, 2)]
+        if len(conj) % 2:
+            sweeps.append(conj[-1])
         k = 0
         for start in g.products():
             if start in orbit_of:
@@ -456,13 +470,35 @@ class ClassSet:
             first = len(orbit_of)
             orbit_of[start] = k
             queue = [start]
-            for x in queue:  # grows while iterated: a breadth-first queue
-                x += pad
-                for ginv, gen in gen_pairs:
-                    y = ginv.translate(x).translate(gen)
-                    if y not in orbit_of:
-                        orbit_of[y] = k
-                        queue.append(y)
+            read = [0] * len(sweeps)  # how far each sweep has read the queue
+            j = 0
+            # closed once the next sweep has read every word: none was
+            # added since it last ran, so each other sweep read them all
+            while (r := read[j]) < len(queue):
+                # the queue grows while iterated; a first pass reads it
+                # whole, cheaper than an islice on a one-word class
+                words = islice(queue, r, None) if r else queue
+                if len(sweeps[j]) == 4:
+                    ai, a, bi, b = sweeps[j]
+                    for x in words:
+                        x += pad
+                        y = ai.translate(x).translate(a)
+                        if y not in orbit_of:
+                            orbit_of[y] = k
+                            queue.append(y)
+                        y = bi.translate(x).translate(b)
+                        if y not in orbit_of:
+                            orbit_of[y] = k
+                            queue.append(y)
+                else:
+                    ai, a = sweeps[j]
+                    for x in words:
+                        y = ai.translate(x + pad).translate(a)
+                        if y not in orbit_of:
+                            orbit_of[y] = k
+                            queue.append(y)
+                read[j] = len(queue)
+                j = (j + 1) % len(sweeps)
             yield first, queue
             if len(orbit_of) == g.order:
                 return
@@ -536,7 +572,10 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
     H, so each subgroup gives its counts for every length up to m at
     once, and the recursion is only as deep as a chain of stabilizers.
     The top level lists no element of the group: its point orbits come
-    from the generators, and its stabilizers from group.stabilizer,
+    from the generators.  The orbit that holds the chain's first base
+    point is represented by that point, whose stabilizer is the chain's
+    deeper products, group._levels()[0], as they stand; every other
+    orbit by its least point, whose stabilizer is group.stabilizer,
     which makes only the words that fix the point.  It refuses
     degree**t > tuple_cap tuples before any work, which bounds it: the
     descent has at most as many leaves as there are orbits.  It holds one
@@ -562,11 +601,12 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
         raise InputError(
             f"{n}**{t} tuples exceed cap {tuple_cap}; use the burnside method")
 
-    def combine(orbit, stabilizer, m: int) -> list[int]:
+    def combine(orbit, stabilizer, m: int, points=range(n)) -> list[int]:
         """Orbits on k-tuples for k = 0..m of a group whose orbit of each
-        point p is orbit(p) and whose words that fix p are stabilizer(p)."""
+        point p is orbit(p) and whose words that fix p are stabilizer(p),
+        each orbit represented by its first point in points."""
         fixed, below, seen = 0, [], set()
-        for p in range(n):
+        for p in points:
             if p not in seen:
                 o = orbit(p)
                 seen |= o
@@ -597,4 +637,9 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
                     queue.append(gen[x])
         return orbit
 
-    return combine(generated_orbit, group.stabilizer, t)[t]
+    # the chain's deeper products are the stabilizer of its first base
+    # point, which the trivial group, with no base, does not have
+    first, deeper = group._base[:1], group._levels()[0]
+    return combine(generated_orbit,
+                   lambda p: deeper if p in first else group.stabilizer(p),
+                   t, chain(first, range(n)))[t]

@@ -115,6 +115,31 @@ def test_negative_powers():
     assert z / Fraction(2, 3) == z * Fraction(3, 2)
 
 
+def test_powers_square_only_while_bits_remain(monkeypatch):
+    """v ** n of an irrational v makes bit_length(n) + popcount(n) - 2
+    products, none for n = 0, and equals n - 1 repeated products."""
+    for e in (4, 7, 84):
+        v = rat(Fraction(1, 2), e) + Cyclotomic.zeta(e) * 3 - Cyclotomic.zeta(e, e // 4)
+        assert not v.is_rational()
+        repeated = [rat(1, e)]
+        for _ in range(30):
+            repeated.append(repeated[-1] * v)
+        products = 0
+        mul = Cyclotomic.__mul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+        for n in range(31):
+            products = 0
+            assert v ** n == repeated[n]
+            assert products == max(0, n.bit_length() + bin(n).count("1") - 2), (e, n)
+        monkeypatch.undo()
+
+
 def test_division_by_zero_and_a_non_int_exponent_are_refused():
     z = Cyclotomic.zeta(3)
     with pytest.raises(InputError, match="division by zero"):

@@ -294,6 +294,20 @@ def test_s8_classes_peak_traced_memory():
     assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_s7_classes_do_not_depend_on_the_generator_count():
+    # two generators make one pair sweep, three add a lone one, four a
+    # second pair; the classes are the same group's
+    gens = ["(1,2,3,4,5,6,7)", "(1,2)", "(2,3)", "(3,4)"]
+    seen = []
+    for count in (2, 3, 4):
+        g = FiniteGroup([parse_cycles(c, 7) for c in gens[:count]])
+        cs = ClassSet(g)
+        seen.append(([(c.label, c.size, c.order, c.representative)
+                      for c in cs.classes], cs.class_counts(g.products())))
+    assert len(seen[0][0]) == 15 and sum(seen[0][1]) == 5040
+    assert seen[0] == seen[1] == seen[2]
+
+
 def test_s3_classes_in_canonical_order():
     """Classes sort by (size, element order, smallest member)."""
     g = FiniteGroup([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
@@ -519,6 +533,25 @@ def test_orbit_count_direct_on_large_groups(group, t, want):
     elapsed = time.perf_counter() - start
     assert got == want == orbit_count_tuples(g, t, method="burnside")
     assert elapsed < 1.0, f"direct count took {elapsed:.2f}s"
+
+
+def test_orbit_count_direct_takes_the_top_stabilizer_from_the_chain(monkeypatch):
+    """The orbit of the chain's first base point is counted through the
+    chain's deeper products, not through FiniteGroup.stabilizer."""
+    g = FiniteGroup([parse_cycles(c, 7) for c in ["(2,3)", "(1,2,3,4,5,6,7)"]])
+    b = next(iter(g._chain[0]))
+    assert b == 1  # point 2, not point 1
+    orbit = set(g._chain[0])
+    stabilizer = FiniteGroup.stabilizer
+
+    def refusing(self, p):
+        if p in orbit:
+            raise AssertionError(f"stabilizer of point {p + 1} rebuilt")
+        return stabilizer(self, p)
+
+    want = [orbit_count_tuples(g, t, method="burnside") for t in range(7)]
+    monkeypatch.setattr(FiniteGroup, "stabilizer", refusing)
+    assert [orbit_count_tuples(g, t, method="direct") for t in range(7)] == want
 
 
 def test_orbit_count_direct_stack_does_not_grow_with_t():

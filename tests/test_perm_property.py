@@ -1,7 +1,8 @@
 """Property tests of the permutation layer on random small groups.
 
-Each group is generated by one to three random permutations of degree
-at most six.  Every oracle is built from Permutation.__mul__ alone: the
+Each group is generated by one to four random permutations of degree
+at most six, so that the class walk meets a lone odd generator and a
+second pair.  Every oracle is built from Permutation.__mul__ alone: the
 element set by naive closure, inverses as the last power before the
 identity, classes by conjugating with every element, powers and class
 constants by repeated products.  The direct orbit count on t-tuples,
@@ -35,7 +36,7 @@ def generator_lists(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     images = st.permutations(range(n))
     return [Permutation(p) for p in
-            draw(st.lists(images, min_size=1, max_size=3))]
+            draw(st.lists(images, min_size=1, max_size=4))]
 
 
 def closure(gens):
