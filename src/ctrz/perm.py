@@ -28,18 +28,23 @@ classes.  The elements are the products of one transversal word per
 level of the chain, one product each, made lazily and not kept; the
 identity comes first, and the order of the rest follows the chain and
 means nothing else.  The chain, not a hash of every word, shows that
-none is listed twice.  Conjugacy classes are conjugation orbits under
-the generators, walked over words with one word-to-class dict that
-grows from empty and is the only place that holds every element.  The
-walk conjugates each word by two generators at a time, written out, in
-one sweep of the growing queue per pair, the last of an odd number
-alone; the sweeps repeat until none adds a word, so a two-generator
-group's walk is one sweep.  Each class is a run of its keys in that
-pair-sweep order, and the classes are reported in a canonical order:
-size ascending, then element order ascending, then the
-lexicographically smallest member.  Orbits on t-tuples are counted by
-Burnside's average over the classes, or by a descent through point
-stabilizers, taken from the chain at the top, that reads no class data.
+none is listed twice.  A group of order degree! is the full symmetric
+group on its points, and its conjugacy classes come from its cycle
+types, one per partition of the degree, each with its size and least
+member in closed form: no element is made, no element dict is built,
+and the class of a word is read off its cycle type.  Every other
+group's conjugacy classes are conjugation orbits under the generators,
+walked over words with one word-to-class dict that grows from empty and
+is the only place that holds every element.  The walk conjugates each
+word by two generators at a time, written out, in one sweep of the
+growing queue per pair, the last of an odd number alone; the sweeps
+repeat until none adds a word, so a two-generator group's walk is one
+sweep.  Each class is a run of its keys in that pair-sweep order.  The
+classes are reported in a canonical order: size ascending, then element
+order ascending, then the lexicographically smallest member.  Orbits on
+t-tuples are counted by Burnside's average over the classes, or by a
+descent through point stabilizers, taken from the chain at the top,
+that reads no class data.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Lengths of nontrivial cycles, descending.  Class invariant."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return _cycle_type(self.images)
 
     def order(self) -> int:
         return lcm(1, *(len(c) for c in self.cycles()))
@@ -128,6 +133,23 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_cycles(self)
+
+
+def _cycle_type(images) -> tuple[int, ...]:
+    """The lengths of the nontrivial cycles, descending, of the
+    permutation with these 0-based images, a tuple or a word."""
+    seen = bytearray(len(images))
+    lengths = []
+    for start, image in enumerate(images):
+        if image != start and not seen[start]:
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = 1
+                length += 1
+                i = images[i]
+            lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -287,10 +309,13 @@ class FiniteGroup:
                                    for u in top)
 
     def stabilizer(self, p: int) -> list[bytes]:
-        """The words that fix point p.  A product d * u of a deeper word d
-        and a top-level word u fixes p exactly when d[p] == q, u[q] == p,
-        so only those products are made."""
-        deeper, top = self._levels()
+        """The words that fix point p."""
+        return self._fixing(p, *self._levels())
+
+    def _fixing(self, p: int, deeper: list[bytes], top: list[bytes]) -> list[bytes]:
+        """The words that fix point p, from the levels of _levels().  A
+        product d * u of a deeper word d and a top-level word u fixes p
+        exactly when d[p] == q, u[q] == p, so only those are made."""
         by_image: dict[int, list[bytes]] = {}
         for d in deeper:
             by_image.setdefault(d[p], []).append(d)
@@ -382,10 +407,108 @@ class FiniteGroup:
                           self.identity)[0] == self.identity)
 
 
+def _factorial(n: int) -> int:
+    """n!, in ints."""
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+    return out
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most largest, each as its
+    parts in descending order."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _sweeps(group: FiniteGroup) -> list[tuple[bytes, ...]]:
+    """x -> gen^-1 * x * gen for each generator, as the word and the
+    table of two translations: two per sweep, and the last of an odd
+    number alone; the identity stands in for the generators of a group
+    given none."""
+    conj = [(bytes(gen.inverse().images), group.translation_table(gen))
+            for gen in group.generators or [Permutation.identity(group.degree)]]
+    sweeps = [conj[i] + conj[i + 1] for i in range(0, len(conj) - 1, 2)]
+    if len(conj) % 2:
+        sweeps.append(conj[-1])
+    return sweeps
+
+
+def _walk(start: bytes, k: int, orbit_of: dict[bytes, int],
+          sweeps: list[tuple[bytes, ...]], pad: bytes) -> list[bytes]:
+    """The queue of start's conjugates under the generators that are not
+    keys of orbit_of, start first, each mapped to k there as it is
+    found.  Each sweep reads the queue on from where it last stopped;
+    the queue is closed once the next sweep has read every word: none
+    was added since it last ran, so each other sweep read them all."""
+    orbit_of[start] = k
+    queue = [start]
+    read = [0] * len(sweeps)  # how far each sweep has read the queue
+    j = 0
+    while (r := read[j]) < len(queue):
+        # the queue grows while iterated; a first pass reads it
+        # whole, cheaper than an islice on a one-word class
+        words = islice(queue, r, None) if r else queue
+        if len(sweeps[j]) == 4:
+            ai, a, bi, b = sweeps[j]
+            for x in words:
+                x += pad
+                y = ai.translate(x).translate(a)
+                if y not in orbit_of:
+                    orbit_of[y] = k
+                    queue.append(y)
+                y = bi.translate(x).translate(b)
+                if y not in orbit_of:
+                    orbit_of[y] = k
+                    queue.append(y)
+        else:
+            ai, a = sweeps[j]
+            for x in words:
+                y = ai.translate(x + pad).translate(a)
+                if y not in orbit_of:
+                    orbit_of[y] = k
+                    queue.append(y)
+        read[j] = len(queue)
+        j = (j + 1) % len(sweeps)
+    return queue
+
+
+class _ClassWalk:
+    """A class of a full symmetric group as an iterable of its words:
+    each iteration walks the class alone from its least member."""
+
+    __slots__ = ("start", "sweeps", "pad")
+
+    def __init__(self, start: bytes, sweeps: list[tuple[bytes, ...]], pad: bytes):
+        self.start, self.sweeps, self.pad = start, sweeps, pad
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(_walk(self.start, 0, {}, self.sweeps, self.pad))
+
+
+class _ByCycleType(dict):
+    """The word-to-orbit lookup of a full symmetric group: it holds no
+    word, and a word's orbit is the number of its cycle type."""
+
+    __slots__ = ("numbers",)
+
+    def __init__(self):
+        super().__init__()
+        self.numbers: dict[tuple[int, ...], int] = {}
+
+    def __missing__(self, word: bytes) -> int:
+        return self.numbers[_cycle_type(word)]
+
+
 class ConjugacyClass:
     """One conjugacy class.  The representative is its least member; the
-    members are a run of the class set's word dict, in the unsorted
-    pair-sweep order of the walk that found them."""
+    members are the run keys[start:start + size], in the unsorted
+    pair-sweep order of the walk that found them, of the class set's
+    word dict, or of a _ClassWalk for a full symmetric group."""
 
     __slots__ = ("label", "size", "order", "representative", "_keys", "_start")
 
@@ -410,96 +533,94 @@ class ClassSet:
 
     Canonical order: class size ascending, element order ascending, then
     the lexicographically smallest member image tuple.  The identity
-    class is always first.  Each class is a queue of conjugates under
-    the generators, and its min is the representative.  The queue is
-    swept once per pair of generators, each word conjugated by both, and
-    once by the last of an odd number; the sweeps take turns, each from
-    where it last stopped, until the next has read every word, so two
-    generators make one sweep and the members are in pair-sweep order,
-    not breadth first.  The walk grows one dict from empty: a conjugate
-    becomes a key only when it is not one yet, so the dict is the one
-    place that holds the group's elements, and each class is the run of
-    keys it inserted.
-    Orbit starts are read from group.products(), and the walk stops
-    once the dict holds group.order words.  The dict maps a word to its
-    orbit's number and _rank maps that to the canonical class.
+    class is always first.
 
-    Only ClassSet reads the dict, and it is the one way to the class of
-    an element: class_of_element(p) for one permutation,
-    class_counts(words) for many words, and powers(c), the classes of
-    all powers of class c below its element order, which power_map(t)
-    reads.  fixed_points, computed on first use, is the one holder of the
-    permutation character's values, which Burnside's count reads too.
+    A group of order degree! is the full symmetric group on its points.
+    Its classes are its cycle types μ, read off the partitions of the
+    degree: size degree!/z_μ, and least member the fixed points first,
+    then cycles of ascending length on consecutive points.  No element
+    dict is built, and a class's words are walked, as below but for that
+    class alone, only when they are asked for.
+
+    Every other group's classes are walked.  Each class is a queue of
+    conjugates under the generators, and its min is the representative.
+    The queue is swept once per pair of generators, each word conjugated
+    by both, and once by the last of an odd number; the sweeps take
+    turns, each from where it last stopped, until the next has read
+    every word, so two generators make one sweep and the members are in
+    pair-sweep order, not breadth first.  The walk grows one dict from
+    empty: a conjugate becomes a key only when it is not one yet, so the
+    dict is the one place that holds the group's elements, and each
+    class is the run of keys it inserted.  Orbit starts are read from
+    group.products(), and the walk stops once the dict holds group.order
+    words.
+
+    The lookup _orbit_of maps a word to its orbit's number and _rank
+    maps that to the canonical class; for the full symmetric group it
+    is an empty dict that reads a missing word's cycle type.  Only
+    ClassSet reads it, and it is the one way to the class of an element:
+    class_of_element(p) for one permutation, class_counts(words) for
+    many words, and powers(c), the classes of all powers of class c
+    below its element order, which power_map(t) reads.  fixed_points,
+    computed on first use, is the one holder of the permutation
+    character's values, which Burnside's count reads too.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self._orbit_of: dict[bytes, int] = {}
+        if group.order == _factorial(group.degree):
+            self._orbit_of: dict[bytes, int] = _ByCycleType()
+            found = self._cycle_types()
+        else:
+            self._orbit_of = {}
+            found = self._orbits()
         keyed = []
-        for k, (first, queue) in enumerate(self._orbits()):
-            rep = Permutation(min(queue))
-            keyed.append((len(queue), rep.order(), rep.images, k, rep, first))
+        for k, (size, rep, keys, first) in enumerate(found):
+            keyed.append((size, rep.order(), rep.images, k, rep, keys, first))
         keyed.sort(key=lambda t: t[:3])
         self.classes: list[ConjugacyClass] = []
         self._rank = [0] * len(keyed)
-        for ci, (size, order, _, k, rep, first) in enumerate(keyed):
+        for ci, (size, order, _, k, rep, keys, first) in enumerate(keyed):
             self.classes.append(ConjugacyClass(f"C{ci + 1}", size, order, rep,
-                                               self._orbit_of, first))
+                                               keys, first))
             self._rank[k] = ci
         self.exponent = lcm(1, *(c.order for c in self.classes))
         self._powers: dict[int, list[int]] = {}
 
+    def _cycle_types(self):
+        """Yield each class of the full symmetric group as _orbits does,
+        one per partition of the degree, and number its cycle type in
+        the lookup."""
+        g = self.group
+        n, sweeps = g.degree, _sweeps(g)
+        for k, parts in enumerate(_partitions(n, n)):
+            cycles = tuple(part for part in parts if part > 1)
+            self._orbit_of.numbers[cycles] = k
+            z = 1  # centralizer order: length**m * m! for m cycles of a length
+            for length in set(parts):
+                m = parts.count(length)
+                z *= length**m * _factorial(m)
+            images = list(range(n - sum(cycles)))
+            for length in reversed(cycles):
+                a = len(images)
+                images += range(a + 1, a + length)
+                images.append(a)
+            word = bytes(images)
+            yield g.order // z, Permutation(word), _ClassWalk(word, sweeps, g.pad), 0
+
     def _orbits(self):
-        """Yield each conjugation orbit as its first position among the
-        keys of _orbit_of and the list of its words, and map each word
-        there to the number of its orbit, counted from 0."""
+        """Yield each conjugation orbit as its size, its representative
+        and the dict and position of its words among its keys, and map
+        each word there to the number of its orbit, counted from 0."""
         g, orbit_of = self.group, self._orbit_of
-        pad = g.pad
-        # x -> gen^-1 * x * gen, as word translations: two per sweep, and
-        # the last of an odd number alone; the identity stands in for the
-        # generators of a group given none
-        conj = [(bytes(gen.inverse().images), g.translation_table(gen))
-                for gen in g.generators or [Permutation.identity(g.degree)]]
-        sweeps = [conj[i] + conj[i + 1] for i in range(0, len(conj) - 1, 2)]
-        if len(conj) % 2:
-            sweeps.append(conj[-1])
+        sweeps = _sweeps(g)
         k = 0
         for start in g.products():
             if start in orbit_of:
                 continue
             first = len(orbit_of)
-            orbit_of[start] = k
-            queue = [start]
-            read = [0] * len(sweeps)  # how far each sweep has read the queue
-            j = 0
-            # closed once the next sweep has read every word: none was
-            # added since it last ran, so each other sweep read them all
-            while (r := read[j]) < len(queue):
-                # the queue grows while iterated; a first pass reads it
-                # whole, cheaper than an islice on a one-word class
-                words = islice(queue, r, None) if r else queue
-                if len(sweeps[j]) == 4:
-                    ai, a, bi, b = sweeps[j]
-                    for x in words:
-                        x += pad
-                        y = ai.translate(x).translate(a)
-                        if y not in orbit_of:
-                            orbit_of[y] = k
-                            queue.append(y)
-                        y = bi.translate(x).translate(b)
-                        if y not in orbit_of:
-                            orbit_of[y] = k
-                            queue.append(y)
-                else:
-                    ai, a = sweeps[j]
-                    for x in words:
-                        y = ai.translate(x + pad).translate(a)
-                        if y not in orbit_of:
-                            orbit_of[y] = k
-                            queue.append(y)
-                read[j] = len(queue)
-                j = (j + 1) % len(sweeps)
-            yield first, queue
+            queue = _walk(start, k, orbit_of, sweeps, g.pad)
+            yield len(queue), Permutation(min(queue)), orbit_of, first
             if len(orbit_of) == g.order:
                 return
             k += 1
@@ -520,11 +641,9 @@ class ClassSet:
         return counts
 
     def class_of_element(self, p: Permutation) -> int:
-        g = self.group
-        k = self._orbit_of.get(bytes(p.images)) if p.degree == g.degree else None
-        if k is None:
+        if p not in self.group:
             raise InputError(f"{p} is not an element of this group")
-        return self._rank[k]
+        return self._rank[self._orbit_of[bytes(p.images)]]
 
     def power_map(self, t: int) -> list[int]:
         """Class index of t-th powers, per class.  Defined for every
@@ -572,11 +691,13 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
     H, so each subgroup gives its counts for every length up to m at
     once, and the recursion is only as deep as a chain of stabilizers.
     The top level lists no element of the group: its point orbits come
-    from the generators.  The orbit that holds the chain's first base
-    point is represented by that point, whose stabilizer is the chain's
-    deeper products, group._levels()[0], as they stand; every other
-    orbit by its least point, whose stabilizer is group.stabilizer,
-    which makes only the words that fix the point.  It refuses
+    from the generators, and its stabilizers from one call of
+    group._levels(), the chain's deeper products and its top level's
+    words.  The orbit that holds the chain's first base point is
+    represented by that point, whose stabilizer is the deeper products
+    as they stand; every other orbit by its least point, whose
+    stabilizer is group._fixing, which makes only the words that fix
+    the point.  It refuses
     degree**t > tuple_cap tuples before any work, which bounds it: the
     descent has at most as many leaves as there are orbits.  It holds one
     stabilizer list per level, each at most half the order of the level
@@ -639,7 +760,7 @@ def orbit_count_tuples(group: FiniteGroup, t: int, method: str = "burnside",
 
     # the chain's deeper products are the stabilizer of its first base
     # point, which the trivial group, with no base, does not have
-    first, deeper = group._base[:1], group._levels()[0]
+    first, (deeper, top) = group._base[:1], group._levels()
     return combine(generated_orbit,
-                   lambda p: deeper if p in first else group.stabilizer(p),
+                   lambda p: deeper if p in first else group._fixing(p, deeper, top),
                    t, chain(first, range(n)))[t]

@@ -10,6 +10,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from math import factorial
 
 import pytest
 
@@ -447,6 +448,11 @@ def _pinned_group(name):
 PINNED_GENERATORS = {
     "s7": (7, ["(1,2)", "(1,2,3,4,5,6,7)"]),
     "m11": (11, ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]),
+    "a4": (4, ["(1,2,3)", "(2,3,4)"]),
+    "a5": (5, ["(1,2,3)", "(1,2,3,4,5)"]),
+    "a6": (6, ["(1,2,3)", "(2,3,4,5,6)"]),
+    "a7": (7, ["(1,2,3)", "(3,4,5,6,7)"]),
+    "s3-on-4": (4, ["(1,2)", "(1,2,3)"]),
 }
 
 # Digests of the output of the tuple-based permutation layer this one
@@ -456,7 +462,9 @@ PINNED_GENERATORS = {
 # pinned: "elements" digests the sorted element images and "class_of"
 # the class of each of them, by class_of_element, in that sorted order,
 # both taken on the breadth-first enumeration that the stabilizer chain
-# replaced.
+# replaced.  S7's classes now come from its cycle types; A4 to A7 and S3
+# on four points, whose orders are below degree!, still walk, and their
+# digests were taken on the pair-sweep walk that read every group.
 PINNED = {
     "g1344-deg8": {
         "elements": "d9780b9c35e70201", "classes": "c579048a550f622d",
@@ -474,6 +482,26 @@ PINNED = {
         "elements": "ff493684ff6a65c2", "classes": "393fcba974172aab",
         "class_of": "dafd7dac57a82813", "power_inverse": "d7556efb42925f72",
         "power_square": "13d4011ab6179290", "constants": "03d9cbee99a043de"},
+    "a4": {
+        "elements": "9a599ba44c9286fc", "classes": "8e16affeddcd82b6",
+        "class_of": "d982c9d802bd801d", "power_inverse": "e4ae833ace864285",
+        "power_square": "71f03f328931cee2", "constants": "288516150317ad66"},
+    "a5": {
+        "elements": "fd70055d6c507f8d", "classes": "495295c3a01bd6ee",
+        "class_of": "f503669770c9530a", "power_inverse": "7f2c5f390b0c7e30",
+        "power_square": "4d64489a2493153e", "constants": "c9474d9301f99cf2"},
+    "a6": {
+        "elements": "5440a5e7cb72f726", "classes": "5065a5c1a174d28c",
+        "class_of": "84e28ec74c76c9fe", "power_inverse": "d71a595b6e83e718",
+        "power_square": "d9609150fc518597", "constants": "2675660e2fac43d0"},
+    "a7": {
+        "elements": "93c8ccfa33ac94e7", "classes": "b980b0850200b664",
+        "class_of": "fe8ac81042840984", "power_inverse": "ab45fa33c7f81674",
+        "power_square": "dae0231384884519", "constants": "1f10104e5d08b438"},
+    "s3-on-4": {
+        "elements": "c680e9dd5ea45947", "classes": "39237e3034a3310d",
+        "class_of": "896c69e3a7d8f146", "power_inverse": "434026bd98ff2d8a",
+        "power_square": "b478c82900a216d7", "constants": "5fb63257e2e5ab20"},
 }
 
 
@@ -492,6 +520,17 @@ def test_classes_power_maps_and_constants_pinned(name):
         "constants": _digest(class_matrices(class_constants(cs))),
     }
     assert got == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GENERATORS))
+def test_only_a_full_symmetric_group_skips_the_walk(name):
+    """A group of order degree! keeps no word, even after its table;
+    every other group's walk keeps each element once."""
+    g, cs = _pinned_group(name)
+    compute_character_table(g, cs)
+    symmetric = g.order == factorial(g.degree)
+    assert symmetric == (name == "s7")
+    assert len(cs._orbit_of) == (0 if symmetric else g.order)
 
 
 def _s(n):
@@ -542,16 +581,34 @@ def test_orbit_count_direct_takes_the_top_stabilizer_from_the_chain(monkeypatch)
     b = next(iter(g._chain[0]))
     assert b == 1  # point 2, not point 1
     orbit = set(g._chain[0])
-    stabilizer = FiniteGroup.stabilizer
+    fixing = FiniteGroup._fixing
 
-    def refusing(self, p):
+    def refusing(self, p, deeper, top):
         if p in orbit:
             raise AssertionError(f"stabilizer of point {p + 1} rebuilt")
-        return stabilizer(self, p)
+        return fixing(self, p, deeper, top)
 
     want = [orbit_count_tuples(g, t, method="burnside") for t in range(7)]
-    monkeypatch.setattr(FiniteGroup, "stabilizer", refusing)
+    monkeypatch.setattr(FiniteGroup, "_fixing", refusing)
     assert [orbit_count_tuples(g, t, method="direct") for t in range(7)] == want
+
+
+def test_orbit_count_direct_builds_the_chain_products_once(monkeypatch):
+    """An intransitive group's point stabilizers all come from one call
+    of FiniteGroup._levels, not one per orbit."""
+    g = FiniteGroup([parse_cycles(c, 9)
+                     for c in ["(1,2,3)", "(4,5,6,7)", "(4,5)", "(8,9)"]])
+    assert g.order == 144
+    levels, calls = FiniteGroup._levels, []
+
+    def counted(self):
+        calls.append(1)
+        return levels(self)
+
+    monkeypatch.setattr(FiniteGroup, "_levels", counted)
+    assert orbit_count_tuples(g, 4, method="direct") == 374
+    assert len(calls) == 1
+    assert orbit_count_tuples(g, 4, method="burnside") == 374
 
 
 def test_orbit_count_direct_stack_does_not_grow_with_t():

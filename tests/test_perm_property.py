@@ -13,10 +13,12 @@ Membership is checked against the closure on every permutation of the
 degree, non-members included.  The eigensplit's vectors are checked
 against every class matrix.  The same checks run on identity, repeated
 and degree-1 generators, where the stabilizer chain that enumerates the
-group has its edge cases.
+group has its edge cases, and on S_1 to S_6 from fixed generating sets,
+whose classes come from their cycle types with no walk.
 """
 
 import itertools
+from math import factorial
 
 import pytest
 
@@ -26,7 +28,8 @@ from hypothesis import example, given, settings, strategies as st
 from ctrz.dixon import class_constants, common_eigenbasis
 from ctrz.errors import InputError
 from ctrz.modp import choose_prime
-from ctrz.perm import ClassSet, FiniteGroup, Permutation, orbit_count_tuples
+from ctrz.perm import (ClassSet, FiniteGroup, Permutation, orbit_count_tuples,
+                       parse_cycles)
 
 from conftest import class_matrices
 
@@ -121,12 +124,36 @@ def check_group(gens):
             y = inv[x] * ck.representative
             counts[cs.class_of_element(x)][cs.class_of_element(y)][k] += 1
     assert class_matrices(ca) == counts
+    return cs
 
 
 @settings(max_examples=100, deadline=None)
 @given(generator_lists())
 def test_random_groups_agree_with_product_oracles(gens):
     check_group(gens)
+
+
+def symmetric_generating_sets(n):
+    """Generating sets of S_n by name: three generators in each, and one,
+    two or the n - 1 adjacent transpositions."""
+    if n <= 2:
+        t = "(1,2)" if n == 2 else "()"
+        return {"one": [t], "three": [t, "()", t]}
+    cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    return {"two": ["(1,2)", cycle], "three": [cycle, "(1,2)", "(2,3)"],
+            "adjacent": [f"({i},{i + 1})" for i in range(1, n)]}
+
+
+@pytest.mark.parametrize("n, gens", [
+    pytest.param(n, gens, id=f"s{n}-{name}")
+    for n in range(1, 7) for name, gens in symmetric_generating_sets(n).items()])
+def test_symmetric_groups_from_cycle_types_agree_with_product_oracles(n, gens):
+    """A full symmetric group's classes come from its cycle types, and
+    its class lookup holds no word, class matrices built; every oracle
+    still holds."""
+    cs = check_group([parse_cycles(c, n) for c in gens])
+    assert cs.group.order == factorial(n)
+    assert len(cs._orbit_of) == 0
 
 
 @settings(max_examples=100, deadline=None)
