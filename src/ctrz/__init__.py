@@ -4,11 +4,11 @@ permutation groups given by generators.
 The layers, bottom up: perm (permutations, the stabilizer chain that
 gives a group's order and makes its elements, conjugacy classes, orbit
 counts), exact (cyclotomic field arithmetic), modp (the choice of prime,
-its primitive root and the root scan), dixon (character table
-computation), chartab (tables as data: validation, decomposition,
-matching), datasets (embedded groups and the published reference
-table), tensor (tensor power multiplicities and commutant structure),
-pipeline (cached end-to-end analyses), cli (command line).
+its primitive root and the root scan), symmetric (S_n's characters),
+dixon (character tables), chartab (tables as data: validation,
+decomposition, matching), datasets (embedded groups and the published
+reference table), tensor (tensor power multiplicities and commutant
+structure), pipeline (cached end-to-end analyses), cli (command line).
 """
 
 from .chartab import (CharacterTable, ClassFunction, ClassInfo,

@@ -922,6 +922,14 @@ def table_to_dict(table: CharacterTable) -> dict:
         if c.printed_size is not None:
             entry["printed_size"] = c.printed_size
         classes.append(entry)
+    encoded = {}  # each distinct value encoded once
+
+    def cell(v):
+        key = v.conductor, v.num, v.den
+        if key not in encoded:
+            encoded[key] = encode_value(v, table.conductor)
+        return encoded[key]
+
     return {
         "name": table.name,
         "group_order": table.group_order,
@@ -929,7 +937,7 @@ def table_to_dict(table: CharacterTable) -> dict:
         "verified": table.verified,
         "classes": classes,
         "characters": [
-            {"label": lab, "values": [encode_value(v, table.conductor) for v in row]}
+            {"label": lab, "values": [cell(v) for v in row]}
             for lab, row in zip(table.characters, table.values)],
     }
 

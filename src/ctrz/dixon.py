@@ -49,11 +49,15 @@ descends to its least conductor.  The table declares, and stores its
 values at, the group exponent where the cyclotomic cap admits it, and
 above the cap the field conductor, the lcm of the column conductors,
 refused only when that exceeds the cap too, before any class constant.
+
+A group of order degree!, the full symmetric group on its points, takes
+its rows from the Murnaghan-Nakayama rule (module symmetric) instead,
+with no prime and no class constant; both routes end in canonical_table.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -62,7 +66,8 @@ from .errors import InconsistencyError, InputError
 from .exact import (CYCLOTOMIC_CAP, Cyclotomic, _from_ints, _reduce_poly,
                     cyclotomic_polynomial)
 from .modp import choose_prime, poly_roots_mod_p, primitive_root_mod_p
-from .perm import ClassSet, FiniteGroup
+from . import symmetric
+from .perm import ClassSet, FiniteGroup, _factorial
 
 
 class ClassAlgebra:
@@ -355,25 +360,39 @@ def _degree_for(omega: tuple[int, ...], inv_map: list[int],
     raise InconsistencyError("no degree in range satisfies the congruence")
 
 
+def dixon_characters(class_set: ClassSet) -> tuple[int, list]:
+    """Dixon's route: the declared conductor and one (degree, values)
+    pair per character, the prime cap and then the conductor cap
+    refusing before the costly class constants."""
+    p = choose_prime(class_set.exponent, class_set.group.order)
+    conductor = declared_conductor(class_set)
+    eigen = common_eigenbasis(class_constants(class_set), p)
+    return conductor, lift_character_values(eigen, class_set, conductor)
+
+
 def compute_character_table(group: FiniteGroup,
                             class_set: ClassSet | None = None,
                             name: str = "") -> CharacterTable:
-    """Full exact character table in canonical row and column order.
+    """Full exact character table in canonical row and column order, its
+    rows from the Murnaghan-Nakayama rule for a group of order degree!,
+    the full symmetric group on its points, else from Dixon's route."""
+    cs = class_set if class_set is not None else ClassSet(group)
+    if group.order != _factorial(group.degree):
+        return canonical_table(cs, *dixon_characters(cs), name)
+    conductor, rows = declared_conductor(cs), symmetric.characters(cs)
+    value = {x: Cyclotomic.from_rational(x, conductor) for x in set(chain(*rows))}
+    lifted = [(row[0], [value[x] for x in row]) for row in rows]
+    return canonical_table(cs, conductor, lifted, name)
 
-    Rows are sorted by degree, then lexicographically on negated
-    coefficient vectors at the declared conductor, which puts the
+
+def canonical_table(class_set: ClassSet, conductor: int, lifted: list,
+                    name: str = "") -> CharacterTable:
+    """The verified table of the (degree, values) pairs, values at the
+    conductor, equal values one object.  Rows are sorted by degree, then
+    lexicographically on negated coefficient vectors, which puts the
     trivial character first and keeps the order deterministic.  The
     result carries verified=True only because it is validated right
-    here; any violation raises instead of returning.
-    """
-    cs = class_set if class_set is not None else ClassSet(group)
-    # the prime cap, then the conductor cap, refuse before the costly
-    # class constants
-    p = choose_prime(cs.exponent, group.order)
-    conductor = declared_conductor(cs)
-    algebra = class_constants(cs)
-    eigen = common_eigenbasis(algebra, p)
-    lifted = lift_character_values(eigen, cs, conductor)
+    here; any violation raises instead of returning."""
     # every lifted value has den 1, so num orders as the coefficients;
     # equal values are one object, negated once
     neg = {}
@@ -382,15 +401,11 @@ def compute_character_table(group: FiniteGroup,
             if id(v) not in neg:
                 neg[id(v)] = tuple(-c for c in v.num)
     lifted.sort(key=lambda item: (item[0], tuple(neg[id(v)] for v in item[1])))
-    classes = [
-        ClassInfo(label=c.label, size=c.size, order=c.order,
-                  representative=str(c.representative))
-        for c in cs.classes]
-    rows = [tuple(values) for _, values in lifted]
-    labels = [f"chi{i + 1}" for i in range(len(rows))]
-    table = CharacterTable(name=name or "computed", group_order=group.order,
-                           conductor=conductor, classes=classes,
-                           characters=labels, values=rows, verified=False)
+    classes = [ClassInfo(c.label, c.size, c.order, str(c.representative))
+               for c in class_set.classes]
+    table = CharacterTable(name or "computed", class_set.group.order, conductor,
+                           classes, [f"chi{i + 1}" for i in range(len(lifted))],
+                           [values for _, values in lifted])
     problems = validate(table)
     if problems:
         raise InconsistencyError(
@@ -398,4 +413,3 @@ def compute_character_table(group: FiniteGroup,
                 v.describe() for v in problems[:4]))
     table.verified = True
     return table
-

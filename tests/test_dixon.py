@@ -17,12 +17,13 @@ from ctrz.errors import InconsistencyError
 from ctrz.exact import Cyclotomic, to_quadratic
 from ctrz.modp import choose_prime
 from ctrz.perm import FiniteGroup, ClassSet, parse_cycles
-from ctrz.dixon import (ClassAlgebra, class_constants, common_eigenbasis,
-                        compute_character_table, declared_conductor)
+from ctrz.dixon import (ClassAlgebra, canonical_table, class_constants,
+                        common_eigenbasis, compute_character_table,
+                        declared_conductor, dixon_characters)
 from ctrz.chartab import validate, decompose, permutation_character
 from ctrz.datasets import builtin_group
 
-from conftest import class_matrices
+from conftest import class_matrices, counting_builds
 
 
 def rat(x, conductor=1):
@@ -220,25 +221,15 @@ def test_builtin_class_profiles(g8, g14):
         assert [c.order for c in cs.classes] == orders
 
 
-def _counting_builds(monkeypatch):
-    built = []
-    original = ClassAlgebra._build
-
-    def build(self, i):
-        built.append(i)
-        return original(self, i)
-
-    monkeypatch.setattr(ClassAlgebra, "_build", build)
-    return built
-
-
 def test_class_matrices_are_built_on_demand(monkeypatch):
     """The eigensplit of S8 is done after the two smallest non-identity
-    classes, so the table builds at most those two of its 22 matrices."""
-    built = _counting_builds(monkeypatch)
+    classes, so Dixon's route builds at most those two of its 22
+    matrices.  compute_character_table takes S8's rows from the
+    Murnaghan-Nakayama rule, so this calls Dixon's entry point."""
+    built = counting_builds(monkeypatch)
     g = group(["(1,2,3,4,5,6,7,8)", "(1,2)"], 8)
     cs = ClassSet(g)
-    ct = compute_character_table(g, cs)
+    ct = canonical_table(cs, *dixon_characters(cs))
     assert len(ct.classes) == 22 and ct.verified
     assert len(built) <= 2 and len(set(built)) == len(built)
     assert set(built) <= {1, 2}
@@ -261,14 +252,14 @@ def test_the_split_builds_few_class_matrices(monkeypatch, name, texts, degree,
         texts, degree = spec["generators"], spec["degree"]
     g = group(texts, degree)
     cs = ClassSet(g)
-    built = _counting_builds(monkeypatch)
+    built = counting_builds(monkeypatch)
     ct = compute_character_table(g, cs)
     assert ct.verified
     assert len(built) <= most and len(set(built)) == len(built)
 
 
 def test_full_tensor_builds_each_matrix_once(monkeypatch):
-    built = _counting_builds(monkeypatch)
+    built = counting_builds(monkeypatch)
     ca = class_constants(ClassSet(group(["(1,2)", "(1,2,3,4)"], 4)))
     assert built == []
     first = class_matrices(ca)
@@ -290,7 +281,7 @@ def test_corrupted_class_matrix_raises(monkeypatch):
     monkeypatch.setattr(ClassAlgebra, "_build", corrupted)
     g = group(["(1,2)", "(1,2,3,4)"], 4)
     with pytest.raises(InconsistencyError, match=r"weighted constants at \(1,2\)"):
-        compute_character_table(g)
+        dixon_characters(ClassSet(g))
     ca = class_constants(ClassSet(g))
     ca.matrix(2)
     with pytest.raises(InconsistencyError):
@@ -378,10 +369,11 @@ def _counting_reductions(monkeypatch):
 
 
 def test_rational_columns_build_no_reduction(monkeypatch):
-    """Every value of S5 is an integer: the lift reduces no polynomial,
-    although the table is stored at the exponent 60."""
+    """Every value of S5 is an integer: Dixon's lift reduces no
+    polynomial, although the table is stored at the exponent 60."""
     conductors = _counting_reductions(monkeypatch)
-    ct = compute_character_table(group(["(1,2)", "(1,2,3,4,5)"], 5))
+    cs = ClassSet(group(["(1,2)", "(1,2,3,4,5)"], 5))
+    ct = canonical_table(cs, *dixon_characters(cs))
     assert ct.conductor == 60 and ct.verified
     assert conductors == []
 
